@@ -33,10 +33,8 @@ __all__ = [
     "build_model",
     "candidates_from_records",
     "forward",
-    "forward_brnn",
     "forward_memory",
     "forward_mlp",
-    "forward_rnn",
     "load_model",
     "predict",
     "save_model",
@@ -305,6 +303,8 @@ def _window_steps(seq: np.ndarray, window: int) -> np.ndarray:
 
 
 def _run_lstm(model, tape, name, inputs_per_step: list[np.ndarray], batch_rows: int) -> Tensor:
+    """Final hidden state [batch_rows, H] of one packed direction;
+    ``inputs_per_step[t]`` holds the inputs of the rows still running at step t."""
     cfg = model.config
     wx = model.params[f"{name}_wx"].tensor
     wh = model.params[f"{name}_wh"].tensor
@@ -318,47 +318,33 @@ def _run_lstm(model, tape, name, inputs_per_step: list[np.ndarray], batch_rows: 
 
 
 def _recurrent_states(model: DestinationModel, tape: Tape, batch) -> Tensor:
-    """Final LSTM state(s) for every example, reassembled in batch order.
+    """Final LSTM state(s) for every example, in batch order.
 
-    Examples are bucketed by prefix length and each bucket runs as one
-    uniform-length mini-batch; equivalent to masking, without the masks.
+    Packed sequences: rows are sorted by prefix length, longest first, so
+    the rows still running at step t are the first n_t.  Each direction
+    runs max(length) steps over that shrinking block, and a finished row
+    carries its final state through the remaining steps.  The backward
+    direction reads each row's own prefix reversed (point L-1-t at step t).
+    One row permutation restores batch order.
     """
     cfg = model.config
     window = cfg.window if cfg.variant == "brnn_window" else 1
-    bidirectional = cfg.variant in ("brnn", "brnn_window")
+    lengths = np.array([len(ex.full_prefix) for ex in batch], dtype=np.int64)
+    order = np.argsort(-lengths, kind="stable")
+    lengths = lengths[order]
+    starts = np.concatenate([[0], np.cumsum(lengths)[:-1]])
+    points = np.concatenate(
+        [_window_steps(_standardized_prefix(model, batch[i]), window) for i in order]
+    )  # [sum of lengths, window*2], rows in sorted order
+    running = (lengths > np.arange(lengths[0])[:, None]).sum(axis=1)  # n_t, non-increasing
 
-    buckets: dict[int, list[int]] = {}
-    for i, ex in enumerate(batch):
-        buckets.setdefault(len(ex.full_prefix), []).append(i)
-
-    parts: list[Tensor] = []
-    row_indices: list[np.ndarray] = []
-    for length in sorted(buckets):
-        rows = np.array(buckets[length], dtype=np.int64)
-        seqs = np.stack(
-            [_window_steps(_standardized_prefix(model, batch[i]), window) for i in rows]
-        )  # [rows, T, window*2]
-        fwd_steps = [np.ascontiguousarray(seqs[:, t, :]) for t in range(length)]
-        h_fwd = _run_lstm(model, tape, "lstm_fwd", fwd_steps, len(rows))
-        if bidirectional:
-            h_bwd = _run_lstm(model, tape, "lstm_bwd", fwd_steps[::-1], len(rows))
-            parts.append(nncore.concat(tape, [h_fwd, h_bwd]))
-        else:
-            parts.append(h_fwd)
-        row_indices.append(rows)
-    return nncore.concat_rows(tape, parts, row_indices)
-
-
-def forward_rnn(model: DestinationModel, batch, tape: Tape = None) -> Tensor:
-    if model.config.variant != "rnn":
-        raise ValueError(f"forward_rnn called on variant {model.config.variant}")
-    return _recurrent_head(model, tape, batch)
-
-
-def forward_brnn(model: DestinationModel, batch, tape: Tape = None) -> Tensor:
-    if model.config.variant not in ("brnn", "brnn_window"):
-        raise ValueError(f"forward_brnn called on variant {model.config.variant}")
-    return _recurrent_head(model, tape, batch)
+    fwd_steps = [points[starts[:n] + t] for t, n in enumerate(running)]
+    state = _run_lstm(model, tape, "lstm_fwd", fwd_steps, len(batch))
+    if cfg.variant in ("brnn", "brnn_window"):
+        bwd_steps = [points[starts[:n] + lengths[:n] - 1 - t] for t, n in enumerate(running)]
+        h_bwd = _run_lstm(model, tape, "lstm_bwd", bwd_steps, len(batch))
+        state = nncore.concat(tape, [state, h_bwd])
+    return nncore.concat_rows(tape, [state], [order])
 
 
 def _recurrent_head(model, tape, batch) -> Tensor:
@@ -414,10 +400,8 @@ def forward(model: DestinationModel, batch, tape: Tape = None, candidates=None) 
     variant = model.config.variant
     if variant in _MLP_VARIANTS:
         return forward_mlp(model, batch, tape)
-    if variant == "rnn":
-        return forward_rnn(model, batch, tape)
-    if variant in ("brnn", "brnn_window"):
-        return forward_brnn(model, batch, tape)
+    if variant in _RNN_VARIANTS:
+        return _recurrent_head(model, tape, batch)
     if candidates is None:
         raise ValueError("memory_net forward requires candidates")
     return forward_memory(model, batch, candidates, tape)

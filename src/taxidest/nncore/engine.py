@@ -2,9 +2,10 @@
 
 The tape records every operation node in execution order; backward walks
 the list in exact reverse, once per node, accumulating gradients into the
-input tensors of each node.  Graphs are rebuilt per batch; there is no
-caching or fusion.  Single precision is the training default, double
-precision exists for gradient-check tests.
+input tensors of each node.  Graphs are rebuilt per batch and nothing is
+cached between batches.  Most ops are single primitives; ``lstm_cell`` is
+one fused node per step with a hand-written backward.  Single precision is
+the training default, double precision exists for gradient-check tests.
 """
 
 from __future__ import annotations

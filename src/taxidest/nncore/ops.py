@@ -157,8 +157,8 @@ def concat_rows(tape: Tape, parts: list[Tensor], row_indices: list[np.ndarray]) 
     """Scatter row blocks back into one batch-ordered tensor.
 
     ``parts[i]`` supplies the rows listed in ``row_indices[i]``; the index
-    lists must partition the output rows.  Used to reassemble per-length
-    buckets of recurrent batches.
+    lists must partition the output rows.  The recurrent models pass one
+    part, their length-sorted states, to restore batch order.
     """
     total = sum(len(ix) for ix in row_indices)
     width = parts[0].data.shape[1]
@@ -323,6 +323,33 @@ def mean_all(tape: Tape, x: Tensor) -> Tensor:
     return out
 
 
+class _CellState(Tensor):
+    """The ``c`` output of :func:`lstm_cell`: a gradient reaching it also
+    allocates the gradient of its ``h`` twin, whose tape node serves both."""
+
+    __slots__ = ("h",)
+
+    def __init__(self, data, h: Tensor):
+        super().__init__(data)
+        self.h = h
+
+    def accumulate(self, g: np.ndarray) -> None:
+        super().accumulate(g)
+        self.h.ensure_grad()
+
+    def ensure_grad(self) -> np.ndarray:
+        self.h.ensure_grad()
+        return super().ensure_grad()
+
+
+def _sigmoid_inplace(v: np.ndarray) -> None:
+    """v <- 1 / (1 + exp(-v)) as 0.5 + 0.5 tanh(v / 2), which cannot overflow."""
+    v *= 0.5
+    np.tanh(v, out=v)
+    v *= 0.5
+    v += 0.5
+
+
 def lstm_cell(
     tape: Tape,
     x: Tensor,
@@ -335,9 +362,15 @@ def lstm_cell(
     """One LSTM step with input/forget/output gates and tanh candidate.
 
     Gate preactivations are packed (i, f, g, o) along the last axis of
-    ``wx`` (in, 4H), ``wh`` (H, 4H) and ``b`` (4H,).  Composed from
-    primitive ops, so it is differentiable through the tape like any
-    other graph.
+    ``wx`` (in, 4H), ``wh`` (H, 4H) and ``b`` (4H,).  ``x`` may have fewer
+    rows than the state: a packed batch, sorted longest sequence first,
+    steps only its first ``len(x)`` rows, and the rows past them (finished
+    sequences) carry their state and its gradient through unchanged.
+
+    One fused tape node per step: the gates live in one preactivation
+    buffer, and the hand-written backward forms that buffer's gradient once
+    and accumulates ``dwx``, ``dwh`` and ``db`` from it.  The node is
+    recorded on ``h`` and runs when ``h`` or ``c`` receives a gradient.
     """
     hidden = h_prev.data.shape[-1]
     if wx.data.shape != (x.data.shape[-1], 4 * hidden) or wh.data.shape != (hidden, 4 * hidden):
@@ -345,11 +378,58 @@ def lstm_cell(
             f"lstm_cell: weight shapes {wx.data.shape}/{wh.data.shape} do not match "
             f"input {x.data.shape} and hidden {h_prev.data.shape}"
         )
-    pre = add_bias(tape, add(tape, matmul(tape, x, wx), matmul(tape, h_prev, wh)), b)
-    i_gate = sigmoid(tape, slice_cols(tape, pre, 0, hidden))
-    f_gate = sigmoid(tape, slice_cols(tape, pre, hidden, 2 * hidden))
-    g_cand = tanh(tape, slice_cols(tape, pre, 2 * hidden, 3 * hidden))
-    o_gate = sigmoid(tape, slice_cols(tape, pre, 3 * hidden, 4 * hidden))
-    c = add(tape, mul(tape, f_gate, c_prev), mul(tape, i_gate, g_cand))
-    h = mul(tape, o_gate, tanh(tape, c))
+    rows = h_prev.data.shape[0]
+    n = x.data.shape[0]
+    if c_prev.data.shape != h_prev.data.shape or n > rows or b.data.shape != (4 * hidden,):
+        raise ValueError(
+            f"lstm_cell: input {x.data.shape}, states {h_prev.data.shape}/{c_prev.data.shape} "
+            f"and bias {b.data.shape} do not fit"
+        )
+    hp, cp = h_prev.data[:n], c_prev.data[:n]
+    gates = x.data @ wx.data + hp @ wh.data
+    gates += b.data
+    i_g, f_g = gates[:, :hidden], gates[:, hidden : 2 * hidden]
+    g_c, o_g = gates[:, 2 * hidden : 3 * hidden], gates[:, 3 * hidden :]
+    _sigmoid_inplace(gates[:, : 2 * hidden])
+    np.tanh(g_c, out=g_c)
+    _sigmoid_inplace(o_g)
+
+    c_data = np.empty(c_prev.data.shape, dtype=gates.dtype)
+    h_data = np.empty_like(c_data)
+    c_new = c_data[:n]
+    np.multiply(f_g, cp, out=c_new)
+    c_new += i_g * g_c
+    tanh_c = np.tanh(c_new)
+    np.multiply(o_g, tanh_c, out=h_data[:n])
+    c_data[n:] = c_prev.data[n:]
+    h_data[n:] = h_prev.data[n:]
+    h = Tensor(h_data)
+    c = _CellState(c_data, h)
+    if tape is not None:
+        def bwd(dh):
+            dc = c.grad
+            dh_a = dh[:n]
+            d_tanh_c = dh_a * o_g
+            d_tanh_c *= 1.0 - tanh_c * tanh_c
+            if dc is not None:
+                d_tanh_c += dc[:n]
+            d_pre = np.empty_like(gates)
+            np.multiply(d_tanh_c, g_c * i_g * (1.0 - i_g), out=d_pre[:, :hidden])
+            np.multiply(d_tanh_c, cp * f_g * (1.0 - f_g), out=d_pre[:, hidden : 2 * hidden])
+            np.multiply(d_tanh_c, i_g * (1.0 - g_c * g_c), out=d_pre[:, 2 * hidden : 3 * hidden])
+            np.multiply(dh_a, tanh_c * o_g * (1.0 - o_g), out=d_pre[:, 3 * hidden :])
+
+            dh_prev = np.empty_like(dh)
+            np.matmul(d_pre, wh.data.T, out=dh_prev[:n])
+            dh_prev[n:] = dh[n:]
+            dc_prev = np.empty_like(dh)
+            np.multiply(d_tanh_c, f_g, out=dc_prev[:n])
+            dc_prev[n:] = 0.0 if dc is None else dc[n:]
+            h_prev.accumulate(dh_prev)
+            c_prev.accumulate(dc_prev)
+            x.accumulate(d_pre @ wx.data.T)
+            wx.accumulate(x.data.T @ d_pre)
+            wh.accumulate(hp.T @ d_pre)
+            b.accumulate(d_pre.sum(axis=0))
+        tape.record(h, bwd)
     return h, c

@@ -35,5 +35,5 @@ def clip_gradients(params: Iterable[Parameter], max_norm: float) -> float:
     if norm > max_norm and norm > 0:
         factor = max_norm / norm
         for p in params:
-            p.grad *= factor
+            p.grad[...] *= factor
     return norm

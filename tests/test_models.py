@@ -163,6 +163,34 @@ class TestRecurrentDetails:
         np.testing.assert_allclose(state[0, :hidden], state[0, hidden:], atol=1e-12)
 
 
+class TestPackedRecurrentBatch:
+    """Mixed and repeated lengths: rows finish at different steps and the
+    batch is reordered by length, on the forward and the gradient path."""
+
+    LENGTHS = [1, 3, 3, 5, 7, 2]
+
+    def _batch(self, model):
+        recs = make_records(self.LENGTHS, np.random.default_rng(24))
+        return [
+            data.make_prefix_example(r, len(r.polyline), model.config.k, model.stats, model.vocab)
+            for r in recs
+        ]
+
+    @pytest.mark.parametrize("variant", ["rnn", "brnn", "brnn_window"])
+    def test_batch_equals_rows_one_at_a_time(self, variant):
+        model = tiny_model(variant, seed=5)
+        batch = self._batch(model)
+        packed = models._recurrent_states(model, None, batch).data
+        rows = np.vstack([models._recurrent_states(model, None, [ex]).data for ex in batch])
+        np.testing.assert_allclose(packed, rows, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("variant", ["rnn", "brnn"])
+    def test_gradients(self, variant):
+        model = tiny_model(variant, seed=6)
+        worst, name = model_gradient_check(model, self._batch(model))
+        assert worst < 1e-3, f"{variant}: {name} at {worst:.2e}"
+
+
 class TestMemoryNetwork:
     def _candidates(self, model, rng, n):
         recs = make_records([3] * n, rng)

@@ -309,6 +309,104 @@ class TestLstmCell:
         check_grads(build, [wx, wh, b], tol=1e-3)
 
 
+class TestPackedLstmCell:
+    """The fused cell: one tape node, gradients through h or c alone, and
+    packed batches whose rows past ``len(x)`` have finished."""
+
+    def _weights(self, rng, in_width=2, hdim=3):
+        wx = Parameter("wx", rng.normal(0, 0.4, size=(in_width, 4 * hdim)))
+        wh = Parameter("wh", rng.normal(0, 0.4, size=(hdim, 4 * hdim)))
+        b = Parameter("b", rng.normal(0, 0.2, size=4 * hdim))
+        return wx, wh, b
+
+    def test_one_step_records_one_node(self):
+        rng = np.random.default_rng(40)
+        wx, wh, b = self._weights(rng)
+        z = Tensor(np.zeros((2, 3)))
+        tape = Tape()
+        lstm_cell(tape, Tensor(rng.normal(size=(2, 2))), z, z, wx.tensor, wh.tensor, b.tensor)
+        assert len(tape.nodes) == 1
+
+    def test_gradients_through_cell_state_only(self):
+        rng = np.random.default_rng(41)
+        wx, wh, b = self._weights(rng)
+        xs = [rng.normal(size=(2, 2)) for _ in range(2)]
+        wt = rng.normal(size=(2, 3))
+
+        def build(tape):
+            h = Tensor(np.zeros((2, 3)))
+            c = Tensor(np.zeros((2, 3)))
+            for x in xs:
+                h, c = lstm_cell(tape, Tensor(x), h, c, wx.tensor, wh.tensor, b.tensor)
+            return sum_of(tape, mul(tape, c, Tensor(wt)))
+
+        check_grads(build, [wx, wh, b], tol=1e-3)
+
+    def test_packed_rows_match_unpacked_cell(self):
+        rng = np.random.default_rng(42)
+        wx, wh, b = self._weights(rng)
+        x = rng.normal(size=(2, 2))
+        hp, cp = rng.normal(size=(4, 3)), rng.normal(size=(4, 3))
+        weights = (wx.tensor, wh.tensor, b.tensor)
+        h, c = lstm_cell(None, Tensor(x), Tensor(hp), Tensor(cp), *weights)
+        h2, c2 = lstm_cell(None, Tensor(x), Tensor(hp[:2]), Tensor(cp[:2]), *weights)
+        np.testing.assert_array_equal(h.data[:2], h2.data)
+        np.testing.assert_array_equal(c.data[:2], c2.data)
+        np.testing.assert_array_equal(h.data[2:], hp[2:])
+        np.testing.assert_array_equal(c.data[2:], cp[2:])
+
+    def test_finished_rows_pass_gradient_through(self):
+        rng = np.random.default_rng(43)
+        wx, wh, b = self._weights(rng)
+        h_prev = Parameter("h_prev", rng.normal(size=(4, 3)))
+        c_prev = Parameter("c_prev", rng.normal(size=(4, 3)))
+        x = rng.normal(size=(2, 2))
+        wt_h, wt_c = rng.normal(size=(4, 3)), rng.normal(size=(4, 3))
+
+        def build(tape):
+            h, c = lstm_cell(tape, Tensor(x), h_prev.tensor, c_prev.tensor, wx.tensor, wh.tensor, b.tensor)
+            return add(tape, sum_of(tape, mul(tape, h, Tensor(wt_h))), sum_of(tape, mul(tape, c, Tensor(wt_c))))
+
+        tape = Tape()
+        tape.backward(build(tape))
+        np.testing.assert_array_equal(h_prev.grad[2:], wt_h[2:])
+        np.testing.assert_array_equal(c_prev.grad[2:], wt_c[2:])
+        for p in (wx, wh, b, h_prev, c_prev):
+            p.grad[...] = 0
+        check_grads(build, [wx, wh, b, h_prev, c_prev], tol=1e-3)
+
+    def test_saturated_preactivations_stay_finite(self):
+        hdim = 2
+        b = np.array([800.0, -800.0] * (2 * hdim))
+        z = Tensor(np.zeros((1, hdim)))
+        with np.errstate(all="raise"):
+            h, c = lstm_cell(
+                None, Tensor(np.zeros((1, 1))), z, z,
+                Tensor(np.zeros((1, 4 * hdim))), Tensor(np.zeros((hdim, 4 * hdim))), Tensor(b),
+            )
+        assert np.isfinite(h.data).all() and np.isfinite(c.data).all()
+
+
+class TestClipGradients:
+    def test_scales_to_max_norm_and_returns_pre_clip_norm(self):
+        p = Parameter("p", np.zeros(2))
+        q = Parameter("q", np.zeros((1, 2)))
+        p.grad[...] = [3.0, 0.0]
+        q.grad[...] = [[0.0, 4.0]]
+        norm = nncore.clip_gradients([p, q], max_norm=1.0)
+        assert norm == pytest.approx(5.0)
+        clipped = np.sqrt(np.sum(p.grad**2) + np.sum(q.grad**2))
+        assert clipped == pytest.approx(1.0)
+        np.testing.assert_allclose(p.grad, [0.6, 0.0])
+        np.testing.assert_allclose(q.grad, [[0.0, 0.8]])
+
+    def test_below_limit_untouched(self):
+        p = Parameter("p", np.zeros(2))
+        p.grad[...] = [0.3, 0.4]
+        assert nncore.clip_gradients([p], max_norm=1.0) == pytest.approx(0.5)
+        np.testing.assert_array_equal(p.grad, [0.3, 0.4])
+
+
 class TestElementwiseOps:
     def test_gradients_composite(self):
         rng = np.random.default_rng(8)

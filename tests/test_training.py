@@ -189,6 +189,22 @@ class TestTrainLoop:
         assert np.isfinite(report.history[-1].val_haversine_km)
 
 
+    def test_clip_norm_training_runs_on_brnn(self):
+        rng = np.random.default_rng(36)
+        recs = make_records([int(rng.integers(2, 8)) for _ in range(12)], rng)
+        model = tiny_model("brnn")
+        val = fixed_prefix_examples(
+            recs[:4], model.config.k, model.stats, model.vocab, np.random.default_rng(3)
+        )
+        cfg = dict(batch_size=5, max_batches=4, validate_every=2, patience=99)
+        # Gradient norms here are about 0.4, so a limit of 0.01 clips every batch.
+        clipped = train(model, recs, val, TrainConfig(**cfg, clip_norm=0.01))
+        assert len(clipped.history) == 2
+        assert np.isfinite(clipped.history[-1].val_haversine_km)
+        free = train(tiny_model("brnn"), recs, val, TrainConfig(**cfg))
+        assert clipped.history != free.history
+
+
 class TestTrainReport:
     def test_jsonl_round_trip(self, tmp_path):
         report = TrainReport(
