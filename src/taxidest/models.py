@@ -302,19 +302,34 @@ def _window_steps(seq: np.ndarray, window: int) -> np.ndarray:
     return seq[np.maximum(steps, 0)].reshape(t_count, 2 * window)
 
 
-def _run_lstm(model, tape, name, inputs_per_step: list[np.ndarray], batch_rows: int) -> Tensor:
-    """Final hidden state [batch_rows, H] of one packed direction;
-    ``inputs_per_step[t]`` holds the inputs of the rows still running at step t."""
+def _run_lstm(model, tape, name, inputs_per_step: list[np.ndarray], order: np.ndarray) -> Tensor:
+    """Final hidden state [len(order), H] of one packed direction, in batch order.
+
+    ``inputs_per_step[t]`` holds the inputs of the rows still running at
+    step t, the first ones of the length-sorted batch; sorted row j is batch
+    row ``order[j]``.  The state shrinks with the running rows, so a row's
+    final state is the one it had when it stopped, and one ``concat_rows``
+    gathers those states.
+    """
     cfg = model.config
     wx = model.params[f"{name}_wx"].tensor
     wh = model.params[f"{name}_wh"].tensor
     b = model.params[f"{name}_b"].tensor
     dtype = cfg.np_dtype()
-    h = Tensor(np.zeros((batch_rows, cfg.rnn_hidden), dtype=dtype))
-    c = Tensor(np.zeros((batch_rows, cfg.rnn_hidden), dtype=dtype))
+    h = Tensor(np.zeros((len(order), cfg.rnn_hidden), dtype=dtype))
+    c = Tensor(np.zeros((len(order), cfg.rnn_hidden), dtype=dtype))
+    finals: list[tuple[Tensor, int]] = []  # (state, rows before its finished rows)
     for x_t in inputs_per_step:
+        if len(x_t) < h.data.shape[0]:
+            finals.append((h, len(x_t)))
         h, c = nncore.lstm_cell(tape, Tensor(x_t), h, c, wx, wh, b)
-    return h
+    finals.append((h, 0))
+    return nncore.concat_rows(
+        tape,
+        [state for state, _ in finals],
+        [order[n : state.data.shape[0]] for state, n in finals],
+        [slice(n, state.data.shape[0]) for state, n in finals],
+    )
 
 
 def _recurrent_states(model: DestinationModel, tape: Tape, batch) -> Tensor:
@@ -322,10 +337,9 @@ def _recurrent_states(model: DestinationModel, tape: Tape, batch) -> Tensor:
 
     Packed sequences: rows are sorted by prefix length, longest first, so
     the rows still running at step t are the first n_t.  Each direction
-    runs max(length) steps over that shrinking block, and a finished row
-    carries its final state through the remaining steps.  The backward
+    runs max(length) steps, step t over those n_t rows only, and takes each
+    row's final state from the step after which it stops.  The backward
     direction reads each row's own prefix reversed (point L-1-t at step t).
-    One row permutation restores batch order.
     """
     cfg = model.config
     window = cfg.window if cfg.variant == "brnn_window" else 1
@@ -339,12 +353,12 @@ def _recurrent_states(model: DestinationModel, tape: Tape, batch) -> Tensor:
     running = (lengths > np.arange(lengths[0])[:, None]).sum(axis=1)  # n_t, non-increasing
 
     fwd_steps = [points[starts[:n] + t] for t, n in enumerate(running)]
-    state = _run_lstm(model, tape, "lstm_fwd", fwd_steps, len(batch))
+    state = _run_lstm(model, tape, "lstm_fwd", fwd_steps, order)
     if cfg.variant in ("brnn", "brnn_window"):
         bwd_steps = [points[starts[:n] + lengths[:n] - 1 - t] for t, n in enumerate(running)]
-        h_bwd = _run_lstm(model, tape, "lstm_bwd", bwd_steps, len(batch))
+        h_bwd = _run_lstm(model, tape, "lstm_bwd", bwd_steps, order)
         state = nncore.concat(tape, [state, h_bwd])
-    return nncore.concat_rows(tape, [state], [order])
+    return state
 
 
 def _recurrent_head(model, tape, batch) -> Tensor:

@@ -153,23 +153,32 @@ def slice_cols(tape: Tape, x: Tensor, start: int, stop: int) -> Tensor:
     return out
 
 
-def concat_rows(tape: Tape, parts: list[Tensor], row_indices: list[np.ndarray]) -> Tensor:
+def concat_rows(
+    tape: Tape, parts: list[Tensor], row_indices: list[np.ndarray], part_rows: list | None = None
+) -> Tensor:
     """Scatter row blocks back into one batch-ordered tensor.
 
     ``parts[i]`` supplies the rows listed in ``row_indices[i]``; the index
-    lists must partition the output rows.  The recurrent models pass one
-    part, their length-sorted states, to restore batch order.
+    lists must partition the output rows.  ``part_rows[i]``, a slice, takes
+    only those rows of ``parts[i]`` (default: all of them).  The recurrent
+    models gather each packed sequence's final state this way, from the
+    step after which it stops, in batch order.
     """
+    if part_rows is None:
+        part_rows = [slice(None)] * len(parts)
     total = sum(len(ix) for ix in row_indices)
     width = parts[0].data.shape[1]
     out_data = np.empty((total, width), dtype=parts[0].data.dtype)
-    for part, ix in zip(parts, row_indices):
-        out_data[ix] = part.data
+    for part, ix, take in zip(parts, row_indices, part_rows):
+        out_data[ix] = part.data[take]
     out = Tensor(out_data)
     if tape is not None:
         def bwd(g):
-            for part, ix in zip(parts, row_indices):
-                part.accumulate(g[ix])
+            for part, ix, take in zip(parts, row_indices, part_rows):
+                if take == slice(None):
+                    part.accumulate(g[ix])
+                else:
+                    part.ensure_grad()[take] += g[ix]
         tape.record(out, bwd)
     return out
 
@@ -298,14 +307,17 @@ def tanh(tape: Tape, x: Tensor) -> Tensor:
     return out
 
 
+def _sigmoid_inplace(v: np.ndarray) -> None:
+    """v <- 1 / (1 + exp(-v)) as 0.5 + 0.5 tanh(v / 2), which cannot overflow."""
+    v *= 0.5
+    np.tanh(v, out=v)
+    v *= 0.5
+    v += 0.5
+
+
 def sigmoid(tape: Tape, x: Tensor) -> Tensor:
-    d = x.data
-    out_data = np.empty_like(d)
-    pos = d >= 0
-    out_data[pos] = 1.0 / (1.0 + np.exp(-d[pos]))
-    ex = np.exp(d[~pos])
-    out_data[~pos] = ex / (1.0 + ex)
-    out = Tensor(out_data)
+    out = Tensor(np.array(x.data, copy=True))
+    _sigmoid_inplace(out.data)
     if tape is not None:
         def bwd(g):
             x.accumulate(g * out.data * (1.0 - out.data))
@@ -342,12 +354,12 @@ class _CellState(Tensor):
         return super().ensure_grad()
 
 
-def _sigmoid_inplace(v: np.ndarray) -> None:
-    """v <- 1 / (1 + exp(-v)) as 0.5 + 0.5 tanh(v / 2), which cannot overflow."""
-    v *= 0.5
-    np.tanh(v, out=v)
-    v *= 0.5
-    v += 0.5
+def _accumulate_leading_rows(t: Tensor, g: np.ndarray) -> None:
+    """Add ``g`` to the gradient of the first ``len(g)`` rows of ``t``."""
+    if g.shape[0] == t.data.shape[0]:
+        t.accumulate(g)
+    else:
+        t.ensure_grad()[: g.shape[0]] += g
 
 
 def lstm_cell(
@@ -364,8 +376,9 @@ def lstm_cell(
     Gate preactivations are packed (i, f, g, o) along the last axis of
     ``wx`` (in, 4H), ``wh`` (H, 4H) and ``b`` (4H,).  ``x`` may have fewer
     rows than the state: a packed batch, sorted longest sequence first,
-    steps only its first ``len(x)`` rows, and the rows past them (finished
-    sequences) carry their state and its gradient through unchanged.
+    steps only its first ``len(x)`` rows, and ``h`` and ``c`` have
+    ``len(x)`` rows.  The state rows past them belong to finished
+    sequences; the cell leaves them, and their gradient, to the caller.
 
     One fused tape node per step: the gates live in one preactivation
     buffer, and the hand-written backward forms that buffer's gradient once
@@ -378,9 +391,8 @@ def lstm_cell(
             f"lstm_cell: weight shapes {wx.data.shape}/{wh.data.shape} do not match "
             f"input {x.data.shape} and hidden {h_prev.data.shape}"
         )
-    rows = h_prev.data.shape[0]
     n = x.data.shape[0]
-    if c_prev.data.shape != h_prev.data.shape or n > rows or b.data.shape != (4 * hidden,):
+    if c_prev.data.shape != h_prev.data.shape or n > h_prev.data.shape[0] or b.data.shape != (4 * hidden,):
         raise ValueError(
             f"lstm_cell: input {x.data.shape}, states {h_prev.data.shape}/{c_prev.data.shape} "
             f"and bias {b.data.shape} do not fit"
@@ -394,39 +406,27 @@ def lstm_cell(
     np.tanh(g_c, out=g_c)
     _sigmoid_inplace(o_g)
 
-    c_data = np.empty(c_prev.data.shape, dtype=gates.dtype)
-    h_data = np.empty_like(c_data)
-    c_new = c_data[:n]
-    np.multiply(f_g, cp, out=c_new)
-    c_new += i_g * g_c
-    tanh_c = np.tanh(c_new)
-    np.multiply(o_g, tanh_c, out=h_data[:n])
-    c_data[n:] = c_prev.data[n:]
-    h_data[n:] = h_prev.data[n:]
-    h = Tensor(h_data)
+    c_data = f_g * cp
+    c_data += i_g * g_c
+    tanh_c = np.tanh(c_data)
+    h = Tensor(o_g * tanh_c)
     c = _CellState(c_data, h)
     if tape is not None:
         def bwd(dh):
             dc = c.grad
-            dh_a = dh[:n]
-            d_tanh_c = dh_a * o_g
+            d_tanh_c = dh * o_g
             d_tanh_c *= 1.0 - tanh_c * tanh_c
             if dc is not None:
-                d_tanh_c += dc[:n]
+                d_tanh_c += dc
             d_pre = np.empty_like(gates)
             np.multiply(d_tanh_c, g_c * i_g * (1.0 - i_g), out=d_pre[:, :hidden])
             np.multiply(d_tanh_c, cp * f_g * (1.0 - f_g), out=d_pre[:, hidden : 2 * hidden])
             np.multiply(d_tanh_c, i_g * (1.0 - g_c * g_c), out=d_pre[:, 2 * hidden : 3 * hidden])
-            np.multiply(dh_a, tanh_c * o_g * (1.0 - o_g), out=d_pre[:, 3 * hidden :])
+            np.multiply(dh, tanh_c * o_g * (1.0 - o_g), out=d_pre[:, 3 * hidden :])
 
-            dh_prev = np.empty_like(dh)
-            np.matmul(d_pre, wh.data.T, out=dh_prev[:n])
-            dh_prev[n:] = dh[n:]
-            dc_prev = np.empty_like(dh)
-            np.multiply(d_tanh_c, f_g, out=dc_prev[:n])
-            dc_prev[n:] = 0.0 if dc is None else dc[n:]
-            h_prev.accumulate(dh_prev)
-            c_prev.accumulate(dc_prev)
+            _accumulate_leading_rows(h_prev, d_pre @ wh.data.T)
+            d_tanh_c *= f_g
+            _accumulate_leading_rows(c_prev, d_tanh_c)
             x.accumulate(d_pre @ wx.data.T)
             wx.accumulate(x.data.T @ d_pre)
             wh.accumulate(hp.T @ d_pre)

@@ -350,18 +350,17 @@ class TestPackedLstmCell:
         weights = (wx.tensor, wh.tensor, b.tensor)
         h, c = lstm_cell(None, Tensor(x), Tensor(hp), Tensor(cp), *weights)
         h2, c2 = lstm_cell(None, Tensor(x), Tensor(hp[:2]), Tensor(cp[:2]), *weights)
-        np.testing.assert_array_equal(h.data[:2], h2.data)
-        np.testing.assert_array_equal(c.data[:2], c2.data)
-        np.testing.assert_array_equal(h.data[2:], hp[2:])
-        np.testing.assert_array_equal(c.data[2:], cp[2:])
+        assert h.data.shape == c.data.shape == (2, 3)
+        np.testing.assert_array_equal(h.data, h2.data)
+        np.testing.assert_array_equal(c.data, c2.data)
 
-    def test_finished_rows_pass_gradient_through(self):
+    def test_rows_past_x_take_no_gradient_from_the_cell(self):
         rng = np.random.default_rng(43)
         wx, wh, b = self._weights(rng)
         h_prev = Parameter("h_prev", rng.normal(size=(4, 3)))
         c_prev = Parameter("c_prev", rng.normal(size=(4, 3)))
         x = rng.normal(size=(2, 2))
-        wt_h, wt_c = rng.normal(size=(4, 3)), rng.normal(size=(4, 3))
+        wt_h, wt_c = rng.normal(size=(2, 3)), rng.normal(size=(2, 3))
 
         def build(tape):
             h, c = lstm_cell(tape, Tensor(x), h_prev.tensor, c_prev.tensor, wx.tensor, wh.tensor, b.tensor)
@@ -369,11 +368,38 @@ class TestPackedLstmCell:
 
         tape = Tape()
         tape.backward(build(tape))
-        np.testing.assert_array_equal(h_prev.grad[2:], wt_h[2:])
-        np.testing.assert_array_equal(c_prev.grad[2:], wt_c[2:])
+        np.testing.assert_array_equal(h_prev.grad[2:], 0.0)
+        np.testing.assert_array_equal(c_prev.grad[2:], 0.0)
         for p in (wx, wh, b, h_prev, c_prev):
             p.grad[...] = 0
         check_grads(build, [wx, wh, b, h_prev, c_prev], tol=1e-3)
+
+    def test_finished_rows_keep_state_and_gradient(self):
+        """Three sequences of lengths 3, 2 and 1, packed: each final state,
+        gathered from the step after which it stops, equals the state of
+        that sequence run alone, and the gradient through it is exact."""
+        rng = np.random.default_rng(44)
+        wx, wh, b = self._weights(rng)
+        seqs = [rng.normal(size=(n, 2)) for n in (3, 2, 1)]
+        wt = rng.normal(size=(3, 3))
+        weights = (wx.tensor, wh.tensor, b.tensor)
+
+        def packed(tape):
+            h = c = Tensor(np.zeros((3, 3)))
+            states = []
+            for t in range(3):
+                h, c = lstm_cell(tape, Tensor(np.array([s[t] for s in seqs if len(s) > t])), h, c, *weights)
+                states.append(h)
+            # Sequence j is row j and stops after step 2 - j.
+            return concat_rows(tape, states, [np.array([j]) for j in (2, 1, 0)], [slice(j, j + 1) for j in (2, 1, 0)])
+
+        out = packed(None).data
+        for j, s in enumerate(seqs):
+            h = c = Tensor(np.zeros((1, 3)))
+            for x_t in s:
+                h, c = lstm_cell(None, Tensor(x_t[None]), h, c, *weights)
+            np.testing.assert_allclose(out[j], h.data[0], rtol=0, atol=1e-15)
+        check_grads(lambda tape: sum_of(tape, mul(tape, packed(tape), Tensor(wt))), [wx, wh, b], tol=1e-3)
 
     def test_saturated_preactivations_stay_finite(self):
         hdim = 2
@@ -445,6 +471,22 @@ class TestElementwiseOps:
         tape.backward(loss)
         np.testing.assert_array_equal(p1.grad, g[[2, 0]])
         np.testing.assert_array_equal(p2.grad, g[[1]])
+
+    def test_concat_rows_takes_part_rows(self):
+        p1 = Parameter("p1", np.arange(6.0).reshape(3, 2))
+        p2 = Parameter("p2", np.array([[7.0, 8.0]]))
+        wt = np.random.default_rng(12).normal(size=(3, 2))
+
+        def build(tape):
+            out = concat_rows(tape, [p1.tensor, p2.tensor], [np.array([2, 0]), np.array([1])], [slice(1, 3), slice(None)])
+            return sum_of(tape, mul(tape, out, Tensor(wt)))
+
+        out = concat_rows(None, [p1.tensor, p2.tensor], [np.array([2, 0]), np.array([1])], [slice(1, 3), slice(None)])
+        np.testing.assert_array_equal(out.data, [[4.0, 5.0], [7.0, 8.0], [2.0, 3.0]])
+        tape = Tape()
+        tape.backward(build(tape))
+        np.testing.assert_array_equal(p1.grad, [[0.0, 0.0], wt[2], wt[0]])
+        np.testing.assert_array_equal(p2.grad, wt[[1]])
 
     def test_slice_cols_gradient(self):
         p = Parameter("p", np.random.default_rng(10).normal(size=(3, 5)))
