@@ -1,50 +1,22 @@
-"""Hot numeric kernels with numba-accelerated and pure-numpy implementations.
+"""Hot numeric kernels, in numpy.
 
 Two kernels dominate runtime: the mean-shift seed iteration over a spatial
 grid index (clustering 1.7M destinations) and the row scatter-add that
 accumulates embedding gradients every training batch.
-
-Backend selection: the numba path is used when numba imports successfully
-and the environment variable ``TAXIDEST_NUMBA`` is not one of ``0``,
-``false``, ``no``.  Both implementations are importable directly so tests
-and benchmarks can compare them.
 """
 
 from __future__ import annotations
 
 import math
-import os
 
 import numpy as np
 
 _DEG2RAD = math.pi / 180.0
 
-_flag = os.environ.get("TAXIDEST_NUMBA", "1").strip().lower()
-_want_numba = _flag not in ("0", "false", "no")
-
-try:
-    from numba import njit
-
-    HAS_NUMBA = True
-except ImportError:  # pragma: no cover - exercised only without numba installed
-    HAS_NUMBA = False
-
-    def njit(*args, **kwargs):
-        if args and callable(args[0]):
-            return args[0]
-
-        def wrap(f):
-            return f
-
-        return wrap
-
-
-NUMBA_ENABLED = HAS_NUMBA and _want_numba
-
 
 def backend() -> str:
-    """Name of the active kernel backend: ``numba`` or ``numpy``."""
-    return "numba" if NUMBA_ENABLED else "numpy"
+    """Name of the kernel implementation; there is one, in numpy."""
+    return "numpy"
 
 
 # ---------------------------------------------------------------------------
@@ -52,24 +24,9 @@ def backend() -> str:
 # ---------------------------------------------------------------------------
 
 
-def scatter_add_rows_numpy(out: np.ndarray, idx: np.ndarray, rows: np.ndarray) -> None:
+def scatter_add_rows(out: np.ndarray, idx: np.ndarray, rows: np.ndarray) -> None:
     """out[idx[i], :] += rows[i, :] with repeated indices accumulating."""
     np.add.at(out, idx, rows)
-
-
-@njit(cache=True)
-def _scatter_add_rows_jit(out, idx, rows):  # pragma: no cover - compiled
-    for i in range(idx.shape[0]):
-        j = idx[i]
-        for k in range(rows.shape[1]):
-            out[j, k] += rows[i, k]
-
-
-def scatter_add_rows_numba(out: np.ndarray, idx: np.ndarray, rows: np.ndarray) -> None:
-    _scatter_add_rows_jit(out, np.ascontiguousarray(idx), np.ascontiguousarray(rows))
-
-
-scatter_add_rows = scatter_add_rows_numba if NUMBA_ENABLED else scatter_add_rows_numpy
 
 
 # ---------------------------------------------------------------------------
@@ -120,16 +77,20 @@ class GridIndex:
         return r, c
 
 
-def _iterate_seeds_numpy(
+def iterate_seeds(
     grid: GridIndex,
     seeds_lat: np.ndarray,
     seeds_lon: np.ndarray,
     bandwidth_m: float,
-    tol_m: float,
     max_iterations: int,
     radius_m: float,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Pure-numpy reference path, one seed at a time."""
+    """Move each seed to the flat-kernel mean of its bandwidth ball until the
+    shift is exactly zero or ``max_iterations`` steps are taken.
+
+    Returns the final (lat, lon) of every seed, (n, 2), and the number of
+    steps each took.  Seeds are iterated one at a time.
+    """
     n = seeds_lat.shape[0]
     out = np.empty((n, 2), dtype=np.float64)
     iters = np.zeros(n, dtype=np.int64)
@@ -142,7 +103,7 @@ def _iterate_seeds_numpy(
         it = 0
         while it < max_iterations:
             it += 1
-            members = _window_members_numpy(grid, lat_r, lon_r, y_lat, y_lon, bw2)
+            members = _window_members(grid, lat_r, lon_r, y_lat, y_lon, bw2)
             if members.size == 0:
                 break
             new_lat = float(np.mean(grid.lat[members]))
@@ -153,8 +114,8 @@ def _iterate_seeds_numpy(
             )
             shift_m = radius_m * math.hypot(d_phi, d_lam)
             y_lat, y_lon = new_lat, new_lon
-            # Refine past tol to the exact fixed point so seeds of one basin
-            # land bit-identically; flat-kernel membership stabilizes fast.
+            # Refine to the exact fixed point so seeds of one basin land
+            # bit-identically; flat-kernel membership stabilizes fast.
             if shift_m == 0.0:
                 break
         out[s, 0] = y_lat
@@ -163,7 +124,7 @@ def _iterate_seeds_numpy(
     return out, iters
 
 
-def _window_members_numpy(grid, lat_r, lon_r, y_lat, y_lon, bw2):
+def _window_members(grid, lat_r, lon_r, y_lat, y_lon, bw2):
     r, c = grid.cell_of(y_lat, y_lon)
     if r < -1 or r > grid.n_rows or c < -1 or c > grid.n_cols:
         return np.empty(0, dtype=np.int64)
@@ -183,115 +144,3 @@ def _window_members_numpy(grid, lat_r, lon_r, y_lat, y_lon, bw2):
     d_lam = (lon_r[cand] - y_lon * _DEG2RAD) * np.cos(0.5 * (lat_r[cand] + y_phi))
     within = d_phi * d_phi + d_lam * d_lam <= bw2
     return cand[within]
-
-
-@njit(cache=True)
-def _iterate_seeds_jit(
-    lat,
-    lon,
-    order,
-    cell_keys,
-    cell_start,
-    cell_count,
-    key_stride,
-    n_rows,
-    n_cols,
-    lat0,
-    lon0,
-    cell_lat,
-    cell_lon,
-    seeds_lat,
-    seeds_lon,
-    bandwidth_m,
-    max_iterations,
-    radius_m,
-):  # pragma: no cover - compiled
-    n = seeds_lat.shape[0]
-    out = np.empty((n, 2), dtype=np.float64)
-    iters = np.zeros(n, dtype=np.int64)
-    bw2 = (bandwidth_m / radius_m) ** 2
-    deg2rad = _DEG2RAD
-    for s in range(n):
-        y_lat = seeds_lat[s]
-        y_lon = seeds_lon[s]
-        it = 0
-        while it < max_iterations:
-            it += 1
-            r = int(math.floor((y_lat - lat0) / cell_lat))
-            c = int(math.floor((y_lon - lon0) / cell_lon))
-            if r < -1 or r > n_rows or c < -1 or c > n_cols:
-                break
-            sum_lat = 0.0
-            sum_lon = 0.0
-            cnt = 0
-            y_phi = y_lat * deg2rad
-            y_lam = y_lon * deg2rad
-            for dr in range(-1, 2):
-                for dc in range(-1, 2):
-                    key = (r + dr + 1) * key_stride + (c + dc + 1)
-                    j = np.searchsorted(cell_keys, key)
-                    if j < cell_keys.shape[0] and cell_keys[j] == key:
-                        a = cell_start[j]
-                        b = a + cell_count[j]
-                        for t in range(a, b):
-                            i = order[t]
-                            p_phi = lat[i] * deg2rad
-                            d_phi = p_phi - y_phi
-                            d_lam = (lon[i] * deg2rad - y_lam) * math.cos(
-                                0.5 * (p_phi + y_phi)
-                            )
-                            if d_phi * d_phi + d_lam * d_lam <= bw2:
-                                sum_lat += lat[i]
-                                sum_lon += lon[i]
-                                cnt += 1
-            if cnt == 0:
-                break
-            new_lat = sum_lat / cnt
-            new_lon = sum_lon / cnt
-            d_phi = (new_lat - y_lat) * deg2rad
-            d_lam = (new_lon - y_lon) * deg2rad * math.cos(
-                0.5 * (new_lat + y_lat) * deg2rad
-            )
-            shift_m = radius_m * math.sqrt(d_phi * d_phi + d_lam * d_lam)
-            y_lat = new_lat
-            y_lon = new_lon
-            if shift_m == 0.0:
-                break
-        out[s, 0] = y_lat
-        out[s, 1] = y_lon
-        iters[s] = it
-    return out, iters
-
-
-def _iterate_seeds_numba(
-    grid: GridIndex,
-    seeds_lat: np.ndarray,
-    seeds_lon: np.ndarray,
-    bandwidth_m: float,
-    tol_m: float,
-    max_iterations: int,
-    radius_m: float,
-) -> tuple[np.ndarray, np.ndarray]:
-    return _iterate_seeds_jit(
-        grid.lat,
-        grid.lon,
-        grid.order,
-        grid.cell_keys,
-        grid.cell_start,
-        grid.cell_count,
-        grid.key_stride,
-        grid.n_rows,
-        grid.n_cols,
-        grid.lat0,
-        grid.lon0,
-        grid.cell_lat,
-        grid.cell_lon,
-        np.ascontiguousarray(seeds_lat, dtype=np.float64),
-        np.ascontiguousarray(seeds_lon, dtype=np.float64),
-        float(bandwidth_m),
-        int(max_iterations),
-        float(radius_m),
-    )
-
-
-iterate_seeds = _iterate_seeds_numba if NUMBA_ENABLED else _iterate_seeds_numpy

@@ -62,7 +62,6 @@ def _build_parser() -> _Parser:
     sp.add_argument("--data", required=True, help="prepared data directory")
     sp.add_argument("--bandwidth", type=float, default=500.0, help="meters")
     sp.add_argument("--merge-radius", type=float, default=250.0, help="meters")
-    sp.add_argument("--tol", type=float, default=1.0, help="convergence tolerance, meters")
     sp.add_argument("--max-iter", type=int, default=100)
     sp.add_argument("--seed-subsample", type=int, default=None)
     sp.add_argument("--out", required=True, help="cluster CSV path")
@@ -211,7 +210,6 @@ def _cmd_cluster(args) -> int:
         raise DataError("training split has no destinations to cluster")
     cfg = MeanShiftConfig(
         bandwidth_m=args.bandwidth,
-        convergence_tol_m=args.tol,
         max_iterations=args.max_iter,
         merge_radius_m=args.merge_radius,
         seed_subsample=args.seed_subsample,

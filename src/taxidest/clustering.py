@@ -4,7 +4,7 @@ Flat (uniform ball) kernel under the equirectangular metric in meters.
 Every input point seeds an iteration by default; converged modes are merged
 greedily in decreasing basin-count order so no two output centers lie
 within the merge radius.  Output is deterministic given the input order and
-configuration, independent of the kernel backend's worker count.
+configuration.
 """
 
 from __future__ import annotations
@@ -53,14 +53,13 @@ class MeanShiftConfig:
     """Defaults land C in the low thousands on the full competition data."""
 
     bandwidth_m: float = 500.0
-    convergence_tol_m: float = 1.0
     max_iterations: int = 100
     merge_radius_m: float = 250.0
     seed_subsample: Optional[int] = None
 
     def __post_init__(self):
-        if self.bandwidth_m <= 0 or self.convergence_tol_m <= 0 or self.merge_radius_m <= 0:
-            raise ValueError("bandwidth, tolerance and merge radius must be positive")
+        if self.bandwidth_m <= 0 or self.merge_radius_m <= 0:
+            raise ValueError("bandwidth and merge radius must be positive")
         if self.max_iterations <= 0:
             raise ValueError("max_iterations must be positive")
         if self.merge_radius_m > self.bandwidth_m:
@@ -95,9 +94,9 @@ def mean_shift(
     ``points`` is an (N, 2) array or a sequence of GeoPoints.  ``seeds``
     defaults to the points themselves (optionally subsampled evenly per
     ``cfg.seed_subsample``).  Seeds iterate to the flat-kernel mean of
-    their bandwidth ball until the shift vanishes (at most
-    ``cfg.max_iterations`` steps; always past ``cfg.convergence_tol_m``),
-    so all seeds of one basin land on the same mode bit-for-bit.
+    their bandwidth ball until the shift is exactly zero (at most
+    ``cfg.max_iterations`` steps), so all seeds of one basin land on the
+    same mode bit-for-bit.
     """
     pts = _as_latlon_array(points)
     if len(pts) == 0:
@@ -121,7 +120,6 @@ def mean_shift(
         seed_arr[:, 0],
         seed_arr[:, 1],
         cfg.bandwidth_m,
-        cfg.convergence_tol_m,
         cfg.max_iterations,
         EARTH.radius_m,
     )

@@ -44,7 +44,6 @@ __all__ = [
     "load_records",
     "make_prefix_example",
     "parse_csv",
-    "sample_prefix",
     "save_records",
     "split_dataset",
     "time_features",
@@ -64,6 +63,11 @@ _CSV_COLUMNS = (
     "MISSING_DATA",
     "POLYLINE",
 )
+
+
+#: Largest |longitude| and |latitude|, in the file's [lon, lat] order.
+_LON_LAT_LIMITS = np.array([180.0, 90.0])
+_NOT_PAIRS = "expected a JSON array of [lon, lat] number pairs"
 
 
 class DataError(Exception):
@@ -206,7 +210,9 @@ def parse_csv(stream) -> Iterator[TrainRecord]:
     ``stream`` may be a text file object, a binary file object, or an
     iterable of text lines.  Records are yielded in file order, including
     ones with ``missing_data`` or empty polylines (filter on ``.usable``).
-    Malformed rows raise :class:`CsvParseError` with line and column.
+    Malformed rows, and coordinates that are not finite or lie outside
+    |lat| <= 90, |lon| <= 180, raise :class:`CsvParseError` with line and
+    column.
     """
     if isinstance(stream, (bytes, bytearray)):
         stream = io.StringIO(stream.decode("utf-8"))
@@ -254,12 +260,25 @@ def parse_csv(stream) -> Iterator[TrainRecord]:
             pairs = json.loads(poly_text)
         except json.JSONDecodeError as e:
             raise CsvParseError(line, "POLYLINE", f"bad JSON: {e.msg}")
-        if not isinstance(pairs, list) or any(
-            not isinstance(p, list) or len(p) != 2 for p in pairs
-        ):
-            raise CsvParseError(line, "POLYLINE", "expected a JSON array of [lon, lat] pairs")
+        if not isinstance(pairs, list):
+            raise CsvParseError(line, "POLYLINE", _NOT_PAIRS)
         if pairs:
-            arr = np.asarray(pairs, dtype=np.float64)[:, ::-1].copy()  # lon,lat -> lat,lon
+            try:
+                raw = np.asarray(pairs, dtype=np.float64)
+            except (TypeError, ValueError):  # ragged, or not numbers
+                raise CsvParseError(line, "POLYLINE", _NOT_PAIRS)
+            if raw.ndim != 2 or raw.shape[1] != 2:
+                raise CsvParseError(line, "POLYLINE", _NOT_PAIRS)
+            ok = np.abs(raw) <= _LON_LAT_LIMITS  # False for NaN and inf too
+            if not ok.all():
+                j = int(np.flatnonzero(~ok.all(axis=1))[0])
+                raise CsvParseError(
+                    line,
+                    "POLYLINE",
+                    f"point {j} is [{raw[j, 0]!r}, {raw[j, 1]!r}]; need finite [lon, lat] "
+                    "with |lon| <= 180 and |lat| <= 90",
+                )
+            arr = raw[:, ::-1].copy()  # lon,lat -> lat,lon
         else:
             arr = np.empty((0, 2), dtype=np.float64)
 
@@ -370,13 +389,6 @@ class PrefixSampler:
         return self.records[idx], u - start + 1
 
 
-def sample_prefix(
-    records: Sequence[TrainRecord], rng: np.random.Generator
-) -> tuple[TrainRecord, int]:
-    """One-shot convenience over :class:`PrefixSampler` for small corpora."""
-    return PrefixSampler(records).sample(rng)
-
-
 def split_dataset(
     records: Sequence[TrainRecord],
     rng: np.random.Generator,
@@ -475,25 +487,35 @@ def save_records(records: Sequence[TrainRecord], path) -> None:
 
 
 def load_records(path) -> list[TrainRecord]:
+    """Read a record cache; a truncated file, or bytes after the last
+    record, raise :class:`DataError` naming the path and the record."""
     with open(path, "rb") as f:
         magic = f.read(8)
         if magic != _CACHE_MAGIC:
             raise DataError(f"{path}: not a record cache (bad magic {magic!r})")
-        version, count = struct.unpack("<IQ", f.read(12))
+        header = f.read(12)
+        if len(header) != 12:
+            raise DataError(f"{path}: truncated header")
+        version, count = struct.unpack("<IQ", header)
         if version != _CACHE_VERSION:
             raise DataError(f"{path}: unsupported cache version {version}")
         out = []
-        for _ in range(count):
-            (tid_len,) = struct.unpack("<H", f.read(2))
-            trip_id = f.read(tid_len).decode("utf-8")
-            ct, oc, os_, taxi, ts, missing, n_pts = _REC_FIXED.unpack(
-                f.read(_REC_FIXED.size)
-            )
+        for i in range(count):
+            head = f.read(2)
+            if len(head) != 2:
+                raise _truncated(path, i, count)
+            (tid_len,) = struct.unpack("<H", head)
+            meta = f.read(tid_len + _REC_FIXED.size)
+            if len(meta) != tid_len + _REC_FIXED.size:
+                raise _truncated(path, i, count)
+            ct, oc, os_, taxi, ts, missing, n_pts = _REC_FIXED.unpack_from(meta, tid_len)
             buf = f.read(n_pts * 16)
+            if len(buf) != n_pts * 16:
+                raise _truncated(path, i, count)
             poly = np.frombuffer(buf, dtype="<f8").reshape(n_pts, 2).astype(np.float64)
             out.append(
                 TrainRecord(
-                    trip_id=trip_id,
+                    trip_id=meta[:tid_len].decode("utf-8"),
                     call_type=CALL_TYPES[ct],
                     origin_call=None if oc == -1 else oc,
                     origin_stand=None if os_ == -1 else os_,
@@ -503,4 +525,10 @@ def load_records(path) -> list[TrainRecord]:
                     polyline=poly,
                 )
             )
+        if f.read(1):
+            raise DataError(f"{path}: unexpected bytes at record {count}; the header says {count} records")
         return out
+
+
+def _truncated(path, index: int, count: int) -> DataError:
+    return DataError(f"{path}: truncated in record {index} of {count}")

@@ -26,6 +26,7 @@ from .nncore.checkpoint import load_checkpoint, save_checkpoint
 
 __all__ = [
     "EMBEDDING_FIELDS",
+    "PREDICT_CHUNK",
     "TIME_VOCAB_SIZES",
     "VARIANTS",
     "DestinationModel",
@@ -33,8 +34,6 @@ __all__ = [
     "build_model",
     "candidates_from_records",
     "forward",
-    "forward_memory",
-    "forward_mlp",
     "load_model",
     "predict",
     "save_model",
@@ -121,7 +120,7 @@ class DestinationModel:
         return sum(p.size for p in self.parameters())
 
 
-def _vocab_sizes(config: ModelConfig, vocab: MetadataVocab) -> dict[str, int]:
+def _vocab_sizes(vocab: MetadataVocab) -> dict[str, int]:
     return {
         "client": vocab.client_size,
         "taxi": vocab.taxi_size,
@@ -172,7 +171,7 @@ def build_model(
         add_param(f"{name}_b", b)
 
     if config.uses_embeddings:
-        sizes = _vocab_sizes(config, vocab)
+        sizes = _vocab_sizes(vocab)
         for fname in EMBEDDING_FIELDS:
             table = rng.uniform(
                 -0.1, 0.1, size=(sizes[fname], config.embedding_dims[fname])
@@ -269,11 +268,8 @@ def _hidden_layer(model: DestinationModel, tape: Tape, x: Tensor) -> Tensor:
 # ---------------------------------------------------------------------------
 
 
-def forward_mlp(model: DestinationModel, batch: Sequence[PrefixExample], tape: Tape = None) -> Tensor:
-    """Feedforward variants; returns predicted (lat, lon) degrees [batch, 2]."""
+def _mlp_head(model: DestinationModel, tape: Tape, batch: Sequence[PrefixExample]) -> Tensor:
     cfg = model.config
-    if cfg.variant not in _MLP_VARIANTS:
-        raise ValueError(f"forward_mlp called on variant {cfg.variant}")
     h = _hidden_layer(model, tape, _mlp_input(model, tape, batch))
     if cfg.variant == "mlp_direct":
         y_std = nncore.dense(tape, h, model.params["out_w"].tensor, model.params["out_b"].tensor)
@@ -380,52 +376,67 @@ def candidates_from_records(
     ]
 
 
-def forward_memory(
-    model: DestinationModel,
-    batch,
-    candidates: Sequence[PrefixExample],
-    tape: Tape = None,
-) -> Tensor:
-    """Softmax over dot-product similarities weighs candidate destinations.
+def _encoder(model: DestinationModel, tape: Tape, x: Tensor, name: str) -> Tensor:
+    w, b = model.params[f"enc_{name}_w"].tensor, model.params[f"enc_{name}_b"].tensor
+    return nncore.relu(tape, nncore.dense(tape, x, w, b))
 
-    Callers sample candidates from the training set, excluding the query's
-    own source trajectory.
-    """
-    cfg = model.config
-    if cfg.variant != "memory_net":
-        raise ValueError(f"forward_memory called on variant {cfg.variant}")
-    if len(candidates) == 0:
-        raise ValueError("memory network needs at least one candidate")
-    q_in = _mlp_input(model, tape, batch)
-    c_in = _mlp_input(model, tape, candidates)
-    r_q = nncore.relu(
-        tape, nncore.dense(tape, q_in, model.params["enc_query_w"].tensor, model.params["enc_query_b"].tensor)
-    )
-    r_c = nncore.relu(
-        tape, nncore.dense(tape, c_in, model.params["enc_cand_w"].tensor, model.params["enc_cand_b"].tensor)
-    )
-    sims = nncore.dot_similarity(tape, r_q, r_c)
-    p = nncore.softmax(tape, sims)
+
+def _candidate_memory(model: DestinationModel, tape: Tape, candidates) -> tuple[Tensor, np.ndarray]:
+    """Encoded candidates [M, hidden] and their destinations [M, 2]."""
+    if candidates is None or len(candidates) == 0:
+        raise ValueError("memory_net needs at least one candidate")
     dests = np.array([[ex.target.lat, ex.target.lon] for ex in candidates])
-    return nncore.weighted_centroid(tape, p, dests)
+    return _encoder(model, tape, _mlp_input(model, tape, candidates), "cand"), dests
+
+
+def _memory_head(model: DestinationModel, tape: Tape, q_in: Tensor, memory) -> Tensor:
+    """Softmax over dot-product similarities weighs candidate destinations;
+    ``memory`` is what :func:`_candidate_memory` returns."""
+    encoded, dests = memory
+    sims = nncore.dot_similarity(tape, _encoder(model, tape, q_in, "query"), encoded)
+    return nncore.weighted_centroid(tape, nncore.softmax(tape, sims), dests)
 
 
 def forward(model: DestinationModel, batch, tape: Tape = None, candidates=None) -> Tensor:
+    """Predicted (lat, lon) degrees [batch, 2] of any variant.
+
+    ``memory_net`` needs at least one candidate; callers sample candidates
+    from the training set, excluding the query's own source trajectory.
+    """
     variant = model.config.variant
     if variant in _MLP_VARIANTS:
-        return forward_mlp(model, batch, tape)
+        return _mlp_head(model, tape, batch)
     if variant in _RNN_VARIANTS:
         return _recurrent_head(model, tape, batch)
-    if candidates is None:
-        raise ValueError("memory_net forward requires candidates")
-    return forward_memory(model, batch, candidates, tape)
+    q_in = _mlp_input(model, tape, batch)
+    return _memory_head(model, tape, q_in, _candidate_memory(model, tape, candidates))
+
+
+#: Prefixes per forward pass in :func:`predict`; bounds the rows x C and
+#: rows x candidates matrices of one pass.
+PREDICT_CHUNK = 512
 
 
 def predict(model: DestinationModel, batch, candidates=None) -> np.ndarray:
-    """Predicted (lat, lon) degrees as float64, no gradient recording."""
+    """Predicted (lat, lon) degrees as float64, no gradient recording.
+
+    Runs ``PREDICT_CHUNK`` prefixes at a time; ``memory_net`` candidates
+    are encoded once per call.
+    """
+    out = np.empty((len(batch), 2), dtype=np.float64)
     if len(batch) == 0:
-        return np.empty((0, 2), dtype=np.float64)
-    return forward(model, batch, None, candidates).data.astype(np.float64)
+        return out
+    memory = None
+    if model.config.variant == "memory_net":
+        memory = _candidate_memory(model, None, candidates)
+    for start in range(0, len(batch), PREDICT_CHUNK):
+        chunk = batch[start : start + PREDICT_CHUNK]
+        if memory is None:
+            pred = forward(model, chunk)
+        else:
+            pred = _memory_head(model, None, _mlp_input(model, None, chunk), memory)
+        out[start : start + len(chunk)] = pred.data
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["Parameter", "Tape", "Tensor", "backward", "glorot_uniform"]
+__all__ = ["Parameter", "Tape", "Tensor", "glorot_uniform"]
 
 
 class Tensor:
@@ -116,10 +116,6 @@ class Tape:
             g = node.output.grad
             if g is not None:
                 node.backward_fn(g)
-
-
-def backward(tape: Tape, loss: Tensor) -> None:
-    tape.backward(loss)
 
 
 def glorot_uniform(rng: np.random.Generator, fan_in: int, fan_out: int, dtype) -> np.ndarray:

@@ -176,18 +176,15 @@ def evaluate(
     model: DestinationModel,
     examples: Sequence[PrefixExample],
     candidates: Sequence[PrefixExample] = None,
-    chunk_size: int = 512,
 ) -> float:
     """Mean Haversine distance in km over a prefix set, float64 accumulation."""
     if len(examples) == 0:
         raise DataError("evaluate requires a non-empty prefix set")
-    total = 0.0
-    for start in range(0, len(examples), chunk_size):
-        chunk = examples[start : start + chunk_size]
-        pred = models.predict(model, chunk, candidates)
-        targets = np.array([[ex.target.lat, ex.target.lon] for ex in chunk])
-        d = haversine_distance_arrays(pred[:, 0], pred[:, 1], targets[:, 0], targets[:, 1])
-        total += float(d.sum())
+    pred = models.predict(model, examples, candidates)
+    targets = np.array([[ex.target.lat, ex.target.lon] for ex in examples])
+    d = haversine_distance_arrays(pred[:, 0], pred[:, 1], targets[:, 0], targets[:, 1])
+    step = models.PREDICT_CHUNK  # summed per forward chunk, in order
+    total = sum(float(d[start : start + step].sum()) for start in range(0, len(d), step))
     return total / len(examples) / 1000.0
 
 

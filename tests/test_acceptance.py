@@ -164,7 +164,7 @@ def test_hull_invariant_centroid_variants():
 
 
 def test_prefix_distribution_chi_square():
-    """sample_prefix matches uniform-over-all-prefixes on a 20-prefix corpus."""
+    """PrefixSampler matches uniform-over-all-prefixes on a 20-prefix corpus."""
     rng = np.random.default_rng(0)
     lengths = [2, 3, 7, 8]  # 20 prefixes total
     recs = make_records(lengths, rng)
@@ -201,7 +201,7 @@ def test_mean_shift_mode_recovery():
     b1, b2 = blob(0.0, 1000), blob(5000.0, 1000)
     pts = np.concatenate([b1, b2])
     cfg = MeanShiftConfig(bandwidth_m=500)
-    mean_shift(pts[:5], cfg)  # warm the jitted kernel outside the timed region
+    mean_shift(pts[:5], cfg)  # first call outside the timed region
     t0 = time.perf_counter()
     cs = mean_shift(pts, cfg)
     elapsed = time.perf_counter() - t0

@@ -1,4 +1,4 @@
-"""Mean-shift clustering: mode recovery, merging, persistence, backends."""
+"""Mean-shift clustering: mode recovery, merging, persistence, kernels."""
 
 import math
 
@@ -82,7 +82,7 @@ class TestMeanShift:
         cs = mean_shift(pts, cfg)
         again = mean_shift(pts, cfg, seeds=cs.centers)
         for c in cs.centers:
-            assert min(dist_m(c, d) for d in again.centers) < cfg.convergence_tol_m
+            assert min(dist_m(c, d) for d in again.centers) < 1.0
 
     def test_deterministic(self):
         rng = np.random.default_rng(6)
@@ -104,32 +104,38 @@ class TestMeanShift:
         assert cs.count == 1
 
 
-class TestKernelBackends:
-    @pytest.mark.skipif(not _kernels.HAS_NUMBA, reason="numba not installed")
-    def test_paths_agree(self):
+class TestKernels:
+    def test_iterate_seeds_matches_brute_force(self):
+        # Each returned mode is the flat-kernel mean of its bandwidth ball,
+        # the ball taken over all points rather than through the grid.
         rng = np.random.default_rng(8)
         b1, b2 = two_blobs(rng, n_per_blob=200)
-        pts = np.concatenate([b1, b2])
-        grid = _kernels.GridIndex(pts[:, 0], pts[:, 1], 500.0, R)
-        m_nb, it_nb = _kernels._iterate_seeds_numba(grid, pts[:, 0], pts[:, 1], 500.0, 1.0, 100, R)
-        m_np, it_np = _kernels._iterate_seeds_numpy(grid, pts[:, 0], pts[:, 1], 500.0, 1.0, 100, R)
-        np.testing.assert_allclose(m_nb, m_np, atol=1e-9)
+        background = meters_to_latlon(rng.uniform(-2000, 7000, 100), rng.uniform(-3000, 3000, 100))
+        pts = np.concatenate([b1, b2, background])
+        bandwidth = 500.0
+        grid = _kernels.GridIndex(pts[:, 0], pts[:, 1], bandwidth, R)
+        seeds = pts[::7]
+        modes, iters = _kernels.iterate_seeds(grid, seeds[:, 0], seeds[:, 1], bandwidth, 100, R)
+        assert modes.shape == (len(seeds), 2) and iters.shape == (len(seeds),)
+        assert (iters >= 1).all() and (iters < 100).all()
+        deg = math.pi / 180
+        for m in modes:
+            d_phi = (pts[:, 0] - m[0]) * deg
+            d_lam = (pts[:, 1] - m[1]) * deg * np.cos(0.5 * (pts[:, 0] + m[0]) * deg)
+            ball = pts[d_phi * d_phi + d_lam * d_lam <= (bandwidth / R) ** 2]
+            assert len(ball) > 0
+            np.testing.assert_allclose(m, ball.mean(axis=0), rtol=0, atol=1e-12)
 
-    def test_scatter_add_paths_agree(self):
+    def test_scatter_add_matches_loop(self):
         rng = np.random.default_rng(9)
         idx = rng.integers(0, 7, 40)
         rows = rng.normal(0, 1, (40, 3))
-        out_np = np.zeros((7, 3))
-        _kernels.scatter_add_rows_numpy(out_np, idx, rows)
-        if _kernels.HAS_NUMBA:
-            out_nb = np.zeros((7, 3))
-            _kernels.scatter_add_rows_numba(out_nb, idx, rows)
-            np.testing.assert_allclose(out_nb, out_np, atol=1e-12)
-        # both must equal an explicit loop
+        out = np.zeros((7, 3))
+        _kernels.scatter_add_rows(out, idx, rows)
         expect = np.zeros((7, 3))
         for i, j in enumerate(idx):
             expect[j] += rows[i]
-        np.testing.assert_allclose(out_np, expect, atol=1e-12)
+        np.testing.assert_allclose(out, expect, atol=1e-12)
 
 
 class TestConfigValidation:

@@ -19,7 +19,6 @@ from taxidest.data import (
     load_records,
     make_prefix_example,
     parse_csv,
-    sample_prefix,
     save_records,
     split_dataset,
     time_features,
@@ -74,6 +73,34 @@ class TestParseCsv:
     def test_missing_column(self):
         with pytest.raises(CsvParseError):
             list(parse_csv(io.StringIO("TRIP_ID,CALL_TYPE\n")))
+
+    @pytest.mark.parametrize(
+        "polyline",
+        [
+            "[[-8.61,NaN],[-8.6,41.0]]",
+            "[[-8.61,41.14],[NaN,41.0]]",
+            "[[-8.61,41.14],[-8.6,Infinity]]",
+            "[[-Infinity,41.14]]",
+            "[[-8.61,41.14],[-8.6,141.0]]",
+            "[[-8.61,-90.5]]",
+            "[[180.01,41.14]]",
+            "[[-200.0,41.14]]",
+        ],
+    )
+    def test_bad_coordinates_rejected(self, polyline):
+        with pytest.raises(CsvParseError) as e:
+            parse_rows('1,C,,,1,0,A,False,"[[-8.61,41.14]]"\n' f'2,C,,,1,0,A,False,"{polyline}"\n')
+        assert e.value.line == 3
+        assert e.value.column == "POLYLINE"
+
+    def test_coordinate_limits_accepted(self):
+        recs = parse_rows('1,C,,,1,0,A,False,"[[-180.0,90.0],[180.0,-90.0]]"\n')
+        np.testing.assert_array_equal(recs[0].polyline, [[90.0, -180.0], [-90.0, 180.0]])
+
+    def test_non_numeric_coordinate(self):
+        with pytest.raises(CsvParseError) as e:
+            parse_rows('1,C,,,1,0,A,False,"[[-8.61,""north""]]"\n')
+        assert e.value.column == "POLYLINE"
 
     def test_bytes_stream(self):
         text = HEADER + '1,C,,,1,0,A,False,"[[-8.61,41.14]]"\n'
@@ -214,7 +241,7 @@ class TestSamplePrefix:
     def test_single_length_one(self):
         rng = np.random.default_rng(0)
         recs = make_records([1], rng)
-        rec, cut = sample_prefix(recs, np.random.default_rng(1))
+        rec, cut = PrefixSampler(recs).sample(np.random.default_rng(1))
         assert rec is recs[0] and cut == 1
 
     def test_record_probability_proportional_to_length(self):
@@ -337,6 +364,31 @@ class TestRecordCache:
             assert a.timestamp == b.timestamp
             assert a.missing_data == b.missing_data
             np.testing.assert_array_equal(a.polyline, b.polyline)
+
+    def _saved(self, tmp_path):
+        recs = make_records([3, 1, 7], np.random.default_rng(2))
+        path = tmp_path / "cache.bin"
+        save_records(recs, path)
+        return path, path.read_bytes()
+
+    @pytest.mark.parametrize("keep, record", [(slice(0, 30), 0), (slice(0, -8), 2)])
+    def test_truncated_names_path_and_record(self, tmp_path, keep, record):
+        path, blob = self._saved(tmp_path)
+        path.write_bytes(blob[keep])
+        with pytest.raises(DataError, match=rf"cache\.bin: truncated in record {record} of 3"):
+            load_records(path)
+
+    def test_truncated_header(self, tmp_path):
+        path, blob = self._saved(tmp_path)
+        path.write_bytes(blob[:14])
+        with pytest.raises(DataError, match=r"cache\.bin: truncated header"):
+            load_records(path)
+
+    def test_trailing_bytes_rejected(self, tmp_path):
+        path, blob = self._saved(tmp_path)
+        path.write_bytes(blob + b"junk")
+        with pytest.raises(DataError, match=r"cache\.bin: unexpected bytes at record 3"):
+            load_records(path)
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "junk.bin"

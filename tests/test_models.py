@@ -19,8 +19,7 @@ from taxidest.models import (
     ModelConfig,
     build_model,
     candidates_from_records,
-    forward_memory,
-    forward_mlp,
+    forward,
     load_model,
     predict,
     save_model,
@@ -85,11 +84,6 @@ class TestBuildModel:
 
 
 class TestForwardShapesAndHull:
-    def test_forward_mlp_wrong_variant(self):
-        model = tiny_model("rnn")
-        with pytest.raises(ValueError):
-            forward_mlp(model, [])
-
     @pytest.mark.parametrize(
         "variant",
         ["mlp_clusters", "mlp_no_embed", "mlp_embed_only", "rnn", "brnn", "brnn_window"],
@@ -262,8 +256,39 @@ class TestMemoryNetwork:
         rng = np.random.default_rng(22)
         model = tiny_model("memory_net")
         batch = tiny_batch(model, rng, n=1)
-        with pytest.raises(ValueError):
-            forward_memory(model, batch, [])
+        with pytest.raises(ValueError, match="at least one candidate"):
+            forward(model, batch, None, [])
+        with pytest.raises(ValueError, match="at least one candidate"):
+            predict(model, batch, [])
+
+
+class TestPredictChunks:
+    @pytest.mark.parametrize("variant", ["mlp_clusters", "mlp_direct", "brnn", "memory_net"])
+    def test_chunks_equal_one_forward(self, variant, monkeypatch):
+        rng = np.random.default_rng(24)
+        model = tiny_model(variant)
+        batch = tiny_batch(model, rng, n=8, max_len=6)
+        cands = None
+        if variant == "memory_net":
+            recs = make_records([3] * 5, rng)
+            cands = candidates_from_records(recs, model.config, model.stats, model.vocab)
+        whole = forward(model, batch, None, cands).data
+        monkeypatch.setattr(models, "PREDICT_CHUNK", 3)
+        pred = predict(model, batch, cands)
+        assert pred.dtype == np.float64 and pred.shape == (8, 2)
+        np.testing.assert_allclose(pred, whole, rtol=0, atol=1e-12)
+
+    def test_memory_candidates_encoded_once(self, monkeypatch):
+        rng = np.random.default_rng(25)
+        model = tiny_model("memory_net")
+        batch = tiny_batch(model, rng, n=7)
+        cands = candidates_from_records(make_records([3] * 4, rng), model.config, model.stats, model.vocab)
+        monkeypatch.setattr(models, "PREDICT_CHUNK", 2)
+        encoded = []
+        memory = models._candidate_memory
+        monkeypatch.setattr(models, "_candidate_memory", lambda *a: encoded.append(1) or memory(*a))
+        predict(model, batch, cands)
+        assert len(encoded) == 1
 
 
 class TestGradientChecksPerVariant:
