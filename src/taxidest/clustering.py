@@ -1,10 +1,11 @@
 """Mean-shift clustering of training destinations.
 
 Flat (uniform ball) kernel under the equirectangular metric in meters.
-Every input point seeds an iteration by default; converged modes are merged
-greedily in decreasing basin-count order so no two output centers lie
-within the merge radius.  Output is deterministic given the input order and
-configuration.
+Every input point seeds an iteration by default; all unconverged seeds move
+together, one vectorized pass per step (``_kernels.iterate_seeds``).
+Converged modes are merged greedily in decreasing basin-count order so no
+two output centers lie within the merge radius.  Output is deterministic
+given the input order and configuration.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from typing import Optional
 import numpy as np
 
 from . import _kernels
+from ._atomic import atomic_open
 from .geo import EARTH, GeoPoint
 
 __all__ = [
@@ -78,9 +80,9 @@ def _as_latlon_array(points) -> np.ndarray:
 
 
 def _equirect_m(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Equirectangular meters between one (lat, lon) row and rows of b."""
-    d_phi = (b[:, 0] - a[0]) * _DEG2RAD
-    d_lam = (b[:, 1] - a[1]) * _DEG2RAD * np.cos(0.5 * (b[:, 0] + a[0]) * _DEG2RAD)
+    """Equirectangular meters between (lat, lon) rows of a and b, broadcast."""
+    d_phi = (b[..., 0] - a[..., 0]) * _DEG2RAD
+    d_lam = (b[..., 1] - a[..., 1]) * _DEG2RAD * np.cos(0.5 * (b[..., 0] + a[..., 0]) * _DEG2RAD)
     return EARTH.radius_m * np.hypot(d_phi, d_lam)
 
 
@@ -132,26 +134,38 @@ def _merge_modes(modes: np.ndarray, merge_radius_m: float) -> np.ndarray:
     Exact duplicates are grouped first (fixed-point iteration makes one
     basin's seeds identical); groups are then accepted greedily by
     descending basin count, first-seed order breaking ties, so the kept
-    center of any merged pair is the one with the larger basin.
+    center of any merged pair is the one with the larger basin.  A group
+    is checked only against the earlier groups within the merge radius,
+    found through a grid with cells of the merge radius.
     """
     uniq, first_idx, counts = np.unique(
         modes, axis=0, return_index=True, return_inverse=False, return_counts=True
     )
-    order = np.lexsort((first_idx, -counts))
-    accepted: list[np.ndarray] = []
-    for i in order:
-        m = uniq[i]
-        if accepted:
-            d = _equirect_m(m, np.asarray(accepted))
-            if float(d.min()) < merge_radius_m:
-                continue
-        accepted.append(m)
-    return np.asarray(accepted)
+    ranked = uniq[np.lexsort((first_idx, -counts))]
+    grid = _kernels.GridIndex(ranked[:, 0], ranked[:, 1], merge_radius_m, EARTH.radius_m)
+    later, earlier = [], []
+    for lo, hi, n_cand, slots in _kernels.neighbour_chunks(grid, ranked[:, 0], ranked[:, 1]):
+        me = np.repeat(np.arange(lo, hi), n_cand)
+        cand = grid.order[slots]
+        before = cand < me
+        me, cand = me[before], cand[before]
+        close = _equirect_m(ranked[me], ranked[cand]) < merge_radius_m
+        later.append(me[close])
+        earlier.append(cand[close])
+    later = np.concatenate(later)
+    earlier = np.concatenate(earlier)
+    # later is ascending, so each group's earlier neighbours are one slice.
+    bounds = np.searchsorted(later, np.arange(len(ranked) + 1)).tolist()
+    accepted = np.ones(len(ranked), dtype=bool)
+    for i in np.unique(later).tolist():
+        accepted[i] = not accepted[earlier[bounds[i] : bounds[i + 1]]].any()
+    return ranked[accepted]
 
 
 def save_clusters(cs: ClusterSet, path) -> None:
-    """Write centers as CSV "lat,lon" rows with 17 significant digits."""
-    with open(path, "w", encoding="utf-8") as f:
+    """Write centers as CSV "lat,lon" rows with 17 significant digits; the
+    file is replaced whole or not at all."""
+    with atomic_open(path, "w", encoding="utf-8") as f:
         f.write("lat,lon\n")
         for lat, lon in cs.centers:
             f.write(f"{lat:.17g},{lon:.17g}\n")

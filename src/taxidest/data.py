@@ -26,6 +26,7 @@ from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
+from ._atomic import atomic_open
 from .geo import GeoPoint, StandardizationStats
 
 __all__ = [
@@ -465,7 +466,8 @@ _REC_FIXED = struct.Struct("<BqqqqBI")
 
 
 def save_records(records: Sequence[TrainRecord], path) -> None:
-    with open(path, "wb") as f:
+    """Write a record cache; the file is replaced whole or not at all."""
+    with atomic_open(path, "wb") as f:
         f.write(_CACHE_MAGIC)
         f.write(struct.pack("<IQ", _CACHE_VERSION, len(records)))
         for rec in records:

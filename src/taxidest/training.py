@@ -18,6 +18,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import models, nncore
+from ._atomic import atomic_open
 from .data import DataError, PrefixExample, PrefixSampler, TrainRecord, make_prefix_example
 from .geo import EARTH, haversine_distance_arrays
 from .models import DestinationModel
@@ -79,7 +80,9 @@ class TrainReport:
     checkpoint_path: Optional[str] = None
 
     def to_jsonl(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as f:
+        """One line per validation, then the summary; the file is replaced
+        whole or not at all."""
+        with atomic_open(path, "w", encoding="utf-8") as f:
             for pt in self.history:
                 f.write(
                     json.dumps(
@@ -233,7 +236,11 @@ def train(
     ``cfg.validate_every`` batches the fixed validation prefix set is
     scored, the best checkpoint saved, and training stops after
     ``cfg.patience`` validations without improvement or at
-    ``cfg.max_batches``.  Deterministic given the seed.
+    ``cfg.max_batches``.  A non-finite training loss, or a non-finite
+    gradient norm when ``cfg.clip_norm`` is set, stops training at once
+    with ``stop_reason="non_finite"``, before that batch's step, so the
+    parameters and the last checkpoint stay finite.  Deterministic given
+    the seed.
     """
     if len(val_examples) == 0:
         raise DataError("train requires a non-empty validation prefix set")
@@ -265,15 +272,22 @@ def train(
 
         tape = Tape()
         loss = loss_batch(model, batch, tape, candidates)
+        loss_m = float(loss.data)
+        if not math.isfinite(loss_m):
+            report.stop_reason = "non_finite"
+            return report
         # Optimize in kilometers, the unit the fixed 0.01 learning rate is
         # calibrated to; meter-scale gradients are 1000x larger and
         # immediately saturate the softmax.
         loss_km = nncore.scale(tape, loss, 1e-3)
         tape.backward(loss_km)
-        if cfg.clip_norm is not None:
-            nncore.clip_gradients(params, cfg.clip_norm)
+        if cfg.clip_norm is not None and not math.isfinite(nncore.clip_gradients(params, cfg.clip_norm)):
+            for p in params:
+                p.grad[...] = 0
+            report.stop_reason = "non_finite"
+            return report
         nncore.sgd_momentum_step(params, cfg.learning_rate, cfg.momentum)
-        loss_accum += float(loss.data)
+        loss_accum += loss_m
         loss_count += 1
 
         if batch_no % cfg.validate_every == 0:

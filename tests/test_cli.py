@@ -214,6 +214,15 @@ class TestEvaluate:
         rc = main(["evaluate", "--model", str(tmp_path / "no.ckpt"), "--data", str(prepared_dir)])
         assert rc == 2
 
+    @pytest.mark.parametrize("cut", [15, -4])
+    def test_truncated_checkpoint(self, prepared_dir, trained_ckpt, tmp_path, capsys, cut):
+        path = tmp_path / "cut.ckpt"
+        path.write_bytes(trained_ckpt.read_bytes()[:cut])
+        rc = main(["evaluate", "--model", str(path), "--data", str(prepared_dir)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "truncated" in err and str(path) in err and "internal error" not in err
+
 
 class TestPredict:
     def test_submission_format(self, trained_ckpt, tmp_path, city_csv):

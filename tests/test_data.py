@@ -1,6 +1,7 @@
 """CSV parsing, vocabularies, time features, prefixes, splits, cache."""
 
 import io
+import os
 
 import numpy as np
 import pytest
@@ -389,6 +390,15 @@ class TestRecordCache:
         path.write_bytes(blob + b"junk")
         with pytest.raises(DataError, match=r"cache\.bin: unexpected bytes at record 3"):
             load_records(path)
+
+    def test_failed_write_keeps_old_cache(self, tmp_path):
+        path, blob = self._saved(tmp_path)
+        recs = make_records([3, 4], np.random.default_rng(3))
+        recs[1].call_type = "unknown"  # fails after the first record is written
+        with pytest.raises(ValueError):
+            save_records(recs, path)
+        assert path.read_bytes() == blob
+        assert os.listdir(tmp_path) == ["cache.bin"]
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "junk.bin"

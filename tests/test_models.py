@@ -1,5 +1,8 @@
 """Model assembly: shapes, hull invariant, variant equivalences, checkpoints."""
 
+import json
+import os
+
 import numpy as np
 import pytest
 
@@ -25,6 +28,7 @@ from taxidest.models import (
     save_model,
 )
 from taxidest.nncore import Tensor
+from taxidest.nncore.checkpoint import save_checkpoint
 
 
 class TestBuildModel:
@@ -331,3 +335,60 @@ class TestCheckpoint:
         save_model(model, path)
         loaded = load_model(path)
         assert list(loaded.params) == list(model.params)
+
+    def _saved(self, tmp_path):
+        model = tiny_model("mlp_clusters")
+        path = tmp_path / "model.ckpt"
+        save_model(model, path)
+        return model, path, path.read_bytes()
+
+    @pytest.mark.parametrize("cut", [15, 30, -4])
+    def test_truncated_checkpoint_names_path(self, tmp_path, cut):
+        model, path, raw = self._saved(tmp_path)
+        path.write_bytes(raw[:cut])
+        with pytest.raises(ValueError, match="truncated") as err:
+            load_model(path)
+        assert str(path) in str(err.value)
+        if cut == -4:
+            assert repr(list(model.params)[-1]) in str(err.value)
+
+    def test_trailing_bytes_rejected(self, tmp_path):
+        _, path, raw = self._saved(tmp_path)
+        path.write_bytes(raw + b"\0\0\0\0")
+        with pytest.raises(ValueError, match="4 bytes after the last parameter") as err:
+            load_model(path)
+        assert str(path) in str(err.value)
+
+    def test_parameter_size_must_match_shape(self, tmp_path):
+        _, path, raw = self._saved(tmp_path)
+        hlen = int.from_bytes(raw[12:20], "little")
+        header = json.loads(raw[20 : 20 + hlen])
+        first = header["params"][0]
+        first["shape"] = [first["shape"][0] + 1] + first["shape"][1:]
+        new = json.dumps(header).encode()
+        path.write_bytes(raw[:12] + len(new).to_bytes(8, "little") + new + raw[20 + hlen :])
+        with pytest.raises(ValueError, match="do not hold") as err:
+            load_model(path)
+        assert str(path) in str(err.value) and repr(first["name"]) in str(err.value)
+
+    def test_failed_write_keeps_old_checkpoint(self, tmp_path):
+        model, path, raw = self._saved(tmp_path)
+
+        class Failing:
+            """Serves its value for the header, then fails mid-write."""
+
+            name = "broken"
+            reads = 0
+
+            @property
+            def value(self):
+                self.reads += 1
+                if self.reads > 1:
+                    raise RuntimeError("disk gone")
+                return np.zeros(3)
+
+        good = model.parameters()[0]
+        with pytest.raises(RuntimeError):
+            save_checkpoint(path, [good, Failing()], {})
+        assert path.read_bytes() == raw
+        assert os.listdir(tmp_path) == ["model.ckpt"]

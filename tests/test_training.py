@@ -1,5 +1,8 @@
 """Loss, training loop, early stopping, evaluation, submissions."""
 
+import math
+import os
+
 import numpy as np
 import pytest
 
@@ -204,23 +207,69 @@ class TestTrainLoop:
         free = train(tiny_model("brnn"), recs, val, TrainConfig(**cfg))
         assert clipped.history != free.history
 
+    def _diverging(self, tmp_path, **cfg):
+        """mlp_direct at learning rate 1e4: the loss is NaN by the third batch."""
+        _, recs, _ = self._setup()
+        model = tiny_model("mlp_direct")
+        val = fixed_prefix_examples(recs[:5], model.config.k, model.stats, model.vocab, np.random.default_rng(1))
+        path = tmp_path / "model.ckpt"
+        base = dict(learning_rate=1e4, batch_size=4, max_batches=8, validate_every=1, patience=99)
+        base.update(cfg)
+        with np.errstate(all="ignore"):
+            report = train(model, recs, val, TrainConfig(**base), checkpoint_path=path)
+        return model, report, path
+
+    def test_non_finite_loss_stops_before_the_step(self, tmp_path):
+        model, report, path = self._diverging(tmp_path)
+        assert report.stop_reason == "non_finite"
+        assert 1 <= len(report.history) < 8
+        assert all(math.isfinite(pt.train_loss_km) for pt in report.history)
+        for p in model.parameters():
+            assert np.isfinite(p.value).all(), p.name
+            assert not p.grad.any(), p.name
+        for p in models.load_model(path).parameters():
+            assert np.isfinite(p.value).all(), p.name
+
+    def test_non_finite_gradient_norm_stops(self, tmp_path, monkeypatch):
+        # A clipping norm that is not finite stops training even while the
+        # loss itself is still finite.
+        monkeypatch.setattr(training.nncore, "clip_gradients", lambda params, max_norm: math.inf)
+        model, report, _ = self._diverging(tmp_path, learning_rate=0.01, clip_norm=1.0)
+        assert report.stop_reason == "non_finite"
+        assert report.history == []
+        for p in model.parameters():
+            assert np.isfinite(p.value).all() and not p.grad.any(), p.name
+
 
 class TestTrainReport:
     def test_jsonl_round_trip(self, tmp_path):
-        report = TrainReport(
-            history=[
-                training.ValidationPoint(10, 2.5, 3.1, True),
-                training.ValidationPoint(20, 2.0, 3.3, False),
-            ],
-            best_batches=10,
-            best_val_km=3.1,
-            stop_reason="max_batches",
-            checkpoint_path="model.ckpt",
-        )
+        for stop_reason in ("max_batches", "non_finite"):
+            report = TrainReport(
+                history=[
+                    training.ValidationPoint(10, 2.5, 3.1, True),
+                    training.ValidationPoint(20, 2.0, 3.3, False),
+                ],
+                best_batches=10,
+                best_val_km=3.1,
+                stop_reason=stop_reason,
+                checkpoint_path="model.ckpt",
+            )
+            path = tmp_path / "report.jsonl"
+            report.to_jsonl(path)
+            loaded = TrainReport.from_jsonl(path)
+            assert loaded == report
+
+    def test_failed_write_keeps_old_report(self, tmp_path):
         path = tmp_path / "report.jsonl"
-        report.to_jsonl(path)
-        loaded = TrainReport.from_jsonl(path)
-        assert loaded == report
+        TrainReport(stop_reason="patience").to_jsonl(path)
+        old = path.read_bytes()
+        # The second line cannot be serialized, after the first is written.
+        bad = TrainReport(history=[training.ValidationPoint(1, 2.0, 3.0, True),
+                                   training.ValidationPoint(2, object(), 3.0, False)])
+        with pytest.raises(TypeError):
+            bad.to_jsonl(path)
+        assert path.read_bytes() == old
+        assert os.listdir(tmp_path) == ["report.jsonl"]
 
 
 class TestWriteSubmission:
