@@ -49,7 +49,7 @@ def main(seed: int = 1, batches: int = 3) -> None:
 
         def recording_forward(model, batch, tape=None, candidates=None):
             if tape is not None:
-                lengths.append([len(ex.full_prefix) for ex in batch])
+                lengths.append([ex.cut for ex in batch])
             return forward(model, batch, tape, candidates)
 
         models.forward = recording_forward

@@ -13,6 +13,7 @@ A prepared data directory holds:
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -20,6 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import fixtures, models, training
+from ._atomic import atomic_open
 from .clustering import MeanShiftConfig, load_clusters, mean_shift, save_clusters
 from .data import (
     DataError,
@@ -78,7 +80,7 @@ def _build_parser() -> _Parser:
     sp.add_argument("--memory-m", type=int, default=10000)
     sp.add_argument("--lr", type=float, default=0.01)
     sp.add_argument("--momentum", type=float, default=0.9)
-    sp.add_argument("--batch", type=int, default=None, help="default 200 (5000 for memory_net)")
+    sp.add_argument("--batch", type=int, default=None, help="default 200 (memory_net: ModelConfig.memory_batch)")
     sp.add_argument("--max-batches", type=int, default=10000)
     sp.add_argument("--validate-every", type=int, default=500)
     sp.add_argument("--patience", type=int, default=5)
@@ -144,6 +146,12 @@ def _cut_examples(by_id, splits, name, k, stats, vocab):
     ]
 
 
+def _write_json(path, obj) -> None:
+    """Replace ``path`` whole or not at all."""
+    with atomic_open(path, "w", encoding="utf-8") as f:
+        json.dump(obj, f, sort_keys=True)
+
+
 def _memory_candidates(model, by_id, splits, seed):
     pool = _split_records(by_id, splits, "train")
     sampler = training._CandidateSampler(pool, model, model.config.memory_m)
@@ -179,21 +187,9 @@ def _cmd_prepare(args) -> int:
             r.trip_id: int(rng.integers(1, len(r.polyline) + 1)) for r in split.test
         },
     }
-    with open(out / "splits.json", "w", encoding="utf-8") as f:
-        json.dump(manifest, f, sort_keys=True)
-    with open(out / "stats.json", "w", encoding="utf-8") as f:
-        json.dump(
-            {
-                "mean_lat": stats.mean_lat,
-                "mean_lon": stats.mean_lon,
-                "std_lat": stats.std_lat,
-                "std_lon": stats.std_lon,
-            },
-            f,
-            sort_keys=True,
-        )
-    with open(out / "vocab.json", "w", encoding="utf-8") as f:
-        json.dump(vocab.to_json(), f, sort_keys=True)
+    _write_json(out / "splits.json", manifest)
+    _write_json(out / "stats.json", dataclasses.asdict(stats))
+    _write_json(out / "vocab.json", vocab.to_json())
     print(
         f"prepared {len(usable)} records: train {len(split.train)}, "
         f"validation {len(split.validation)}, test {len(split.test)}"
@@ -245,7 +241,9 @@ def _cmd_train(args) -> int:
 
     train_records = _split_records(by_id, splits, "train")
     val_examples = _cut_examples(by_id, splits, "validation", config.k, stats, vocab)
-    batch = args.batch if args.batch is not None else (5000 if args.variant == "memory_net" else 200)
+    batch = args.batch
+    if batch is None:
+        batch = config.memory_batch if config.variant == "memory_net" else TrainConfig.batch_size
     cfg = TrainConfig(
         learning_rate=args.lr,
         momentum=args.momentum,

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import _kernels
 from ._atomic import atomic_open
-from .geo import EARTH, GeoPoint
+from .geo import EARTH
 
 __all__ = [
     "ClusterSet",
@@ -45,9 +45,6 @@ class ClusterSet:
     @property
     def count(self) -> int:
         return len(self.centers)
-
-    def as_geopoints(self) -> list[GeoPoint]:
-        return [GeoPoint(float(lat), float(lon)) for lat, lon in self.centers]
 
 
 @dataclass(frozen=True)
@@ -172,15 +169,21 @@ def save_clusters(cs: ClusterSet, path) -> None:
 
 
 def load_clusters(path) -> ClusterSet:
+    """Read a cluster CSV; ValueError names the path and the line of a bad
+    row or of a last row without a line end (a file cut short).  A cut at a
+    line boundary cannot be detected: the format has no row count, so that
+    hand-written files stay valid."""
     rows = []
     with open(path, "r", encoding="utf-8") as f:
         header = f.readline().strip()
         if header != "lat,lon":
             raise ValueError(f"{path}: expected header 'lat,lon', got {header!r}")
-        for lineno, line in enumerate(f, start=2):
-            line = line.strip()
+        for lineno, raw in enumerate(f, start=2):
+            line = raw.strip()
             if not line:
                 continue
+            if not raw.endswith("\n"):
+                raise ValueError(f"{path}:{lineno}: row {line!r} has no line end; the file is cut short")
             parts = line.split(",")
             if len(parts) != 2:
                 raise ValueError(f"{path}:{lineno}: expected 2 fields, got {len(parts)}")

@@ -21,8 +21,7 @@ import io
 import json
 import struct
 from dataclasses import dataclass, field
-from datetime import datetime, timezone
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -37,7 +36,6 @@ __all__ = [
     "MetadataVocab",
     "PrefixExample",
     "PrefixSampler",
-    "TimeFeatures",
     "TrainRecord",
     "build_vocab",
     "count_prefixes",
@@ -161,34 +159,24 @@ class MetadataVocab:
         )
 
 
-@dataclass(frozen=True)
-class TimeFeatures:
-    """Calendar features of the ride start, UTC: quarter-hour in [0, 95],
-    Monday-based day of week in [0, 6], ISO week minus one clamped to [0, 51]."""
+class PrefixExample(NamedTuple):
+    """One training instance: the prefix of length ``cut`` of ``record``.
 
-    quarter_hour: int
-    day_of_week: int
-    week_of_year: int
-
-
-@dataclass
-class PrefixExample:
-    """A model-ready training instance built from one (record, cut) pair.
-
-    ``first_k`` / ``last_k`` are standardized (k, 2) windows; ``full_prefix``
-    keeps the raw degree coordinates of the whole prefix for the recurrent
-    models; ``target`` is the final point of the complete trajectory.
+    The model builds its inputs from these pairs batch by batch
+    (``models.featurize``); ``target`` is the final point of the complete
+    trajectory.
     """
 
-    first_k: np.ndarray
-    last_k: np.ndarray
-    full_prefix: np.ndarray
-    client_idx: int
-    taxi_idx: int
-    stand_idx: int
-    time: TimeFeatures
-    target: GeoPoint
-    trip_id: str = ""
+    record: TrainRecord
+    cut: int
+
+    @property
+    def trip_id(self) -> str:
+        return self.record.trip_id
+
+    @property
+    def target(self) -> GeoPoint:
+        return self.record.destination
 
 
 @dataclass
@@ -308,15 +296,18 @@ def build_vocab(records: Iterable[TrainRecord]) -> MetadataVocab:
     return vocab
 
 
-def time_features(timestamp: int) -> TimeFeatures:
-    """Calendar features of a unix timestamp, rendered in UTC."""
-    dt = datetime.fromtimestamp(timestamp, tz=timezone.utc)
-    week = dt.isocalendar()[1] - 1
-    return TimeFeatures(
-        quarter_hour=dt.hour * 4 + dt.minute // 15,
-        day_of_week=dt.weekday(),
-        week_of_year=min(week, 51),
-    )
+def time_features(timestamps) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Calendar features of unix timestamps in UTC, as int64 arrays of their
+    shape: quarter-hour in [0, 95], Monday-based day of week in [0, 6], and
+    ISO week minus one, clamped to [0, 51]."""
+    days, seconds = np.divmod(np.asarray(timestamps, dtype=np.int64), 86_400)
+    day_of_week = (days + 3) % 7  # 1970-01-01 was a Thursday
+    # An ISO week belongs to the year of its Thursday and week 1 holds that
+    # year's first Thursday.
+    thursday = days - day_of_week + 3
+    year_start = thursday.astype("datetime64[D]").astype("datetime64[Y]").astype("datetime64[D]")
+    week = (thursday - year_start.astype(np.int64)) // 7
+    return seconds // 900, day_of_week, np.minimum(week, 51)
 
 
 def make_prefix_example(
@@ -326,37 +317,18 @@ def make_prefix_example(
     stats: StandardizationStats,
     vocab: MetadataVocab,
 ) -> PrefixExample:
-    """Build the fixed-size model input for the prefix of length ``cut``.
+    """The example for the prefix of length ``cut``, checked: ``1 <= cut <=
+    len(record.polyline)`` and ``k >= 1``, else ValueError.
 
-    ``first_k`` pads at its tail by repeating the prefix's last point;
-    ``last_k`` pads at its head by repeating the prefix's first point, so
-    each window's boundary points stay truthful.  Windows overlap whenever
-    ``cut < 2k``.
+    ``stats`` and ``vocab`` are not read: the model featurizes whole batches
+    with its own window size, statistics and vocabularies.
     """
     n = len(record.polyline)
     if not 1 <= cut <= n:
         raise ValueError(f"cut {cut} outside [1, {n}] for trip {record.trip_id}")
     if k < 1:
         raise ValueError(f"window size k must be >= 1, got {k}")
-
-    prefix = record.polyline[:cut]
-    mean = np.array([stats.mean_lat, stats.mean_lon])
-    std = np.array([stats.std_lat, stats.std_lon])
-    std_prefix = (prefix - mean) / std
-
-    first_idx = np.minimum(np.arange(k), cut - 1)
-    last_idx = np.maximum(np.arange(cut - k, cut), 0)
-    return PrefixExample(
-        first_k=std_prefix[first_idx],
-        last_k=std_prefix[last_idx],
-        full_prefix=prefix,
-        client_idx=vocab.client_index(record.origin_call),
-        taxi_idx=vocab.taxi_index(record.taxi_id),
-        stand_idx=vocab.stand_index(record.origin_stand),
-        time=time_features(record.timestamp),
-        target=record.destination,
-        trip_id=record.trip_id,
-    )
+    return PrefixExample(record, cut)
 
 
 def count_prefixes(records: Iterable[TrainRecord]) -> int:

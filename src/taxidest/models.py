@@ -12,14 +12,14 @@ their predictions always fall in the convex hull of the centers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
 
 from . import nncore
 from .clustering import ClusterSet
-from .data import MetadataVocab, PrefixExample, TrainRecord, make_prefix_example
+from .data import MetadataVocab, PrefixExample, TrainRecord, make_prefix_example, time_features
 from .geo import StandardizationStats
 from .nncore import Parameter, Tape, Tensor
 from .nncore.checkpoint import load_checkpoint, save_checkpoint
@@ -30,9 +30,12 @@ __all__ = [
     "TIME_VOCAB_SIZES",
     "VARIANTS",
     "DestinationModel",
+    "Features",
     "ModelConfig",
     "build_model",
     "candidates_from_records",
+    "destinations",
+    "featurize",
     "forward",
     "load_model",
     "predict",
@@ -212,42 +215,94 @@ def build_model(
 # ---------------------------------------------------------------------------
 
 
-def _gps_block(batch: Sequence[PrefixExample], k: int, dtype) -> np.ndarray:
-    out = np.empty((len(batch), 4 * k), dtype=dtype)
-    for i, ex in enumerate(batch):
-        out[i, : 2 * k] = ex.first_k.reshape(-1)
-        out[i, 2 * k :] = ex.last_k.reshape(-1)
-    return out
+@dataclass
+class Features:
+    """Model inputs of one batch, in the model's dtype.
+
+    ``gps`` [B, 4k]: each prefix's first k standardized points, tail-padded
+    with its last point, then its last k, head-padded with its first point.
+    ``index``: embedding field -> int64 rows [B].  Recurrent variants: rows
+    ``order``ed by prefix length, longest first, and at each step t the
+    inputs of the rows still running, in that order, read forward (``fwd``)
+    and, if bidirectional, reversed (``bwd``); a step's input is the window
+    of points ending at its point, head-padded with the first point.
+    """
+
+    gps: Optional[np.ndarray] = None
+    index: dict[str, np.ndarray] = field(default_factory=dict)
+    order: Optional[np.ndarray] = None
+    fwd: list[np.ndarray] = field(default_factory=list)
+    bwd: list[np.ndarray] = field(default_factory=list)
 
 
-def _meta_indices(batch: Sequence[PrefixExample]) -> dict[str, np.ndarray]:
-    n = len(batch)
-    idx = {f: np.empty(n, dtype=np.int64) for f in EMBEDDING_FIELDS}
-    for i, ex in enumerate(batch):
-        idx["client"][i] = ex.client_idx
-        idx["taxi"][i] = ex.taxi_idx
-        idx["stand"][i] = ex.stand_idx
-        idx["quarter_hour"][i] = ex.time.quarter_hour
-        idx["day_of_week"][i] = ex.time.day_of_week
-        idx["week_of_year"][i] = ex.time.week_of_year
-    return idx
+def featurize(model: DestinationModel, batch: Sequence[PrefixExample]) -> Features:
+    """Inputs of a non-empty batch from the model's own k, statistics,
+    vocabularies and dtype.
+
+    The prefixes are concatenated and standardized once; every window is a
+    gather at offsets into that array.
+    """
+    cfg = model.config
+    dtype = cfg.np_dtype()
+    feats = Features()
+    if cfg.uses_gps_window:
+        lengths = np.fromiter((ex.cut for ex in batch), np.int64, len(batch))
+        starts = np.cumsum(lengths) - lengths
+        stats = model.stats
+        points = np.concatenate([ex.record.polyline[: ex.cut] for ex in batch])
+        points = (points - np.array([stats.mean_lat, stats.mean_lon])) / np.array(
+            [stats.std_lat, stats.std_lon]
+        )
+        if cfg.variant not in _RNN_VARIANTS:
+            k = np.arange(cfg.k)
+            first = np.minimum(k, lengths[:, None] - 1)
+            last = np.maximum(lengths[:, None] - cfg.k + k, 0)
+            windows = starts[:, None] + np.concatenate([first, last], axis=1)
+            feats.gps = points[windows].reshape(len(batch), 4 * cfg.k).astype(dtype)
+        else:
+            window = cfg.window if cfg.variant == "brnn_window" else 1
+            ends = np.arange(len(points))[:, None] - (window - 1) + np.arange(window)
+            steps = points[np.maximum(ends, np.repeat(starts, lengths)[:, None])]
+            steps = steps.reshape(len(points), 2 * window).astype(dtype)  # one per point
+            feats.order = order = np.argsort(-lengths, kind="stable")
+            starts, lengths = starts[order], lengths[order]
+            running = (lengths > np.arange(lengths[0])[:, None]).sum(axis=1)  # n_t, non-increasing
+            feats.fwd = [steps[starts[:n] + t] for t, n in enumerate(running)]
+            if cfg.variant in ("brnn", "brnn_window"):
+                feats.bwd = [steps[starts[:n] + lengths[:n] - 1 - t] for t, n in enumerate(running)]
+    if cfg.uses_embeddings:
+        vocab = model.vocab
+        ids = np.array(
+            [
+                (vocab.client_index(r.origin_call), vocab.taxi_index(r.taxi_id),
+                 vocab.stand_index(r.origin_stand), r.timestamp)
+                for r in (ex.record for ex in batch)
+            ],
+            dtype=np.int64,
+        )
+        # EMBEDDING_FIELDS order: client, taxi, stand, then the calendar fields
+        feats.index = dict(zip(EMBEDDING_FIELDS, [*ids[:, :3].T, *time_features(ids[:, 3])]))
+    return feats
 
 
-def _embedding_pieces(model: DestinationModel, tape: Tape, batch) -> list[Tensor]:
-    idx = _meta_indices(batch)
+def destinations(batch: Sequence[PrefixExample]) -> np.ndarray:
+    """Final (lat, lon) points [B, 2], float64, of each example's trajectory."""
+    return np.array([ex.record.polyline[-1] for ex in batch], dtype=np.float64).reshape(-1, 2)
+
+
+def _embedding_pieces(model: DestinationModel, tape: Tape, feats: Features) -> list[Tensor]:
     return [
-        nncore.embedding_lookup(tape, model.params[f"emb_{f}"].tensor, idx[f])
+        nncore.embedding_lookup(tape, model.params[f"emb_{f}"].tensor, feats.index[f])
         for f in EMBEDDING_FIELDS
     ]
 
 
-def _mlp_input(model: DestinationModel, tape: Tape, batch) -> Tensor:
-    cfg = model.config
+def _mlp_input(model: DestinationModel, tape: Tape, feats: Features) -> Tensor:
     pieces: list[Tensor] = []
-    if cfg.uses_gps_window:
-        pieces.append(Tensor(_gps_block(batch, cfg.k, cfg.np_dtype())))
-    if cfg.uses_embeddings:
-        pieces.extend(_embedding_pieces(model, tape, batch))
+    if feats.gps is not None:
+        pieces.append(Tensor(feats.gps))
+    if model.config.uses_embeddings:
+        pieces.extend(_embedding_pieces(model, tape, feats))
     return nncore.concat(tape, pieces)
 
 
@@ -268,9 +323,9 @@ def _hidden_layer(model: DestinationModel, tape: Tape, x: Tensor) -> Tensor:
 # ---------------------------------------------------------------------------
 
 
-def _mlp_head(model: DestinationModel, tape: Tape, batch: Sequence[PrefixExample]) -> Tensor:
+def _mlp_head(model: DestinationModel, tape: Tape, feats: Features) -> Tensor:
     cfg = model.config
-    h = _hidden_layer(model, tape, _mlp_input(model, tape, batch))
+    h = _hidden_layer(model, tape, _mlp_input(model, tape, feats))
     if cfg.variant == "mlp_direct":
         y_std = nncore.dense(tape, h, model.params["out_w"].tensor, model.params["out_b"].tensor)
         stats = model.stats
@@ -281,21 +336,6 @@ def _mlp_head(model: DestinationModel, tape: Tape, batch: Sequence[PrefixExample
             np.array([stats.mean_lat, stats.mean_lon]),
         )
     return _centroid_head(model, tape, h, model.clusters.centers)
-
-
-def _standardized_prefix(model: DestinationModel, ex: PrefixExample) -> np.ndarray:
-    stats = model.stats
-    mean = np.array([stats.mean_lat, stats.mean_lon])
-    std = np.array([stats.std_lat, stats.std_lon])
-    return ((ex.full_prefix - mean) / std).astype(model.config.np_dtype())
-
-
-def _window_steps(seq: np.ndarray, window: int) -> np.ndarray:
-    """Per-step inputs [T, window*2]: step t sees points t-window+1..t,
-    head-padded by repeating the first point (window 1 = the point itself)."""
-    t_count = seq.shape[0]
-    steps = np.arange(t_count)[:, None] + np.arange(-(window - 1), 1)[None, :]
-    return seq[np.maximum(steps, 0)].reshape(t_count, 2 * window)
 
 
 def _run_lstm(model, tape, name, inputs_per_step: list[np.ndarray], order: np.ndarray) -> Tensor:
@@ -328,38 +368,23 @@ def _run_lstm(model, tape, name, inputs_per_step: list[np.ndarray], order: np.nd
     )
 
 
-def _recurrent_states(model: DestinationModel, tape: Tape, batch) -> Tensor:
+def _recurrent_states(model: DestinationModel, tape: Tape, feats: Features) -> Tensor:
     """Final LSTM state(s) for every example, in batch order.
 
-    Packed sequences: rows are sorted by prefix length, longest first, so
-    the rows still running at step t are the first n_t.  Each direction
-    runs max(length) steps, step t over those n_t rows only, and takes each
-    row's final state from the step after which it stops.  The backward
-    direction reads each row's own prefix reversed (point L-1-t at step t).
+    Packed sequences: each direction runs max(length) steps over the
+    length-sorted rows, step t over the rows still running, and takes each
+    row's final state from the step after which it stops.
     """
-    cfg = model.config
-    window = cfg.window if cfg.variant == "brnn_window" else 1
-    lengths = np.array([len(ex.full_prefix) for ex in batch], dtype=np.int64)
-    order = np.argsort(-lengths, kind="stable")
-    lengths = lengths[order]
-    starts = np.concatenate([[0], np.cumsum(lengths)[:-1]])
-    points = np.concatenate(
-        [_window_steps(_standardized_prefix(model, batch[i]), window) for i in order]
-    )  # [sum of lengths, window*2], rows in sorted order
-    running = (lengths > np.arange(lengths[0])[:, None]).sum(axis=1)  # n_t, non-increasing
-
-    fwd_steps = [points[starts[:n] + t] for t, n in enumerate(running)]
-    state = _run_lstm(model, tape, "lstm_fwd", fwd_steps, order)
-    if cfg.variant in ("brnn", "brnn_window"):
-        bwd_steps = [points[starts[:n] + lengths[:n] - 1 - t] for t, n in enumerate(running)]
-        h_bwd = _run_lstm(model, tape, "lstm_bwd", bwd_steps, order)
+    state = _run_lstm(model, tape, "lstm_fwd", feats.fwd, feats.order)
+    if feats.bwd:
+        h_bwd = _run_lstm(model, tape, "lstm_bwd", feats.bwd, feats.order)
         state = nncore.concat(tape, [state, h_bwd])
     return state
 
 
-def _recurrent_head(model, tape, batch) -> Tensor:
-    state = _recurrent_states(model, tape, batch)
-    x = nncore.concat(tape, [state] + _embedding_pieces(model, tape, batch))
+def _recurrent_head(model, tape, feats: Features) -> Tensor:
+    state = _recurrent_states(model, tape, feats)
+    x = nncore.concat(tape, [state] + _embedding_pieces(model, tape, feats))
     h = _hidden_layer(model, tape, x)
     return _centroid_head(model, tape, h, model.clusters.centers)
 
@@ -370,7 +395,7 @@ def candidates_from_records(
     stats: StandardizationStats,
     vocab: MetadataVocab,
 ) -> list[PrefixExample]:
-    """Render full trajectories through the prefix featurizer (cut = length)."""
+    """Full trajectories as examples (cut = length)."""
     return [
         make_prefix_example(r, len(r.polyline), config.k, stats, vocab) for r in records
     ]
@@ -385,8 +410,8 @@ def _candidate_memory(model: DestinationModel, tape: Tape, candidates) -> tuple[
     """Encoded candidates [M, hidden] and their destinations [M, 2]."""
     if candidates is None or len(candidates) == 0:
         raise ValueError("memory_net needs at least one candidate")
-    dests = np.array([[ex.target.lat, ex.target.lon] for ex in candidates])
-    return _encoder(model, tape, _mlp_input(model, tape, candidates), "cand"), dests
+    x = _mlp_input(model, tape, featurize(model, candidates))
+    return _encoder(model, tape, x, "cand"), destinations(candidates)
 
 
 def _memory_head(model: DestinationModel, tape: Tape, q_in: Tensor, memory) -> Tensor:
@@ -403,12 +428,13 @@ def forward(model: DestinationModel, batch, tape: Tape = None, candidates=None) 
     ``memory_net`` needs at least one candidate; callers sample candidates
     from the training set, excluding the query's own source trajectory.
     """
+    feats = featurize(model, batch)
     variant = model.config.variant
     if variant in _MLP_VARIANTS:
-        return _mlp_head(model, tape, batch)
+        return _mlp_head(model, tape, feats)
     if variant in _RNN_VARIANTS:
-        return _recurrent_head(model, tape, batch)
-    q_in = _mlp_input(model, tape, batch)
+        return _recurrent_head(model, tape, feats)
+    q_in = _mlp_input(model, tape, feats)
     return _memory_head(model, tape, q_in, _candidate_memory(model, tape, candidates))
 
 
@@ -434,7 +460,7 @@ def predict(model: DestinationModel, batch, candidates=None) -> np.ndarray:
         if memory is None:
             pred = forward(model, chunk)
         else:
-            pred = _memory_head(model, None, _mlp_input(model, None, chunk), memory)
+            pred = _memory_head(model, None, _mlp_input(model, None, featurize(model, chunk)), memory)
         out[start : start + len(chunk)] = pred.data
     return out
 
@@ -445,25 +471,9 @@ def predict(model: DestinationModel, batch, candidates=None) -> np.ndarray:
 
 
 def save_model(model: DestinationModel, path) -> None:
-    stats = model.stats
     extras = {
-        "model_config": {
-            "variant": model.config.variant,
-            "k": model.config.k,
-            "hidden": model.config.hidden,
-            "embedding_dims": model.config.embedding_dims,
-            "rnn_hidden": model.config.rnn_hidden,
-            "window": model.config.window,
-            "memory_m": model.config.memory_m,
-            "memory_batch": model.config.memory_batch,
-            "dtype": model.config.dtype,
-        },
-        "stats": {
-            "mean_lat": stats.mean_lat,
-            "mean_lon": stats.mean_lon,
-            "std_lat": stats.std_lat,
-            "std_lon": stats.std_lon,
-        },
+        "model_config": asdict(model.config),
+        "stats": asdict(model.stats),
         "vocab": model.vocab.to_json(),
         "clusters": None if model.clusters is None else model.clusters.centers.tolist(),
     }

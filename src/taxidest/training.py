@@ -156,8 +156,7 @@ def loss_batch(
     if len(batch) == 0:
         raise DataError("loss_batch requires a non-empty batch")
     pred = models.forward(model, batch, tape, candidates)
-    targets = np.array([[ex.target.lat, ex.target.lon] for ex in batch])
-    return equirectangular_loss(tape, pred, targets)
+    return equirectangular_loss(tape, pred, models.destinations(batch))
 
 
 def fixed_prefix_examples(
@@ -168,11 +167,10 @@ def fixed_prefix_examples(
     rng: np.random.Generator,
 ) -> list[PrefixExample]:
     """One random cut per trajectory, fixed once so evaluations are comparable."""
-    out = []
-    for rec in records:
-        cut = int(rng.integers(1, len(rec.polyline) + 1))
-        out.append(make_prefix_example(rec, cut, k, stats, vocab))
-    return out
+    return [
+        make_prefix_example(rec, int(rng.integers(1, len(rec.polyline) + 1)), k, stats, vocab)
+        for rec in records
+    ]
 
 
 def evaluate(
@@ -184,7 +182,7 @@ def evaluate(
     if len(examples) == 0:
         raise DataError("evaluate requires a non-empty prefix set")
     pred = models.predict(model, examples, candidates)
-    targets = np.array([[ex.target.lat, ex.target.lon] for ex in examples])
+    targets = models.destinations(examples)
     d = haversine_distance_arrays(pred[:, 0], pred[:, 1], targets[:, 0], targets[:, 1])
     step = models.PREDICT_CHUNK  # summed per forward chunk, in order
     total = sum(float(d[start : start + step].sum()) for start in range(0, len(d), step))
@@ -222,6 +220,18 @@ class _CandidateSampler:
         )
 
 
+def _gradients_finite(params) -> bool:
+    """False if any gradient element is NaN or infinite.  One dot product g.g
+    per parameter finds them; only when it is not finite, as it also is for
+    a float32 norm above ~1e19, are the elements checked."""
+    with np.errstate(over="ignore"):
+        for p in params:
+            g = p.grad.reshape(-1)
+            if not math.isfinite(np.dot(g, g)) and not np.isfinite(g).all():
+                return False
+    return True
+
+
 def train(
     model: DestinationModel,
     train_records: Sequence[TrainRecord],
@@ -236,11 +246,10 @@ def train(
     ``cfg.validate_every`` batches the fixed validation prefix set is
     scored, the best checkpoint saved, and training stops after
     ``cfg.patience`` validations without improvement or at
-    ``cfg.max_batches``.  A non-finite training loss, or a non-finite
-    gradient norm when ``cfg.clip_norm`` is set, stops training at once
-    with ``stop_reason="non_finite"``, before that batch's step, so the
-    parameters and the last checkpoint stay finite.  Deterministic given
-    the seed.
+    ``cfg.max_batches``.  A non-finite training loss or gradient stops
+    training at once with ``stop_reason="non_finite"``, before that batch's
+    step and with the gradients zeroed, so the parameters and the last
+    checkpoint stay finite.  Deterministic given the seed.
     """
     if len(val_examples) == 0:
         raise DataError("train requires a non-empty validation prefix set")
@@ -261,10 +270,10 @@ def train(
     loss_count = 0
 
     for batch_no in range(1, cfg.max_batches + 1):
-        batch = []
-        for _ in range(cfg.batch_size):
-            rec, cut = sampler.sample(rng)
-            batch.append(make_prefix_example(rec, cut, model.config.k, model.stats, model.vocab))
+        batch = [
+            make_prefix_example(*sampler.sample(rng), model.config.k, model.stats, model.vocab)
+            for _ in range(cfg.batch_size)
+        ]
         candidates = None
         if is_memory:
             batch_ids = frozenset(ex.trip_id for ex in batch)
@@ -281,7 +290,11 @@ def train(
         # immediately saturate the softmax.
         loss_km = nncore.scale(tape, loss, 1e-3)
         tape.backward(loss_km)
-        if cfg.clip_norm is not None and not math.isfinite(nncore.clip_gradients(params, cfg.clip_norm)):
+        if cfg.clip_norm is None:
+            finite = _gradients_finite(params)
+        else:
+            finite = math.isfinite(nncore.clip_gradients(params, cfg.clip_norm))
+        if not finite:
             for p in params:
                 p.grad[...] = 0
             report.stop_reason = "non_finite"
@@ -324,9 +337,10 @@ def write_submission(
     path,
     candidates: Sequence[PrefixExample] = None,
 ) -> None:
-    """Competition-format CSV: TRIP_ID,LATITUDE,LONGITUDE, one row per prefix."""
+    """Competition-format CSV: TRIP_ID,LATITUDE,LONGITUDE, one row per
+    prefix; the file is replaced whole or not at all."""
     pred = models.predict(model, examples, candidates)
-    with open(path, "w", encoding="utf-8") as f:
+    with atomic_open(path, "w", encoding="utf-8") as f:
         f.write("TRIP_ID,LATITUDE,LONGITUDE\n")
         for ex, (lat, lon) in zip(examples, pred):
             f.write(f"{ex.trip_id},{lat:.6f},{lon:.6f}\n")

@@ -1,11 +1,13 @@
 """End-to-end CLI pipeline on the synthetic fixture, plus error paths."""
 
+import dataclasses
 import json
+import os
 
 import numpy as np
 import pytest
 
-from taxidest import fixtures
+from taxidest import cli, fixtures, training
 from taxidest.cli import main
 
 
@@ -83,6 +85,25 @@ class TestPrepare:
             assert rc == 0
         assert (out1 / "splits.json").read_bytes() == (out2 / "splits.json").read_bytes()
         assert (out1 / "records.bin").read_bytes() == (out2 / "records.bin").read_bytes()
+
+    @pytest.mark.parametrize("failing", ["splits.json", "stats.json", "vocab.json"])
+    def test_failed_write_keeps_old_file(self, tmp_path, city_csv, monkeypatch, failing):
+        out = tmp_path / "d"
+        args = ["prepare", "--input", str(city_csv), "--out", str(out), "--val", "5", "--test", "5"]
+        assert main(args + ["--seed", "9"]) == 0
+        old = {name: (out / name).read_bytes() for name in os.listdir(out)}
+        dump = json.dump
+
+        def dump_or_fail(obj, f, **kwargs):
+            if os.path.basename(f.name).startswith(failing):
+                f.write('{"partial": ')
+                raise RuntimeError("disk gone")
+            dump(obj, f, **kwargs)
+
+        monkeypatch.setattr(cli.json, "dump", dump_or_fail)
+        assert main(args + ["--seed", "10"]) == 3
+        assert (out / failing).read_bytes() == old[failing]
+        assert sorted(os.listdir(out)) == sorted(old)
 
     def test_val_test_exceeding_records_fails_cleanly(self, tmp_path, city_csv):
         rc = main(
@@ -163,6 +184,37 @@ class TestTrain:
             ["train", "--data", str(prepared_dir), "--variant", "mlp_clusters", "--out", str(tmp_path / "x.ckpt")]
         )
         assert rc == 2
+
+    def test_cut_cluster_file_fails(self, tmp_path, prepared_dir, cluster_csv, capsys):
+        cut = tmp_path / "cut.csv"
+        cut.write_text(cluster_csv.read_text().rstrip("\n")[:-1])
+        rc = main(
+            ["train", "--data", str(prepared_dir), "--clusters", str(cut), "--out", str(tmp_path / "x.ckpt")]
+        )
+        assert rc == 2
+        assert str(cut) in capsys.readouterr().err
+
+    @pytest.mark.parametrize("variant", ["memory_net", "mlp_direct"])
+    def test_default_batch(self, tmp_path, prepared_dir, monkeypatch, variant):
+        """memory_net's default batch is ModelConfig.memory_batch, here set to
+        7; the other variants' is TrainConfig's."""
+        seen = []
+
+        def capture(model, train_records, val_examples, cfg, checkpoint_path=None):
+            seen.append(cfg)
+            return training.TrainReport(stop_reason="max_batches")
+
+        make_config = cli._model_config_from_args
+        monkeypatch.setattr(
+            cli, "_model_config_from_args", lambda args: dataclasses.replace(make_config(args), memory_batch=7)
+        )
+        monkeypatch.setattr(cli, "train", capture)
+        args = ["train", "--data", str(prepared_dir), "--variant", variant, "--hidden", "4", "--out", str(tmp_path / "x.ckpt")]
+        assert main(args) == 0
+        assert seen[0].batch_size == (7 if variant == "memory_net" else training.TrainConfig().batch_size)
+        seen.clear()
+        assert main(args + ["--batch", "3"]) == 0
+        assert seen[0].batch_size == 3
 
     def test_unknown_variant_usage_error(self, tmp_path, prepared_dir, capsys):
         with pytest.raises(SystemExit) as e:

@@ -380,6 +380,15 @@ class TestClusterIO:
         assert cs.count == 3
         np.testing.assert_allclose(cs.centers[1], [41.2, -8.5])
 
+    def test_cut_in_last_number_rejected(self, tmp_path):
+        path = tmp_path / "cut.csv"
+        path.write_text("lat,lon\n41.1,-8.6\n41.2,-8.")
+        with pytest.raises(ValueError, match="no line end") as err:
+            load_clusters(path)
+        assert f"{path}:3" in str(err.value)
+        path.write_text("lat,lon\n41.1,-8.6\n41.2,-8.\n")  # the line end restored
+        np.testing.assert_array_equal(load_clusters(path).centers, [[41.1, -8.6], [41.2, -8.0]])
+
     def test_bad_row_reports_line(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("lat,lon\n41.1,-8.6\nnot,numbers\n")

@@ -8,6 +8,8 @@ import pytest
 from scipy import stats as scipy_stats
 
 from conftest import make_records
+from taxidest import models
+from taxidest.clustering import ClusterSet
 from taxidest.data import (
     CsvParseError,
     DataError,
@@ -145,27 +147,36 @@ class TestVocab:
 
 
 class TestTimeFeatures:
+    # time_features returns (quarter_hour, day_of_week, week_of_year) arrays.
     def test_epoch(self):
         # 1970-01-01 00:00 UTC was a Thursday in ISO week 1.
-        t = time_features(0)
-        assert (t.quarter_hour, t.day_of_week, t.week_of_year) == (0, 3, 0)
+        assert time_features(0) == (0, 3, 0)
 
     def test_quarter_increment(self):
-        t = time_features(15 * 60)
-        assert (t.quarter_hour, t.day_of_week, t.week_of_year) == (1, 3, 0)
+        assert time_features(15 * 60) == (1, 3, 0)
 
     def test_iso_week_53_clamps(self):
         # 2015-12-31 falls in ISO week 53 of 2015.
-        t = time_features(1451520000)
-        assert t.week_of_year == 51
+        _, _, week = time_features(1451520000)
+        assert week == 51
 
     def test_year_end_week_1(self):
         # 2014-12-29 is a Monday in ISO week 1 of 2015.
-        t = time_features(1419811200)
-        assert (t.day_of_week, t.week_of_year) == (0, 0)
+        _, day, week = time_features(1419811200)
+        assert (day, week) == (0, 0)
+
+    def test_arrays_keep_their_shape(self):
+        ts = np.array([[0, 15 * 60], [1419811200, 1451520000]])
+        quarter, day, week = time_features(ts)
+        assert quarter.shape == day.shape == week.shape == (2, 2)
+        assert quarter.dtype == day.dtype == week.dtype == np.int64
+        np.testing.assert_array_equal(week, [[0, 0], [0, 51]])
 
 
 class TestMakePrefixExample:
+    """Examples are (record, cut) pairs; the windows come from the model's
+    featurization, here of a float64 ``mlp_clusters`` model with the stats."""
+
     STATS = StandardizationStats(41.15, -8.61, 0.02, 0.03)
     VOCAB = MetadataVocab()
 
@@ -173,34 +184,46 @@ class TestMakePrefixExample:
         rng = np.random.default_rng(42)
         return make_records([n], rng)[0]
 
+    def windows(self, rec, cut, k):
+        """(first_k, last_k) standardized windows of the prefix, each (k, 2)."""
+        config = models.ModelConfig(variant="mlp_clusters", k=k, hidden=2, dtype="float64")
+        model = models.build_model(config, ClusterSet(rec.polyline[-1:]), self.STATS, self.VOCAB)
+        ex = make_prefix_example(rec, cut, k, self.STATS, self.VOCAB)
+        assert ex.record is rec and ex.cut == cut
+        gps = models.featurize(model, [ex]).gps
+        assert gps.shape == (1, 4 * k)
+        return gps[0, : 2 * k].reshape(k, 2), gps[0, 2 * k :].reshape(k, 2)
+
     def test_full_windows_no_padding(self):
         rec = self._record(12)
-        ex = make_prefix_example(rec, 12, 5, self.STATS, self.VOCAB)
+        first_k, last_k = self.windows(rec, 12, 5)
         std = (rec.polyline - [41.15, -8.61]) / [0.02, 0.03]
-        np.testing.assert_allclose(ex.first_k, std[:5])
-        np.testing.assert_allclose(ex.last_k, std[7:12])
+        np.testing.assert_allclose(first_k, std[:5])
+        np.testing.assert_allclose(last_k, std[7:12])
 
     def test_overlapping_windows(self):
         rec = self._record(12)
-        ex = make_prefix_example(rec, 7, 5, self.STATS, self.VOCAB)
+        first_k, last_k = self.windows(rec, 7, 5)
         std = (rec.polyline[:7] - [41.15, -8.61]) / [0.02, 0.03]
-        np.testing.assert_allclose(ex.first_k, std[0:5])
-        np.testing.assert_allclose(ex.last_k, std[2:7])
+        np.testing.assert_allclose(first_k, std[0:5])
+        np.testing.assert_allclose(last_k, std[2:7])
 
     def test_short_prefix_padding(self):
         rec = self._record(12)
-        ex = make_prefix_example(rec, 2, 5, self.STATS, self.VOCAB)
+        first_k, last_k = self.windows(rec, 2, 5)
         std = (rec.polyline[:2] - [41.15, -8.61]) / [0.02, 0.03]
         # first_k tail-pads with the prefix's last point
-        np.testing.assert_allclose(ex.first_k, std[[0, 1, 1, 1, 1]])
+        np.testing.assert_allclose(first_k, std[[0, 1, 1, 1, 1]])
         # last_k head-pads with the prefix's first point
-        np.testing.assert_allclose(ex.last_k, std[[0, 0, 0, 0, 1]])
+        np.testing.assert_allclose(last_k, std[[0, 0, 0, 0, 1]])
 
     def test_target_is_final_polyline_point(self):
         rec = self._record(9)
         ex = make_prefix_example(rec, 3, 5, self.STATS, self.VOCAB)
         assert ex.target.lat == rec.polyline[-1, 0]
         assert ex.target.lon == rec.polyline[-1, 1]
+        assert ex.trip_id == rec.trip_id
+        np.testing.assert_array_equal(models.destinations([ex]), rec.polyline[-1:])
 
     def test_cut_out_of_range(self):
         rec = self._record(4)
@@ -208,16 +231,18 @@ class TestMakePrefixExample:
             make_prefix_example(rec, 5, 3, self.STATS, self.VOCAB)
         with pytest.raises(ValueError):
             make_prefix_example(rec, 0, 3, self.STATS, self.VOCAB)
+        with pytest.raises(ValueError, match="k must be >= 1"):
+            make_prefix_example(rec, 2, 0, self.STATS, self.VOCAB)
 
     def test_windows_always_k_and_first_point_recoverable(self):
         rng = np.random.default_rng(3)
         for n in (1, 2, 5, 9):
             rec = make_records([n], rng)[0]
             for cut in range(1, n + 1):
-                ex = make_prefix_example(rec, cut, 4, self.STATS, self.VOCAB)
-                assert ex.first_k.shape == (4, 2)
-                assert ex.last_k.shape == (4, 2)
-                p = unstandardize(tuple(ex.first_k[0]), self.STATS)
+                first_k, last_k = self.windows(rec, cut, 4)
+                assert first_k.shape == (4, 2)
+                assert last_k.shape == (4, 2)
+                p = unstandardize(tuple(first_k[0]), self.STATS)
                 assert p.lat == pytest.approx(rec.polyline[0, 0], abs=1e-9)
                 assert p.lon == pytest.approx(rec.polyline[0, 1], abs=1e-9)
 

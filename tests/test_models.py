@@ -1,5 +1,6 @@
 """Model assembly: shapes, hull invariant, variant equivalences, checkpoints."""
 
+import dataclasses
 import json
 import os
 
@@ -17,6 +18,7 @@ from conftest import (
     tiny_vocab,
 )
 from taxidest import data, models, nncore
+from taxidest.geo import StandardizationStats
 from taxidest.models import (
     EMBEDDING_FIELDS,
     ModelConfig,
@@ -121,9 +123,20 @@ class TestForwardShapesAndHull:
 
 
 class TestRecurrentDetails:
+    @staticmethod
+    def _forward_steps(seq: np.ndarray, window: int) -> np.ndarray:
+        """Forward step inputs [T, window*2] of one prefix ``seq`` whose
+        standardized points equal its raw ones (mean 0, std 1)."""
+        model = tiny_model("brnn_window", window=window)
+        model.stats = StandardizationStats(0.0, 0.0, 1.0, 1.0)
+        rec = data.TrainRecord("seq", "phone", 10, None, 5, 1400000000, False, seq)
+        feats = models.featurize(model, [data.make_prefix_example(rec, len(seq), 2, None, None)])
+        assert [len(x) for x in feats.fwd] == [1] * len(seq)
+        return np.vstack(feats.fwd)
+
     def test_window_steps_shape_and_padding(self):
         seq = np.arange(14.0).reshape(7, 2)
-        steps = models._window_steps(seq, 5)
+        steps = self._forward_steps(seq, 5)
         assert steps.shape == (7, 10)  # 7 RNN steps, 5 points x 2 coords each
         # first step: all five positions are the first point (head padding)
         np.testing.assert_array_equal(steps[0], np.tile(seq[0], 5))
@@ -134,7 +147,7 @@ class TestRecurrentDetails:
 
     def test_window_one_is_the_points(self):
         seq = np.arange(8.0).reshape(4, 2)
-        np.testing.assert_array_equal(models._window_steps(seq, 1), seq)
+        np.testing.assert_array_equal(self._forward_steps(seq, 1), seq)
 
     def test_brnn_window1_equals_brnn(self):
         rng = np.random.default_rng(17)
@@ -156,7 +169,7 @@ class TestRecurrentDetails:
         )
         rec = data.TrainRecord("pal", "phone", 10, None, 5, 1400000000, False, pts)
         ex = data.make_prefix_example(rec, 5, model.config.k, model.stats, model.vocab)
-        state = models._recurrent_states(model, None, [ex]).data
+        state = models._recurrent_states(model, None, models.featurize(model, [ex])).data
         hidden = model.config.rnn_hidden
         np.testing.assert_allclose(state[0, :hidden], state[0, hidden:], atol=1e-12)
 
@@ -178,8 +191,11 @@ class TestPackedRecurrentBatch:
     def test_batch_equals_rows_one_at_a_time(self, variant):
         model = tiny_model(variant, seed=5)
         batch = self._batch(model)
-        packed = models._recurrent_states(model, None, batch).data
-        rows = np.vstack([models._recurrent_states(model, None, [ex]).data for ex in batch])
+        def states(examples):
+            return models._recurrent_states(model, None, models.featurize(model, examples)).data
+
+        packed = states(batch)
+        rows = np.vstack([states([ex]) for ex in batch])
         np.testing.assert_allclose(packed, rows, rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("variant", ["rnn", "brnn"])
@@ -208,17 +224,17 @@ class TestMemoryNetwork:
         model = tiny_model("memory_net")
         batch = tiny_batch(model, rng, n=1)
         c1 = self._candidates(model, rng, 1)[0]
-        c2 = data.PrefixExample(
-            first_k=c1.first_k.copy(),
-            last_k=c1.last_k.copy(),
-            full_prefix=c1.full_prefix.copy(),
-            client_idx=c1.client_idx,
-            taxi_idx=c1.taxi_idx,
-            stand_idx=c1.stand_idx,
-            time=c1.time,
-            target=data.GeoPoint(c1.target.lat + 0.02, c1.target.lon - 0.02),
-            trip_id="twin",
+        # The twin's trajectory goes one point further; cut where c1 ends, it
+        # has c1's inputs and another destination.
+        further = [[c1.target.lat + 0.02, c1.target.lon - 0.02]]
+        twin = dataclasses.replace(
+            c1.record, trip_id="twin", polyline=np.vstack([c1.record.polyline, further])
         )
+        c2 = data.make_prefix_example(twin, c1.cut, model.config.k, model.stats, model.vocab)
+        f1, f2 = models.featurize(model, [c1]), models.featurize(model, [c2])
+        np.testing.assert_array_equal(f1.gps, f2.gps)
+        for f in EMBEDDING_FIELDS:
+            np.testing.assert_array_equal(f1.index[f], f2.index[f])
         pred = predict(model, batch, [c1, c2])
         mid = [
             (c1.target.lat + c2.target.lat) / 2,

@@ -240,6 +240,41 @@ class TestTrainLoop:
         for p in model.parameters():
             assert np.isfinite(p.value).all() and not p.grad.any(), p.name
 
+    @pytest.mark.parametrize("planted", [np.nan, np.inf, -np.inf])
+    def test_non_finite_gradient_stops_without_clipping(self, monkeypatch, planted):
+        # The loss stays finite; one gradient element is not.
+        model, recs, val = self._setup()
+        before = {n: p.value.copy() for n, p in model.params.items()}
+        backward = Tape.backward
+
+        def planting(tape, loss):
+            backward(tape, loss)
+            model.params["hidden_w"].grad[1, 2] = planted
+
+        monkeypatch.setattr(Tape, "backward", planting)
+        cfg = TrainConfig(batch_size=4, max_batches=3, validate_every=1, patience=99)
+        report = train(model, recs, val, cfg)
+        assert report.stop_reason == "non_finite"
+        assert report.history == []
+        for name, p in model.params.items():
+            np.testing.assert_array_equal(p.value, before[name])
+            assert not p.grad.any() and not p.velocity.any(), name
+
+    def test_large_finite_float32_gradient_takes_its_step(self, monkeypatch):
+        # 1e20 squared overflows float32, yet every element is finite.
+        model = tiny_model("mlp_clusters", dtype="float32")
+        _, recs, _ = self._setup()
+        val = fixed_prefix_examples(recs[:5], model.config.k, model.stats, model.vocab, np.random.default_rng(1))
+        backward = Tape.backward
+
+        def planting(tape, loss):
+            backward(tape, loss)
+            model.params["hidden_w"].grad[1, 2] = 1e20
+
+        monkeypatch.setattr(Tape, "backward", planting)
+        cfg = TrainConfig(learning_rate=0.0, batch_size=4, max_batches=2, validate_every=1, patience=99)
+        assert train(model, recs, val, cfg).stop_reason == "max_batches"
+
 
 class TestTrainReport:
     def test_jsonl_round_trip(self, tmp_path):
@@ -283,6 +318,20 @@ class TestWriteSubmission:
         lines = path.read_text().splitlines()
         assert len(lines) == 2
         assert lines[0] == "TRIP_ID,LATITUDE,LONGITUDE"
+
+    def test_failed_write_keeps_old_file(self, tmp_path, monkeypatch):
+        model = single_center_model()
+        recs = make_records([3, 4], np.random.default_rng(38))
+        examples = [make_prefix_example(r, 2, model.config.k, model.stats, model.vocab) for r in recs]
+        path = tmp_path / "sub.csv"
+        write_submission(model, examples, path)
+        old = path.read_bytes()
+        # The second row cannot be formatted, after the first is written.
+        monkeypatch.setattr(models, "predict", lambda *args: [(41.1, -8.6), (None, None)])
+        with pytest.raises(TypeError):
+            write_submission(model, examples, path)
+        assert path.read_bytes() == old
+        assert os.listdir(tmp_path) == ["sub.csv"]
 
     def test_round_trip_within_tolerance(self, tmp_path):
         model = single_center_model()
