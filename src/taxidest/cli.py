@@ -288,13 +288,14 @@ def _cmd_evaluate(args) -> int:
 def _cmd_predict(args) -> int:
     model = load_model(args.model)
     with open(args.input, "r", encoding="utf-8", newline="") as f:
-        records = [r for r in parse_csv(f) if r.usable]
+        records = list(parse_csv(f))
     if not records:
-        raise DataError(f"{args.input}: no usable prefix trajectories")
-    examples = [
-        make_prefix_example(r, len(r.polyline), model.config.k, model.stats, model.vocab)
-        for r in records
-    ]
+        raise DataError(f"{args.input}: no prefix trajectories")
+    examples = []
+    for r in records:  # every row is answered, whatever its MISSING_DATA flag
+        if len(r.polyline) == 0:
+            raise DataError(f"{args.input}: trip {r.trip_id} has an empty POLYLINE; a prefix needs a point")
+        examples.append(make_prefix_example(r, len(r.polyline), model.config.k, model.stats, model.vocab))
     candidates = None
     if model.config.variant == "memory_net":
         if args.data is None:
@@ -316,7 +317,7 @@ def _cmd_export_embeddings(args) -> int:
     if name not in model.params:
         raise DataError(f"variant {model.config.variant} has no embedding tables")
     table = model.params[name].value
-    with open(args.out, "w", encoding="utf-8") as f:
+    with atomic_open(args.out, "w", encoding="utf-8") as f:
         f.write("index," + ",".join(f"e{i}" for i in range(table.shape[1])) + "\n")
         for i, row in enumerate(table):
             f.write(str(i) + "," + ",".join(f"{v:.8g}" for v in row) + "\n")

@@ -19,13 +19,12 @@ from __future__ import annotations
 import csv
 import io
 import json
-import struct
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from ._atomic import atomic_open
+from . import _container
 from .geo import GeoPoint, StandardizationStats
 
 __all__ = [
@@ -82,7 +81,7 @@ class CsvParseError(DataError):
         self.column = column
 
 
-@dataclass
+@dataclass(slots=True)
 class TrainRecord:
     """One complete taxi ride with metadata.
 
@@ -412,97 +411,74 @@ def fit_standardization(records: Iterable[TrainRecord]) -> StandardizationStats:
 
 
 # ---------------------------------------------------------------------------
-# Binary record cache
+# Binary record cache: columns in the container whose layout
+# ``taxidest._container`` documents.
 # ---------------------------------------------------------------------------
-#
-# Layout (all integers little-endian):
-#   magic  8s   = b"TXDCACHE"
-#   version u32 = 1
-#   count   u64
-# then per record:
-#   trip_id_len u16, trip_id bytes (UTF-8)
-#   call_type   u8   (0 phone, 1 stand, 2 street)
-#   origin_call i64  (-1 when absent)
-#   origin_stand i64 (-1 when absent)
-#   taxi_id     i64
-#   timestamp   i64
-#   missing     u8
-#   n_points    u32
-#   n_points * (lat f64, lon f64)
-#
-# The cache is regenerable from the CSV and never a source of truth.
 
-_CACHE_MAGIC = b"TXDCACHE"
-_CACHE_VERSION = 1
-_REC_FIXED = struct.Struct("<BqqqqBI")
+_CACHE = _container.Format(
+    b"TXDCACHE", 2, "record cache", "column", DataError, "; re-run `taxidest prepare` to rebuild it"
+)
+#: Integer columns, one row per record, all int64; then the points.
+_META_COLUMNS = ("call_type", "origin_call", "origin_stand", "taxi_id", "timestamp", "missing")
+_Column = NamedTuple("_Column", [("name", str), ("value", np.ndarray)])
 
 
 def save_records(records: Sequence[TrainRecord], path) -> None:
     """Write a record cache; the file is replaced whole or not at all."""
-    with atomic_open(path, "wb") as f:
-        f.write(_CACHE_MAGIC)
-        f.write(struct.pack("<IQ", _CACHE_VERSION, len(records)))
-        for rec in records:
-            tid = rec.trip_id.encode("utf-8")
-            f.write(struct.pack("<H", len(tid)))
-            f.write(tid)
-            f.write(
-                _REC_FIXED.pack(
-                    CALL_TYPES.index(rec.call_type),
-                    -1 if rec.origin_call is None else rec.origin_call,
-                    -1 if rec.origin_stand is None else rec.origin_stand,
-                    rec.taxi_id,
-                    rec.timestamp,
-                    int(rec.missing_data),
-                    len(rec.polyline),
-                )
-            )
-            f.write(np.ascontiguousarray(rec.polyline, dtype="<f8").tobytes())
+    columns = {
+        "offsets": np.cumsum([0] + [len(r.polyline) for r in records]),
+        "call_type": [CALL_TYPES.index(r.call_type) for r in records],
+        "origin_call": [-1 if r.origin_call is None else r.origin_call for r in records],
+        "origin_stand": [-1 if r.origin_stand is None else r.origin_stand for r in records],
+        "taxi_id": [r.taxi_id for r in records],
+        "timestamp": [r.timestamp for r in records],
+        "missing": [r.missing_data for r in records],
+        "points": np.concatenate([r.polyline for r in records] + [np.empty((0, 2))]),
+    }
+    arrays = [_Column(k, np.asarray(v, np.float64 if k == "points" else np.int64)) for k, v in columns.items()]
+    _container.write(path, _CACHE, {"trip_ids": [r.trip_id for r in records]}, arrays)
 
 
 def load_records(path) -> list[TrainRecord]:
-    """Read a record cache; a truncated file, or bytes after the last
-    record, raise :class:`DataError` naming the path and the record."""
-    with open(path, "rb") as f:
-        magic = f.read(8)
-        if magic != _CACHE_MAGIC:
-            raise DataError(f"{path}: not a record cache (bad magic {magic!r})")
-        header = f.read(12)
-        if len(header) != 12:
-            raise DataError(f"{path}: truncated header")
-        version, count = struct.unpack("<IQ", header)
-        if version != _CACHE_VERSION:
-            raise DataError(f"{path}: unsupported cache version {version}")
-        out = []
-        for i in range(count):
-            head = f.read(2)
-            if len(head) != 2:
-                raise _truncated(path, i, count)
-            (tid_len,) = struct.unpack("<H", head)
-            meta = f.read(tid_len + _REC_FIXED.size)
-            if len(meta) != tid_len + _REC_FIXED.size:
-                raise _truncated(path, i, count)
-            ct, oc, os_, taxi, ts, missing, n_pts = _REC_FIXED.unpack_from(meta, tid_len)
-            buf = f.read(n_pts * 16)
-            if len(buf) != n_pts * 16:
-                raise _truncated(path, i, count)
-            poly = np.frombuffer(buf, dtype="<f8").reshape(n_pts, 2).astype(np.float64)
-            out.append(
-                TrainRecord(
-                    trip_id=meta[:tid_len].decode("utf-8"),
-                    call_type=CALL_TYPES[ct],
-                    origin_call=None if oc == -1 else oc,
-                    origin_stand=None if os_ == -1 else os_,
-                    taxi_id=taxi,
-                    timestamp=ts,
-                    missing_data=bool(missing),
-                    polyline=poly,
-                )
-            )
-        if f.read(1):
-            raise DataError(f"{path}: unexpected bytes at record {count}; the header says {count} records")
-        return out
+    """Read a record cache; each polyline is a slice of one points array.
+    A cache of another version, a truncated file, bytes after the last
+    column, or columns that disagree raise :class:`DataError` naming the
+    path; a cut inside the points also names the first record it cuts."""
 
+    def where(name, cols, present):
+        if name == "points" and "offsets" in cols:  # 16 bytes a point
+            i = int(np.searchsorted(cols["offsets"][1:], present // 16, side="right"))
+            return f"record {i} of {len(cols['offsets']) - 1}"
 
-def _truncated(path, index: int, count: int) -> DataError:
-    return DataError(f"{path}: truncated in record {index} of {count}")
+    header, cols = _container.read(path, _CACHE, where)
+    trip_ids = header.get("trip_ids")
+    if not isinstance(trip_ids, list):
+        raise DataError(f"{path}: the header has no trip_ids list")
+    n = len(trip_ids)
+    for name in ("offsets", *_META_COLUMNS, "points"):  # offsets first: they size the points
+        want = (n + 1,) if name == "offsets" else (int(cols["offsets"][-1]), 2) if name == "points" else (n,)
+        dtype = np.dtype(np.float64 if name == "points" else np.int64)
+        col = cols.get(name)
+        if col is None or col.dtype != dtype or col.shape != want:
+            raise DataError(f"{path}: column {name!r} is missing or not {dtype} of shape {want}")
+    offsets, points = cols["offsets"], cols["points"]
+    if offsets[0] != 0 or (np.diff(offsets) < 0).any():
+        raise DataError(f"{path}: the offsets do not start at 0 and never fall")
+    if (cols["call_type"] >= len(CALL_TYPES)).any():
+        raise DataError(f"{path}: a call type code is not below {len(CALL_TYPES)}")
+    bounds = offsets.tolist()
+    return [
+        TrainRecord(
+            trip_id=tid,
+            call_type=CALL_TYPES[ct],
+            origin_call=None if oc == -1 else oc,
+            origin_stand=None if os_ == -1 else os_,
+            taxi_id=taxi,
+            timestamp=ts,
+            missing_data=bool(missing),
+            polyline=points[start:end],
+        )
+        for tid, ct, oc, os_, taxi, ts, missing, start, end in zip(
+            trip_ids, *(cols[name].tolist() for name in _META_COLUMNS), bounds[:-1], bounds[1:]
+        )
+    ]

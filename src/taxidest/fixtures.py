@@ -14,6 +14,7 @@ import math
 
 import numpy as np
 
+from ._atomic import atomic_open
 from .data import TrainRecord
 
 __all__ = ["generate_city_csv", "generate_city_records"]
@@ -87,7 +88,7 @@ def generate_city_records(n_trips: int, seed: int = 0) -> list[TrainRecord]:
 def generate_city_csv(path, n_trips: int, seed: int = 0) -> None:
     """Write the synthetic fixture in the competition CSV schema."""
     code = {"phone": "A", "stand": "B", "street": "C"}
-    with open(path, "w", encoding="utf-8", newline="") as f:
+    with atomic_open(path, "w", encoding="utf-8", newline="") as f:
         f.write(
             "TRIP_ID,CALL_TYPE,ORIGIN_CALL,ORIGIN_STAND,TAXI_ID,TIMESTAMP,DAY_TYPE,MISSING_DATA,POLYLINE\n"
         )

@@ -12,6 +12,7 @@ their predictions always fall in the convex hull of the centers.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import asdict, dataclass, field
 from typing import Optional, Sequence
 
@@ -428,14 +429,19 @@ def forward(model: DestinationModel, batch, tape: Tape = None, candidates=None) 
     ``memory_net`` needs at least one candidate; callers sample candidates
     from the training set, excluding the query's own source trajectory.
     """
-    feats = featurize(model, batch)
+    return _head(model, tape, featurize(model, batch), lambda: _candidate_memory(model, tape, candidates))
+
+
+def _head(model: DestinationModel, tape: Tape, feats: Features, memory) -> Tensor:
+    """The variant's prediction from featurized inputs.  ``memory()`` gives
+    memory_net's encoded candidates; it runs after the query's input is on
+    the tape, the order in which backward sums the embedding gradients."""
     variant = model.config.variant
     if variant in _MLP_VARIANTS:
         return _mlp_head(model, tape, feats)
     if variant in _RNN_VARIANTS:
         return _recurrent_head(model, tape, feats)
-    q_in = _mlp_input(model, tape, feats)
-    return _memory_head(model, tape, q_in, _candidate_memory(model, tape, candidates))
+    return _memory_head(model, tape, _mlp_input(model, tape, feats), memory())
 
 
 #: Prefixes per forward pass in :func:`predict`; bounds the rows x C and
@@ -450,18 +456,10 @@ def predict(model: DestinationModel, batch, candidates=None) -> np.ndarray:
     are encoded once per call.
     """
     out = np.empty((len(batch), 2), dtype=np.float64)
-    if len(batch) == 0:
-        return out
-    memory = None
-    if model.config.variant == "memory_net":
-        memory = _candidate_memory(model, None, candidates)
+    memory = functools.cache(lambda: _candidate_memory(model, None, candidates))
     for start in range(0, len(batch), PREDICT_CHUNK):
         chunk = batch[start : start + PREDICT_CHUNK]
-        if memory is None:
-            pred = forward(model, chunk)
-        else:
-            pred = _memory_head(model, None, _mlp_input(model, None, featurize(model, chunk)), memory)
-        out[start : start + len(chunk)] = pred.data
+        out[start : start + len(chunk)] = _head(model, None, featurize(model, chunk), memory).data
     return out
 
 

@@ -114,17 +114,8 @@ def embedding_lookup(tape: Tape, table: Tensor, indices) -> Tensor:
     return out
 
 
-def concat(tape: Tape, tensors: list[Tensor], axis: int = 1) -> Tensor:
-    if axis != 1:
-        raise ValueError("concat supports the feature axis (1) only")
-    if len(tensors) == 1:
-        t = tensors[0]
-        out = Tensor(t.data.copy())
-        if tape is not None:
-            def bwd_one(g):
-                t.accumulate(g)
-            tape.record(out, bwd_one)
-        return out
+def concat(tape: Tape, tensors: list[Tensor]) -> Tensor:
+    """Join ``tensors`` along the feature axis (1)."""
     n_rows = tensors[0].data.shape[0]
     for t in tensors[1:]:
         if t.data.shape[0] != n_rows:

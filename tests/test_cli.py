@@ -1,5 +1,6 @@
 """End-to-end CLI pipeline on the synthetic fixture, plus error paths."""
 
+import contextlib
 import dataclasses
 import json
 import os
@@ -306,6 +307,30 @@ class TestPredict:
         rc = main(["predict", "--model", str(trained_ckpt), "--input", str(empty), "--out", str(tmp_path / "s.csv")])
         assert rc == 2
 
+    def test_missing_data_rows_are_predicted(self, trained_ckpt, tmp_path):
+        prefixes = tmp_path / "prefixes.csv"
+        prefixes.write_text(
+            "TRIP_ID,CALL_TYPE,ORIGIN_CALL,ORIGIN_STAND,TAXI_ID,TIMESTAMP,DAY_TYPE,MISSING_DATA,POLYLINE\n"
+            'P1,C,,,20000001,1372636858,A,False,"[[-8.61,41.14],[-8.62,41.15]]"\n'
+            'P2,A,7,,20000002,1372636900,A,True,"[[-8.60,41.16]]"\n'
+        )
+        out = tmp_path / "s.csv"
+        assert main(["predict", "--model", str(trained_ckpt), "--input", str(prefixes), "--out", str(out)]) == 0
+        assert [line.split(",")[0] for line in out.read_text().splitlines()] == ["TRIP_ID", "P1", "P2"]
+
+    def test_empty_polyline_names_the_trip(self, trained_ckpt, tmp_path, capsys):
+        prefixes = tmp_path / "prefixes.csv"
+        prefixes.write_text(
+            "TRIP_ID,CALL_TYPE,ORIGIN_CALL,ORIGIN_STAND,TAXI_ID,TIMESTAMP,DAY_TYPE,MISSING_DATA,POLYLINE\n"
+            'P1,C,,,20000001,1372636858,A,False,"[[-8.61,41.14]]"\n'
+            "P3,C,,,20000003,1372636999,A,False,[]\n"
+        )
+        out = tmp_path / "s.csv"
+        assert main(["predict", "--model", str(trained_ckpt), "--input", str(prefixes), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "trip P3" in err and "empty POLYLINE" in err and str(prefixes) in err
+        assert not out.exists()
+
 
 class TestMemoryNetCli:
     def test_train_and_predict(self, tmp_path, prepared_dir, city_csv, capsys):
@@ -359,6 +384,15 @@ class TestExportEmbeddings:
         assert main(["export-embeddings", "--model", str(trained_ckpt), "--table", "week_of_year", "--out", str(out)]) == 0
         assert len(out.read_text().splitlines()) - 1 == 52
 
+    def test_failed_write_keeps_old_file(self, trained_ckpt, tmp_path, monkeypatch):
+        out = tmp_path / "emb.csv"
+        out.write_text("old\n")
+        monkeypatch.setattr(cli, "atomic_open", _failing_after_first_write(cli.atomic_open))
+        rc = main(["export-embeddings", "--model", str(trained_ckpt), "--table", "quarter_hour", "--out", str(out)])
+        assert rc == 3
+        assert out.read_text() == "old\n"
+        assert os.listdir(tmp_path) == ["emb.csv"]
+
     def test_unknown_table_lists_valid_names(self, trained_ckpt, tmp_path, capsys):
         rc = main(["export-embeddings", "--model", str(trained_ckpt), "--table", "month", "--out", str(tmp_path / "e.csv")])
         assert rc == 2
@@ -376,3 +410,32 @@ class TestFixtureCommand:
             recs = list(parse_csv(f))
         assert len(recs) == 10
         assert all(r.usable for r in recs)
+
+    def test_failed_write_keeps_old_file(self, tmp_path, monkeypatch):
+        out = tmp_path / "city.csv"
+        out.write_text("old\n")
+        monkeypatch.setattr(fixtures, "atomic_open", _failing_after_first_write(fixtures.atomic_open))
+        with pytest.raises(RuntimeError, match="disk gone"):
+            fixtures.generate_city_csv(out, 10, seed=4)
+        assert out.read_text() == "old\n"
+        assert os.listdir(tmp_path) == ["city.csv"]
+
+
+def _failing_after_first_write(atomic_open):
+    """``atomic_open`` whose file raises on its second write."""
+
+    @contextlib.contextmanager
+    def failing(path, mode="w", **kwargs):
+        with atomic_open(path, mode, **kwargs) as f:
+            write, calls = f.write, []
+
+            def write_once(text):
+                calls.append(text)
+                if len(calls) > 1:
+                    raise RuntimeError("disk gone")
+                return write(text)
+
+            f.write = write_once
+            yield f
+
+    return failing

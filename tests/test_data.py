@@ -1,7 +1,9 @@
 """CSV parsing, vocabularies, time features, prefixes, splits, cache."""
 
 import io
+import json
 import os
+import struct
 
 import numpy as np
 import pytest
@@ -397,24 +399,123 @@ class TestRecordCache:
         save_records(recs, path)
         return path, path.read_bytes()
 
-    @pytest.mark.parametrize("keep, record", [(slice(0, 30), 0), (slice(0, -8), 2)])
+    @staticmethod
+    def _columns(blob):
+        """The header and the columns of a v2 cache, read by hand."""
+        hlen = int.from_bytes(blob[12:20], "little")
+        header = json.loads(blob[20 : 20 + hlen])
+        cols = {
+            e["name"]: np.frombuffer(blob, e["dtype"], int(np.prod(e["shape"])), 20 + hlen + e["offset"])
+            .reshape(e["shape"])
+            .copy()
+            for e in header.pop("params")
+        }
+        return header, cols
+
+    @staticmethod
+    def _pack(header, cols):
+        """A v2 cache holding ``header`` and ``cols``, written by hand."""
+        entries, offset = [], 0
+        for name, a in cols.items():
+            entries.append(
+                {"name": name, "shape": list(a.shape), "dtype": a.dtype.str, "offset": offset, "nbytes": a.nbytes}
+            )
+            offset += a.nbytes
+        head = json.dumps({**header, "params": entries}, sort_keys=True, separators=(",", ":")).encode()
+        body = b"".join(a.tobytes() for a in cols.values())
+        return b"TXDCACHE" + struct.pack("<IQ", 2, len(head)) + head + body
+
+    def test_layout_is_columns_with_points_last(self, tmp_path):
+        recs = make_records([3, 1, 7], np.random.default_rng(2))
+        recs[0].origin_call, recs[0].origin_stand, recs[0].call_type = None, 4, "stand"
+        recs[2].missing_data = True
+        path = tmp_path / "cache.bin"
+        save_records(recs, path)
+        blob = path.read_bytes()
+        assert blob[:12] == b"TXDCACHE" + struct.pack("<I", 2)
+        header, cols = self._columns(blob)
+        assert header == {"trip_ids": ["t0", "t1", "t2"]}
+        assert list(cols) == [
+            "offsets", "call_type", "origin_call", "origin_stand", "taxi_id", "timestamp", "missing", "points"
+        ]
+        np.testing.assert_array_equal(cols["offsets"], [0, 3, 4, 11])
+        np.testing.assert_array_equal(cols["call_type"], [1, 0, 0])
+        np.testing.assert_array_equal(cols["origin_call"], [-1, 10, 10])
+        np.testing.assert_array_equal(cols["origin_stand"], [4, -1, -1])
+        np.testing.assert_array_equal(cols["missing"], [0, 0, 1])
+        assert [a.dtype.str for a in cols.values()] == ["<i8"] * 7 + ["<f8"]
+        assert blob.endswith(np.concatenate([r.polyline for r in recs]).tobytes())
+        assert self._pack(header, cols) == blob  # nothing else in the file
+
+    # Records [3, 1, 7] hold 11 points of 16 bytes, the last 176 bytes.
+    @pytest.mark.parametrize(
+        "keep, record",
+        [(slice(0, -168), 0), (slice(0, -8), 2), (slice(0, -176), 0), (slice(0, -128), 1), (slice(0, -104), 2)],
+    )
     def test_truncated_names_path_and_record(self, tmp_path, keep, record):
         path, blob = self._saved(tmp_path)
         path.write_bytes(blob[keep])
         with pytest.raises(DataError, match=rf"cache\.bin: truncated in record {record} of 3"):
             load_records(path)
 
+    def test_truncated_in_a_metadata_column(self, tmp_path):
+        path, blob = self._saved(tmp_path)
+        path.write_bytes(blob[: len(blob) - 176 - 2])  # inside ``missing``, 3 bytes
+        with pytest.raises(DataError, match=r"cache\.bin: truncated in column 'missing'"):
+            load_records(path)
+
     def test_truncated_header(self, tmp_path):
         path, blob = self._saved(tmp_path)
         path.write_bytes(blob[:14])
-        with pytest.raises(DataError, match=r"cache\.bin: truncated header"):
+        with pytest.raises(DataError, match=r"cache\.bin: truncated record cache header \(14 bytes\)"):
+            load_records(path)
+
+    def test_truncated_inside_the_json_header(self, tmp_path):
+        path, blob = self._saved(tmp_path)
+        path.write_bytes(blob[:30])
+        with pytest.raises(DataError, match=r"cache\.bin: truncated record cache header \(30 of \d+ bytes\)"):
             load_records(path)
 
     def test_trailing_bytes_rejected(self, tmp_path):
         path, blob = self._saved(tmp_path)
         path.write_bytes(blob + b"junk")
-        with pytest.raises(DataError, match=r"cache\.bin: unexpected bytes at record 3"):
+        with pytest.raises(DataError, match=r"cache\.bin: 4 bytes after the last column"):
             load_records(path)
+
+    def test_version_1_asks_for_prepare(self, tmp_path):
+        path = tmp_path / "cache.bin"
+        path.write_bytes(b"TXDCACHE" + struct.pack("<IQ", 1, 1) + struct.pack("<H", 2) + b"t0" + bytes(40))
+        with pytest.raises(DataError, match=r"cache\.bin: unsupported record cache version 1; re-run `taxidest prepare`"):
+            load_records(path)
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda h, c: c["offsets"].__setitem__(0, 1), "offsets do not start at 0 and never fall"),
+            (lambda h, c: c["offsets"].__setitem__(slice(1, 3), [4, 3]), "offsets do not start at 0 and never fall"),
+            (lambda h, c: c["offsets"].__setitem__(3, 10), r"column 'points' is missing or not float64 of shape \(10, 2\)"),
+            (lambda h, c: c.__setitem__("taxi_id", c["taxi_id"][:2]), "column 'taxi_id'"),
+            (lambda h, c: c.__setitem__("offsets", c["offsets"][:3]), "column 'offsets'"),
+            (lambda h, c: h.__setitem__("trip_ids", ["t0", "t1"]), "column 'offsets'"),
+            (lambda h, c: c.pop("timestamp"), "column 'timestamp'"),
+            (lambda h, c: c.__setitem__("points", c["points"].astype("<f4")), "column 'points'"),
+            (lambda h, c: c.__setitem__("points", c["points"].reshape(-1)), "column 'points'"),
+            (lambda h, c: c["call_type"].__setitem__(1, 3), "call type code"),
+            (lambda h, c: h.pop("trip_ids"), "no trip_ids"),
+        ],
+        ids=[
+            "first-offset", "decreasing-offsets", "last-offset", "short-column", "short-offsets",
+            "fewer-trip-ids", "missing-column", "float32-points", "flat-points", "call-code", "no-trip-ids",
+        ],
+    )
+    def test_inconsistent_columns_rejected(self, tmp_path, edit, message):
+        path, blob = self._saved(tmp_path)
+        header, cols = self._columns(blob)
+        edit(header, cols)
+        path.write_bytes(self._pack(header, cols))
+        with pytest.raises(DataError, match=message) as err:
+            load_records(path)
+        assert str(path) in str(err.value)
 
     def test_failed_write_keeps_old_cache(self, tmp_path):
         path, blob = self._saved(tmp_path)

@@ -210,6 +210,16 @@ class TestMemoryNetwork:
         recs = make_records([3] * n, rng)
         return candidates_from_records(recs, model.config, model.stats, model.vocab)
 
+    def test_query_input_recorded_before_candidates(self):
+        # Backward sums the shared embedding gradients in reverse tape order;
+        # this order is the one the trained weights are bit-identical under.
+        rng = np.random.default_rng(26)
+        model = tiny_model("memory_net")
+        tape = nncore.Tape()
+        forward(model, tiny_batch(model, rng, n=3), tape, self._candidates(model, rng, 5))
+        rows = [node.output.data.shape[0] for node in tape.nodes]
+        assert rows[: rows.index(5)] == [3] * rows.index(5) and rows.index(5) > 0
+
     def test_single_candidate_returns_its_destination(self):
         rng = np.random.default_rng(18)
         model = tiny_model("memory_net")
