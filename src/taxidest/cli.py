@@ -5,18 +5,19 @@ Every subcommand is deterministic given --seed and its inputs.
 
 A prepared data directory holds:
     records.bin   binary cache of all usable parsed records (regenerable)
-    splits.json   trip_ids per split plus the fixed validation/test cuts
-    stats.json    standardization statistics fitted on the training split
-    vocab.json    metadata vocabularies built from the training split
+    splits.json   {"seed": S, "validation": V, "test": T}; the split and the
+                  fixed validation/test cuts are derived from these numbers
+`train` fits the standardization statistics and the metadata vocabularies
+on the training split and stores both in the checkpoint.
 """
 
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import sys
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -25,7 +26,8 @@ from ._atomic import atomic_open
 from .clustering import MeanShiftConfig, load_clusters, mean_shift, save_clusters
 from .data import (
     DataError,
-    MetadataVocab,
+    PrefixExample,
+    TrainRecord,
     build_vocab,
     fit_standardization,
     load_records,
@@ -34,7 +36,6 @@ from .data import (
     save_records,
     split_dataset,
 )
-from .geo import StandardizationStats
 from .models import EMBEDDING_FIELDS, VARIANTS, ModelConfig, build_model, load_model
 from .training import TrainConfig, evaluate, fixed_prefix_examples, train, write_submission
 
@@ -53,7 +54,7 @@ def _build_parser() -> _Parser:
     p = _Parser(prog="taxidest", description=__doc__.splitlines()[0])
     sub = p.add_subparsers(dest="command", required=True)
 
-    sp = sub.add_parser("prepare", parents=[], help="parse, filter, split, fit stats and vocab")
+    sp = sub.add_parser("prepare", parents=[], help="parse, filter, cache and split")
     sp.add_argument("--input", required=True, help="competition-format CSV")
     sp.add_argument("--out", required=True, help="output data directory")
     sp.add_argument("--val", type=int, default=19427, help="validation trajectories")
@@ -120,41 +121,53 @@ def _build_parser() -> _Parser:
 # ---------------------------------------------------------------------------
 
 
-def _load_prepared(data_dir):
+class _Prepared(NamedTuple):
+    """A prepared directory's split, each ride addressed by its position in
+    the record cache; validation and test carry their fixed cuts."""
+
+    train: list[TrainRecord]
+    validation: list[PrefixExample]
+    test: list[PrefixExample]
+
+
+def _derive_split(records, seed, n_val, n_test) -> _Prepared:
+    """The split that ``splits.json``'s numbers stand for: ``split_dataset``
+    under ``default_rng(seed)``, then one cut per validation record and then
+    one per test record from the same generator."""
+    rng = np.random.default_rng(seed)
+    split = split_dataset(records, rng, n_val, n_test)
+    validation, test = (
+        [PrefixExample(r, int(rng.integers(1, len(r.polyline) + 1))) for r in part]
+        for part in (split.validation, split.test)
+    )
+    return _Prepared(split.train, validation, test)
+
+
+def _load_prepared(data_dir) -> _Prepared:
     data_dir = Path(data_dir)
     if not data_dir.is_dir():
         raise DataError(f"{data_dir}: not a prepared data directory")
+    path = data_dir / "splits.json"
+    with open(path, "r", encoding="utf-8") as f:
+        try:
+            spec = json.load(f)
+        except ValueError as e:
+            raise DataError(f"{path}: not JSON: {e}")
+    if not isinstance(spec, dict):
+        raise DataError(f"{path}: not a JSON object")
+    for key in ("seed", "validation", "test"):
+        if key not in spec:
+            raise DataError(f"{path}: no {key!r} key")
+        value = spec[key]
+        if type(value) is not int or value < 0:
+            hint = "; it lists trip ids, so re-run `taxidest prepare`" if isinstance(value, list) else ""
+            raise DataError(f"{path}: {key!r} is not a non-negative int{hint}")
     records = load_records(data_dir / "records.bin")
-    by_id = {r.trip_id: r for r in records}
-    with open(data_dir / "splits.json", "r", encoding="utf-8") as f:
-        splits = json.load(f)
-    with open(data_dir / "stats.json", "r", encoding="utf-8") as f:
-        stats = StandardizationStats(**json.load(f))
-    with open(data_dir / "vocab.json", "r", encoding="utf-8") as f:
-        vocab = MetadataVocab.from_json(json.load(f))
-    return by_id, splits, stats, vocab
+    return _derive_split(records, spec["seed"], spec["validation"], spec["test"])
 
 
-def _split_records(by_id, splits, name):
-    return [by_id[tid] for tid in splits[name]]
-
-
-def _cut_examples(by_id, splits, name, k, stats, vocab):
-    cuts = splits[f"{name}_cuts"]
-    return [
-        make_prefix_example(by_id[tid], cuts[tid], k, stats, vocab) for tid in splits[name]
-    ]
-
-
-def _write_json(path, obj) -> None:
-    """Replace ``path`` whole or not at all."""
-    with atomic_open(path, "w", encoding="utf-8") as f:
-        json.dump(obj, f, sort_keys=True)
-
-
-def _memory_candidates(model, by_id, splits, seed):
-    pool = _split_records(by_id, splits, "train")
-    sampler = training._CandidateSampler(pool, model, model.config.memory_m)
+def _memory_candidates(model, train_records, seed):
+    sampler = training._CandidateSampler(train_records, model, model.config.memory_m)
     return sampler.sample(np.random.default_rng(seed))
 
 
@@ -167,29 +180,12 @@ def _cmd_prepare(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     with open(args.input, "r", encoding="utf-8", newline="") as f:
-        records = [r for r in parse_csv(f)]
-    usable = [r for r in records if r.usable]
-    rng = np.random.default_rng(args.seed)
-    split = split_dataset(usable, rng, args.val, args.test)
-    stats = fit_standardization(split.train)
-    vocab = build_vocab(split.train)
+        usable = [r for r in parse_csv(f) if r.usable]
+    split = _derive_split(usable, args.seed, args.val, args.test)
 
     save_records(usable, out / "records.bin")
-    manifest = {
-        "seed": args.seed,
-        "train": [r.trip_id for r in split.train],
-        "validation": [r.trip_id for r in split.validation],
-        "test": [r.trip_id for r in split.test],
-        "validation_cuts": {
-            r.trip_id: int(rng.integers(1, len(r.polyline) + 1)) for r in split.validation
-        },
-        "test_cuts": {
-            r.trip_id: int(rng.integers(1, len(r.polyline) + 1)) for r in split.test
-        },
-    }
-    _write_json(out / "splits.json", manifest)
-    _write_json(out / "stats.json", dataclasses.asdict(stats))
-    _write_json(out / "vocab.json", vocab.to_json())
+    with atomic_open(out / "splits.json", "w", encoding="utf-8") as f:
+        json.dump({"seed": args.seed, "validation": args.val, "test": args.test}, f, sort_keys=True)
     print(
         f"prepared {len(usable)} records: train {len(split.train)}, "
         f"validation {len(split.validation)}, test {len(split.test)}"
@@ -198,10 +194,8 @@ def _cmd_prepare(args) -> int:
 
 
 def _cmd_cluster(args) -> int:
-    by_id, splits, _, _ = _load_prepared(args.data)
-    dests = np.array(
-        [by_id[tid].polyline[-1] for tid in splits["train"]], dtype=np.float64
-    )
+    train_records = _load_prepared(args.data).train
+    dests = np.array([r.polyline[-1] for r in train_records], dtype=np.float64)
     if len(dests) == 0:
         raise DataError("training split has no destinations to cluster")
     cfg = MeanShiftConfig(
@@ -230,7 +224,9 @@ def _model_config_from_args(args) -> ModelConfig:
 
 
 def _cmd_train(args) -> int:
-    by_id, splits, stats, vocab = _load_prepared(args.data)
+    prepared = _load_prepared(args.data)
+    stats = fit_standardization(prepared.train)
+    vocab = build_vocab(prepared.train)
     config = _model_config_from_args(args)
     clusters = None
     if config.uses_cluster_centroid:
@@ -239,8 +235,6 @@ def _cmd_train(args) -> int:
         clusters = load_clusters(args.clusters)
     model = build_model(config, clusters, stats, vocab, seed=args.seed)
 
-    train_records = _split_records(by_id, splits, "train")
-    val_examples = _cut_examples(by_id, splits, "validation", config.k, stats, vocab)
     batch = args.batch
     if batch is None:
         batch = config.memory_batch if config.variant == "memory_net" else TrainConfig.batch_size
@@ -254,7 +248,7 @@ def _cmd_train(args) -> int:
         seed=args.seed,
         clip_norm=args.clip_norm,
     )
-    report = train(model, train_records, val_examples, cfg, checkpoint_path=args.out)
+    report = train(model, prepared.train, prepared.validation, cfg, checkpoint_path=args.out)
     if not report.history:
         models.save_model(model, args.out)  # no validation ever ran
     report_path = args.report if args.report else f"{args.out}.report.jsonl"
@@ -268,18 +262,15 @@ def _cmd_train(args) -> int:
 
 def _cmd_evaluate(args) -> int:
     model = load_model(args.model)
-    by_id, splits, stats, vocab = _load_prepared(args.data)
-    k = model.config.k
-    if args.split in ("validation", "test"):
-        examples = _cut_examples(by_id, splits, args.split, k, model.stats, model.vocab)
-    else:
+    prepared = _load_prepared(args.data)
+    if args.split == "train":
         rng = np.random.default_rng(args.seed)
-        examples = fixed_prefix_examples(
-            _split_records(by_id, splits, "train"), k, model.stats, model.vocab, rng
-        )
+        examples = fixed_prefix_examples(prepared.train, model.config.k, model.stats, model.vocab, rng)
+    else:
+        examples = getattr(prepared, args.split)
     candidates = None
     if model.config.variant == "memory_net":
-        candidates = _memory_candidates(model, by_id, splits, args.seed)
+        candidates = _memory_candidates(model, prepared.train, args.seed)
     km = evaluate(model, examples, candidates)
     print(f"mean_haversine_km {km:.3f}")
     return 0
@@ -300,8 +291,7 @@ def _cmd_predict(args) -> int:
     if model.config.variant == "memory_net":
         if args.data is None:
             raise DataError("memory_net prediction requires --data for candidates")
-        by_id, splits, _, _ = _load_prepared(args.data)
-        candidates = _memory_candidates(model, by_id, splits, args.seed)
+        candidates = _memory_candidates(model, _load_prepared(args.data).train, args.seed)
     write_submission(model, examples, args.out, candidates)
     print(f"wrote {len(examples)} predictions to {args.out}")
     return 0
@@ -347,10 +337,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except (DataError, OSError) as e:
-        print(f"taxidest {args.command}: {e}", file=sys.stderr)
-        return 2
-    except ValueError as e:
+    except (DataError, OSError, ValueError) as e:
         print(f"taxidest {args.command}: {e}", file=sys.stderr)
         return 2
     except Exception as e:  # pragma: no cover - defensive

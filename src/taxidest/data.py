@@ -37,7 +37,6 @@ __all__ = [
     "PrefixSampler",
     "TrainRecord",
     "build_vocab",
-    "count_prefixes",
     "fit_standardization",
     "load_records",
     "make_prefix_example",
@@ -330,11 +329,6 @@ def make_prefix_example(
     return PrefixExample(record, cut)
 
 
-def count_prefixes(records: Iterable[TrainRecord]) -> int:
-    """Total number of prefixes (lengths 1..n per usable record)."""
-    return sum(len(r.polyline) for r in records if r.usable)
-
-
 class PrefixSampler:
     """Samples (record, cut) uniformly over the set of all prefixes.
 
@@ -369,6 +363,8 @@ def split_dataset(
 ) -> DatasetSplit:
     """Remove whole trajectories uniformly at random into validation/test."""
     usable = [r for r in records if r.usable]
+    if n_val < 0 or n_test < 0:
+        raise DataError(f"split counts must be non-negative, got val={n_val}, test={n_test}")
     if n_val + n_test >= len(usable):
         raise DataError(
             f"cannot split {len(usable)} usable records into "

@@ -80,7 +80,7 @@ class StandardizationStats:
         return cls(float(mean_lat), float(mean_lon), float(std_lat), float(std_lon))
 
 
-def haversine_distance(x: GeoPoint, y: GeoPoint, earth: EarthModel = EARTH) -> float:
+def haversine_distance(x: GeoPoint, y: GeoPoint) -> float:
     """Great-circle distance in meters between two points.
 
     Symmetric, non-negative, and zero iff ``x == y`` up to floating point.
@@ -90,7 +90,7 @@ def haversine_distance(x: GeoPoint, y: GeoPoint, earth: EarthModel = EARTH) -> f
     s_phi = math.sin(0.5 * (phi_y - phi_x))
     s_lam = math.sin(0.5 * (y.lon - x.lon) * _DEG2RAD)
     a = s_phi * s_phi + math.cos(phi_x) * math.cos(phi_y) * s_lam * s_lam
-    return 2.0 * earth.radius_m * math.atan2(math.sqrt(a), math.sqrt(max(0.0, 1.0 - a)))
+    return 2.0 * EARTH.radius_m * math.atan2(math.sqrt(a), math.sqrt(max(0.0, 1.0 - a)))
 
 
 def haversine_distance_arrays(
@@ -98,7 +98,6 @@ def haversine_distance_arrays(
     lon_x: np.ndarray,
     lat_y: np.ndarray,
     lon_y: np.ndarray,
-    earth: EarthModel = EARTH,
 ) -> np.ndarray:
     """Vectorized :func:`haversine_distance` over degree arrays, float64."""
     phi_x = np.asarray(lat_x, dtype=np.float64) * _DEG2RAD
@@ -106,10 +105,10 @@ def haversine_distance_arrays(
     s_phi = np.sin(0.5 * (phi_y - phi_x))
     s_lam = np.sin(0.5 * (np.asarray(lon_y, np.float64) - np.asarray(lon_x, np.float64)) * _DEG2RAD)
     a = s_phi * s_phi + np.cos(phi_x) * np.cos(phi_y) * s_lam * s_lam
-    return 2.0 * earth.radius_m * np.arctan2(np.sqrt(a), np.sqrt(np.maximum(0.0, 1.0 - a)))
+    return 2.0 * EARTH.radius_m * np.arctan2(np.sqrt(a), np.sqrt(np.maximum(0.0, 1.0 - a)))
 
 
-def equirectangular_distance(x: GeoPoint, y: GeoPoint, earth: EarthModel = EARTH) -> float:
+def equirectangular_distance(x: GeoPoint, y: GeoPoint) -> float:
     """Planar small-area approximation of the great-circle distance, meters.
 
     Uses the mean latitude to scale longitude differences; very accurate at
@@ -120,12 +119,10 @@ def equirectangular_distance(x: GeoPoint, y: GeoPoint, earth: EarthModel = EARTH
     d_phi = phi_y - phi_x
     d_lam = (y.lon - x.lon) * _DEG2RAD
     u = d_lam * math.cos(0.5 * (phi_x + phi_y))
-    return earth.radius_m * math.sqrt(u * u + d_phi * d_phi)
+    return EARTH.radius_m * math.sqrt(u * u + d_phi * d_phi)
 
 
-def equirectangular_grad_y(
-    x: GeoPoint, y: GeoPoint, earth: EarthModel = EARTH
-) -> tuple[float, float]:
+def equirectangular_grad_y(x: GeoPoint, y: GeoPoint) -> tuple[float, float]:
     """Analytic gradient of the equirectangular distance w.r.t. ``y``.
 
     Returns (d/dlat_y, d/dlon_y) in meters per degree.  Undefined at ``x == y``.
@@ -139,7 +136,7 @@ def equirectangular_grad_y(
     d = math.sqrt(u * u + d_phi * d_phi)
     if d == 0.0:
         raise ZeroDivisionError("gradient undefined at coincident points")
-    r = earth.radius_m
+    r = EARTH.radius_m
     # d depends on phi_y both through d_phi and through the mean latitude.
     dd_dphi = r * (d_phi + u * d_lam * (-0.5) * math.sin(mean_phi)) / d
     dd_dlam = r * u * math.cos(mean_phi) / d

@@ -238,7 +238,6 @@ def train(
     val_examples: Sequence[PrefixExample],
     cfg: TrainConfig,
     checkpoint_path=None,
-    candidate_records: Sequence[TrainRecord] = None,
 ) -> TrainReport:
     """SGD-with-momentum loop with early stopping on validation Haversine.
 
@@ -260,8 +259,7 @@ def train(
     cand_sampler = None
     eval_candidates = None
     if is_memory:
-        pool = candidate_records if candidate_records is not None else train_records
-        cand_sampler = _CandidateSampler(pool, model, model.config.memory_m)
+        cand_sampler = _CandidateSampler(train_records, model, model.config.memory_m)
         eval_candidates = cand_sampler.sample(np.random.default_rng(cfg.seed + 1))
 
     report = TrainReport(checkpoint_path=None if checkpoint_path is None else str(checkpoint_path))

@@ -4,6 +4,7 @@ import contextlib
 import dataclasses
 import json
 import os
+import shutil
 
 import numpy as np
 import pytest
@@ -63,19 +64,19 @@ def trained_ckpt(tmp_path_factory, prepared_dir, cluster_csv):
 
 class TestPrepare:
     def test_outputs_exist_and_disjoint(self, prepared_dir):
+        assert sorted(os.listdir(prepared_dir)) == ["records.bin", "splits.json"]
         manifest = json.loads((prepared_dir / "splits.json").read_text())
+        assert manifest == {"seed": 1, "validation": 8, "test": 8}
+        prepared = cli._load_prepared(prepared_dir)
         train, val, test = (
-            set(manifest["train"]),
-            set(manifest["validation"]),
-            set(manifest["test"]),
+            {r.trip_id for r in prepared.train},
+            {ex.trip_id for ex in prepared.validation},
+            {ex.trip_id for ex in prepared.test},
         )
-        assert len(val) == 8 and len(test) == 8
+        assert (len(train), len(val), len(test)) == (44, 8, 8)
         assert not (train & val) and not (train & test) and not (val & test)
-        assert (prepared_dir / "records.bin").exists()
-        assert (prepared_dir / "stats.json").exists()
-        assert (prepared_dir / "vocab.json").exists()
-        assert set(manifest["validation_cuts"]) == val
-        assert set(manifest["test_cuts"]) == test
+        for ex in prepared.validation + prepared.test:
+            assert 1 <= ex.cut <= len(ex.record.polyline)
 
     def test_rerun_same_seed_identical_manifest(self, tmp_path, city_csv):
         out1, out2 = tmp_path / "a", tmp_path / "b"
@@ -87,7 +88,7 @@ class TestPrepare:
         assert (out1 / "splits.json").read_bytes() == (out2 / "splits.json").read_bytes()
         assert (out1 / "records.bin").read_bytes() == (out2 / "records.bin").read_bytes()
 
-    @pytest.mark.parametrize("failing", ["splits.json", "stats.json", "vocab.json"])
+    @pytest.mark.parametrize("failing", ["splits.json"])
     def test_failed_write_keeps_old_file(self, tmp_path, city_csv, monkeypatch, failing):
         out = tmp_path / "d"
         args = ["prepare", "--input", str(city_csv), "--out", str(out), "--val", "5", "--test", "5"]
@@ -117,6 +118,131 @@ class TestPrepare:
             ["prepare", "--input", str(tmp_path / "nope.csv"), "--out", str(tmp_path / "d")]
         )
         assert rc == 2
+
+    def test_negative_count_fails_cleanly(self, tmp_path, city_csv, capsys):
+        rc = main(
+            ["prepare", "--input", str(city_csv), "--out", str(tmp_path / "x"), "--val", "-5", "--test", "3"]
+        )
+        assert rc == 2
+        assert "val=-5" in capsys.readouterr().err
+
+
+def _small_train_args(data_dir, out):
+    return [
+        "train", "--data", str(data_dir), "--variant", "mlp_direct",
+        "--k", "2", "--hidden", "4", "--embedding-dim", "2",
+        "--batch", "4", "--max-batches", "2", "--validate-every", "2",
+        "--out", str(out),
+    ]
+
+
+class TestPreparedDirectory:
+    """A prepared directory is ``records.bin`` plus the split's seed and
+    counts; rides are addressed by position, never by TRIP_ID."""
+
+    @pytest.fixture(scope="class")
+    def duplicate_id_csv(self, tmp_path_factory):
+        """The 60-ride fixture with row 5 given row 4's TRIP_ID."""
+        path = tmp_path_factory.mktemp("dup") / "dup.csv"
+        fixtures.generate_city_csv(path, 60, seed=3)
+        lines = path.read_text().splitlines(keepends=True)
+        assert lines[4].startswith("T000003,") and lines[5].startswith("T000004,")
+        lines[5] = "T000003" + lines[5][len("T000004"):]
+        path.write_text("".join(lines))
+        return path
+
+    def prepare(self, csv_path, out, seed):
+        args = ["prepare", "--input", str(csv_path), "--out", str(out), "--val", "8", "--test", "8"]
+        assert main(args + ["--seed", str(seed)]) == 0
+        return out
+
+    def test_duplicate_trip_id_trains(self, tmp_path, duplicate_id_csv):
+        data_dir = self.prepare(duplicate_id_csv, tmp_path / "data", 3)
+        assert main(_small_train_args(data_dir, tmp_path / "m.ckpt")) == 0
+
+    def test_duplicate_trip_id_keeps_rides_apart(self, tmp_path, duplicate_id_csv, monkeypatch):
+        data_dir = self.prepare(duplicate_id_csv, tmp_path / "data", 0)
+        seen = []
+
+        def capture(model, train_records, val_examples, cfg, checkpoint_path=None):
+            seen.append((train_records, val_examples))
+            return training.TrainReport(stop_reason="max_batches")
+
+        monkeypatch.setattr(cli, "train", capture)
+        assert main(_small_train_args(data_dir, tmp_path / "m.ckpt")) == 0
+        [(train_records, val_examples)] = seen
+
+        def ride(r):
+            return r.trip_id, r.polyline.tobytes()
+
+        train_rides = {ride(r) for r in train_records}
+        val_rides = {ride(ex.record) for ex in val_examples}
+        assert len(train_rides) == len(train_records) == 44
+        assert len(val_rides) == 8 and not (train_rides & val_rides)
+
+    @pytest.fixture
+    def data_copy(self, tmp_path, prepared_dir):
+        return shutil.copytree(prepared_dir, tmp_path / "data")
+
+    @pytest.mark.parametrize("command", ["cluster", "train", "evaluate"])
+    @pytest.mark.parametrize(
+        "text, why",
+        [
+            ('{"seed": 1, "validation": 8', "not JSON"),
+            ('[1, 8, 8]', "not a JSON object"),
+            ('{"seed": 1, "validation": 8}', "no 'test' key"),
+            ('{"seed": true, "validation": 8, "test": 8}', "'seed' is not a non-negative int"),
+            ('{"seed": 1, "validation": -1, "test": 8}', "'validation' is not a non-negative int"),
+            ('{"seed": 1, "validation": 8, "test": 8.0}', "'test' is not a non-negative int"),
+        ],
+    )
+    def test_damaged_splits_file(self, data_copy, trained_ckpt, tmp_path, capsys, command, text, why):
+        path = data_copy / "splits.json"
+        path.write_text(text)
+        args = {
+            "cluster": ["cluster", "--data", str(data_copy), "--out", str(tmp_path / "c.csv")],
+            "train": _small_train_args(data_copy, tmp_path / "m.ckpt"),
+            "evaluate": ["evaluate", "--model", str(trained_ckpt), "--data", str(data_copy)],
+        }[command]
+        assert main(args) == 2
+        err = capsys.readouterr().err
+        assert f"{path}: {why}" in err and "internal error" not in err
+
+    def test_old_format_asks_for_prepare(self, data_copy, capsys):
+        prepared = cli._load_prepared(data_copy)
+        old = {
+            "seed": 1,
+            "train": [r.trip_id for r in prepared.train],
+            "validation": [ex.trip_id for ex in prepared.validation],
+            "test": [ex.trip_id for ex in prepared.test],
+            "validation_cuts": {ex.trip_id: ex.cut for ex in prepared.validation},
+            "test_cuts": {ex.trip_id: ex.cut for ex in prepared.test},
+        }
+        path = data_copy / "splits.json"
+        path.write_text(json.dumps(old))
+        assert main(["cluster", "--data", str(data_copy), "--out", str(data_copy / "c.csv")]) == 2
+        err = capsys.readouterr().err
+        assert str(path) in err and "re-run `taxidest prepare`" in err
+
+    def test_leftover_stats_and_vocab_are_ignored(self, data_copy, tmp_path):
+        leftovers = {"stats.json": '{"mean_lat": "x"}', "vocab.json": "not json"}
+        for name, text in leftovers.items():
+            (data_copy / name).write_text(text)
+        assert main(_small_train_args(data_copy, tmp_path / "m.ckpt")) == 0
+        assert {name: (data_copy / name).read_text() for name in leftovers} == leftovers
+
+    def test_training_split_needs_two_points(self, tmp_path, capsys):
+        csv_path = tmp_path / "tiny.csv"
+        csv_path.write_text(
+            "TRIP_ID,CALL_TYPE,ORIGIN_CALL,ORIGIN_STAND,TAXI_ID,TIMESTAMP,DAY_TYPE,MISSING_DATA,POLYLINE\n"
+            'A,C,,,1,1400000000,A,False,"[[-8.61,41.15]]"\n'
+            'B,C,,,1,1400000000,A,False,"[[-8.62,41.16]]"\n'
+        )
+        data_dir = tmp_path / "data"
+        assert main(["prepare", "--input", str(csv_path), "--out", str(data_dir), "--val", "1", "--test", "0"]) == 0
+        capsys.readouterr()
+        assert main(_small_train_args(data_dir, tmp_path / "m.ckpt")) == 2
+        assert "at least 2 points" in capsys.readouterr().err
 
 
 class TestCluster:

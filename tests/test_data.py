@@ -19,7 +19,6 @@ from taxidest.data import (
     PrefixSampler,
     TrainRecord,
     build_vocab,
-    count_prefixes,
     fit_standardization,
     load_records,
     make_prefix_example,
@@ -252,17 +251,17 @@ class TestMakePrefixExample:
 class TestPrefixCounting:
     def test_single_record(self):
         rng = np.random.default_rng(0)
-        assert count_prefixes(make_records([10], rng)) == 10
+        assert PrefixSampler(make_records([10], rng)).total_prefixes == 10
 
     def test_two_records(self):
         rng = np.random.default_rng(0)
-        assert count_prefixes(make_records([1, 3], rng)) == 4
+        assert PrefixSampler(make_records([1, 3], rng)).total_prefixes == 4
 
     def test_skips_unusable(self):
         rng = np.random.default_rng(0)
         recs = make_records([5, 5], rng)
         recs[0].missing_data = True
-        assert count_prefixes(recs) == 5
+        assert PrefixSampler(recs).total_prefixes == 5
 
 
 class TestSamplePrefix:
@@ -326,6 +325,12 @@ class TestSplitDataset:
         recs = make_records([2] * 4, rng)
         with pytest.raises(DataError):
             split_dataset(recs, np.random.default_rng(0), 2, 2)
+
+    @pytest.mark.parametrize("n_val, n_test", [(-5, 3), (3, -1)])
+    def test_negative_counts(self, n_val, n_test):
+        recs = make_records([2] * 60, np.random.default_rng(0))
+        with pytest.raises(DataError, match="non-negative"):
+            split_dataset(recs, np.random.default_rng(0), n_val, n_test)
 
     def test_deterministic(self):
         rng = np.random.default_rng(0)
