@@ -224,10 +224,10 @@ def _model_config_from_args(args) -> ModelConfig:
 
 
 def _cmd_train(args) -> int:
+    config = _model_config_from_args(args)  # a bad option fails before the data loads
     prepared = _load_prepared(args.data)
     stats = fit_standardization(prepared.train)
     vocab = build_vocab(prepared.train)
-    config = _model_config_from_args(args)
     clusters = None
     if config.uses_cluster_centroid:
         if args.clusters is None:

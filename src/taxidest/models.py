@@ -85,6 +85,9 @@ class ModelConfig:
             raise ValueError(f"unknown variant {self.variant!r}; expected one of {VARIANTS}")
         if self.k < 1 or self.hidden < 1 or self.rnn_hidden < 1 or self.window < 1:
             raise ValueError("k, hidden, rnn_hidden and window must be positive")
+        for name in ("memory_m", "memory_batch"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
         missing = [f for f in EMBEDDING_FIELDS if f not in self.embedding_dims]
         if missing:
             raise ValueError(f"embedding_dims missing entries for {missing}")

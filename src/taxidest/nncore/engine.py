@@ -2,7 +2,12 @@
 
 The tape records every operation node in execution order; backward walks
 the list in exact reverse, once per node, accumulating gradients into the
-input tensors of each node.  Graphs are rebuilt per batch and nothing is
+input tensors of each node.  A backward rule that builds a fresh array for
+one input hands it over (``Tensor.accumulate_owned``), and on first write
+that array becomes the input's gradient without a copy; a gradient that
+something else still holds (the output's own, or a view of it) is added
+with ``Tensor.accumulate``, which copies on first write.  So no two tensors
+ever share a gradient buffer.  Graphs are rebuilt per batch and nothing is
 cached between batches.  Most ops are single primitives; ``lstm_cell`` is
 one fused node per step with a hand-written backward.  Single precision is
 the training default, double precision exists for gradient-check tests.
@@ -33,11 +38,24 @@ class Tensor:
         return self.data.dtype
 
     def accumulate(self, g: np.ndarray) -> None:
-        """Add an upstream gradient; copies on first write so the buffer is owned."""
+        """Add an upstream gradient that the caller may still hold or read;
+        copies (and casts to this tensor's dtype) on first write, so the
+        buffer is owned."""
         if self.grad is None:
             self.grad = np.array(g, dtype=self.data.dtype, copy=True)
         else:
             self.grad += g
+
+    def accumulate_owned(self, g: np.ndarray) -> None:
+        """Add a gradient that the caller built for this call alone and hands
+        over.  On first write ``g`` itself becomes the gradient, if it has
+        this tensor's dtype and shape; otherwise this is :meth:`accumulate`.
+        The caller must not read or write ``g`` afterwards.  A parameter's
+        preallocated gradient is never replaced: ``g`` is added to it."""
+        if self.grad is None and g.dtype == self.data.dtype and g.shape == self.data.shape:
+            self.grad = g
+        else:
+            self.accumulate(g)
 
     def ensure_grad(self) -> np.ndarray:
         if self.grad is None:

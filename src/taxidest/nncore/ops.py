@@ -2,8 +2,11 @@
 
 Every op takes the tape first (``None`` skips recording, for inference),
 then Tensors for differentiable arguments and plain arrays or scalars for
-constants.  Backward rules accumulate into input tensors via
-``Tensor.accumulate``; constants never receive gradients.
+constants.  Backward rules accumulate into input tensors: an array built
+for one input is handed over with ``Tensor.accumulate_owned`` and may
+become that input's gradient without a copy; the upstream gradient itself,
+or a view of it, goes through ``Tensor.accumulate``, which copies on first
+write.  Constants never receive gradients.
 """
 
 from __future__ import annotations
@@ -51,8 +54,8 @@ def matmul(tape: Tape, a: Tensor, b: Tensor) -> Tensor:
     out = Tensor(a.data @ b.data)
     if tape is not None:
         def bwd(g):
-            a.accumulate(g @ b.data.T)
-            b.accumulate(a.data.T @ g)
+            a.accumulate_owned(g @ b.data.T)
+            b.accumulate_owned(a.data.T @ g)
         tape.record(out, bwd)
     return out
 
@@ -64,7 +67,7 @@ def add_bias(tape: Tape, x: Tensor, b: Tensor) -> Tensor:
     if tape is not None:
         def bwd(g):
             x.accumulate(g)
-            b.accumulate(g.sum(axis=0))
+            b.accumulate_owned(g.sum(axis=0))
         tape.record(out, bwd)
     return out
 
@@ -81,20 +84,24 @@ def relu(tape: Tape, x: Tensor) -> Tensor:
     if tape is not None:
         mask = x.data > 0  # subgradient at exactly 0 is 0
         def bwd(g):
-            x.accumulate(g * mask)
+            x.accumulate_owned(g * mask)
         tape.record(out, bwd)
     return out
 
 
 def softmax(tape: Tape, x: Tensor) -> Tensor:
     """Row-wise softmax, stabilized by max subtraction."""
-    shifted = x.data - x.data.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    y = e / e.sum(axis=-1, keepdims=True)
+    y = x.data - x.data.max(axis=-1, keepdims=True)
+    np.exp(y, out=y)
+    y /= y.sum(axis=-1, keepdims=True)
     out = Tensor(y)
     if tape is not None:
         def bwd(g):
-            x.accumulate(y * (g - (g * y).sum(axis=-1, keepdims=True)))
+            # y * (g - sum(g * y)) in one buffer, bit for bit.
+            t = g * y
+            np.subtract(g, t.sum(axis=-1, keepdims=True), out=t)
+            t *= y
+            x.accumulate_owned(t)
         tape.record(out, bwd)
     return out
 
@@ -189,7 +196,7 @@ def weighted_centroid(tape: Tape, p: Tensor, centers: np.ndarray) -> Tensor:
     out = Tensor(p.data @ c)
     if tape is not None:
         def bwd(g):
-            p.accumulate(g @ c.T)
+            p.accumulate_owned(g @ c.T)
         tape.record(out, bwd)
     return out
 
@@ -201,8 +208,8 @@ def dot_similarity(tape: Tape, a: Tensor, b: Tensor) -> Tensor:
     out = Tensor(a.data @ b.data.T)
     if tape is not None:
         def bwd(g):
-            a.accumulate(g @ b.data)
-            b.accumulate(g.T @ a.data)
+            a.accumulate_owned(g @ b.data)
+            b.accumulate_owned(g.T @ a.data)
         tape.record(out, bwd)
     return out
 
@@ -224,7 +231,7 @@ def sub(tape: Tape, a: Tensor, b: Tensor) -> Tensor:
     if tape is not None:
         def bwd(g):
             a.accumulate(g)
-            b.accumulate(-g)
+            b.accumulate_owned(-g)
         tape.record(out, bwd)
     return out
 
@@ -234,8 +241,8 @@ def mul(tape: Tape, a: Tensor, b: Tensor) -> Tensor:
     out = Tensor(a.data * b.data)
     if tape is not None:
         def bwd(g):
-            a.accumulate(g * b.data)
-            b.accumulate(g * a.data)
+            a.accumulate_owned(g * b.data)
+            b.accumulate_owned(g * a.data)
         tape.record(out, bwd)
     return out
 
@@ -244,7 +251,7 @@ def scale(tape: Tape, x: Tensor, c: float) -> Tensor:
     out = Tensor(x.data * float(c))
     if tape is not None:
         def bwd(g):
-            x.accumulate(g * float(c))
+            x.accumulate_owned(g * float(c))
         tape.record(out, bwd)
     return out
 
@@ -266,7 +273,7 @@ def affine_const(tape: Tape, x: Tensor, mul_c, add_c) -> Tensor:
     out = Tensor(x.data * mul_c + add_c)
     if tape is not None:
         def bwd(g):
-            x.accumulate(g * mul_c)
+            x.accumulate_owned(g * mul_c)
         tape.record(out, bwd)
     return out
 
@@ -275,7 +282,7 @@ def cos(tape: Tape, x: Tensor) -> Tensor:
     out = Tensor(np.cos(x.data))
     if tape is not None:
         def bwd(g):
-            x.accumulate(-np.sin(x.data) * g)
+            x.accumulate_owned(-np.sin(x.data) * g)
         tape.record(out, bwd)
     return out
 
@@ -284,7 +291,7 @@ def sqrt(tape: Tape, x: Tensor) -> Tensor:
     out = Tensor(np.sqrt(x.data))
     if tape is not None:
         def bwd(g):
-            x.accumulate(g * 0.5 / out.data)
+            x.accumulate_owned(g * 0.5 / out.data)
         tape.record(out, bwd)
     return out
 
@@ -293,7 +300,7 @@ def tanh(tape: Tape, x: Tensor) -> Tensor:
     out = Tensor(np.tanh(x.data))
     if tape is not None:
         def bwd(g):
-            x.accumulate(g * (1.0 - out.data * out.data))
+            x.accumulate_owned(g * (1.0 - out.data * out.data))
         tape.record(out, bwd)
     return out
 
@@ -311,7 +318,7 @@ def sigmoid(tape: Tape, x: Tensor) -> Tensor:
     _sigmoid_inplace(out.data)
     if tape is not None:
         def bwd(g):
-            x.accumulate(g * out.data * (1.0 - out.data))
+            x.accumulate_owned(g * out.data * (1.0 - out.data))
         tape.record(out, bwd)
     return out
 
@@ -321,14 +328,15 @@ def mean_all(tape: Tape, x: Tensor) -> Tensor:
     if tape is not None:
         n = x.data.size
         def bwd(g):
-            x.accumulate(np.full_like(x.data, g / n))
+            x.accumulate_owned(np.full_like(x.data, g / n))
         tape.record(out, bwd)
     return out
 
 
 class _CellState(Tensor):
-    """The ``c`` output of :func:`lstm_cell`: a gradient reaching it also
-    allocates the gradient of its ``h`` twin, whose tape node serves both."""
+    """The ``c`` output of :func:`lstm_cell`: a gradient reaching it, added
+    or handed over, also allocates the gradient of its ``h`` twin, whose
+    tape node serves both."""
 
     __slots__ = ("h",)
 
@@ -340,15 +348,19 @@ class _CellState(Tensor):
         super().accumulate(g)
         self.h.ensure_grad()
 
+    def accumulate_owned(self, g: np.ndarray) -> None:
+        super().accumulate_owned(g)
+        self.h.ensure_grad()
+
     def ensure_grad(self) -> np.ndarray:
         self.h.ensure_grad()
         return super().ensure_grad()
 
 
 def _accumulate_leading_rows(t: Tensor, g: np.ndarray) -> None:
-    """Add ``g`` to the gradient of the first ``len(g)`` rows of ``t``."""
+    """Add ``g``, handed over, to the gradient of the first ``len(g)`` rows of ``t``."""
     if g.shape[0] == t.data.shape[0]:
-        t.accumulate(g)
+        t.accumulate_owned(g)
     else:
         t.ensure_grad()[: g.shape[0]] += g
 
@@ -418,9 +430,9 @@ def lstm_cell(
             _accumulate_leading_rows(h_prev, d_pre @ wh.data.T)
             d_tanh_c *= f_g
             _accumulate_leading_rows(c_prev, d_tanh_c)
-            x.accumulate(d_pre @ wx.data.T)
-            wx.accumulate(x.data.T @ d_pre)
-            wh.accumulate(hp.T @ d_pre)
-            b.accumulate(d_pre.sum(axis=0))
+            x.accumulate_owned(d_pre @ wx.data.T)
+            wx.accumulate_owned(x.data.T @ d_pre)
+            wh.accumulate_owned(hp.T @ d_pre)
+            b.accumulate_owned(d_pre.sum(axis=0))
         tape.record(h, bwd)
     return h, c

@@ -199,24 +199,43 @@ class _CandidateSampler:
             raise DataError("memory network needs usable candidate records")
         self.model = model
         self.m = min(m, len(self.records))
+        self._positions: dict[str, list[int]] = {}
+        for i, r in enumerate(self.records):
+            self._positions.setdefault(r.trip_id, []).append(i)
 
     def sample(self, rng: np.random.Generator, exclude_trip_ids=frozenset()) -> list[PrefixExample]:
-        chosen: list[TrainRecord] = []
-        seen = set()
-        # Rejection loop; candidate pools are much larger than batches.
-        for _ in range(20 * self.m):
-            i = int(rng.integers(len(self.records)))
-            rec = self.records[i]
-            if i in seen or rec.trip_id in exclude_trip_ids:
-                continue
-            seen.add(i)
-            chosen.append(rec)
-            if len(chosen) == self.m:
-                break
-        if not chosen:
+        """Up to ``m`` distinct records whose trip ids are not excluded,
+        drawn uniformly with rejection from at most ``20 m`` draws.
+
+        Draws come in rounds: ``rng.integers(n, size=k)`` gives the values
+        of ``k`` scalar draws and leaves the generator where they would.
+        Each round asks for at most the shortfall and the rest of the
+        budget, and keeps its first occurrences not yet chosen or excluded,
+        in draw order.  So the candidates, their order and the generator's
+        final state are those of one scalar draw at a time until ``m`` are
+        chosen.
+        """
+        blocked = np.zeros(len(self.records), dtype=bool)
+        for trip_id in exclude_trip_ids:
+            blocked[self._positions.get(trip_id, [])] = True
+        chosen = []
+        count, budget = 0, 20 * self.m
+        while count < self.m and budget > 0:
+            draws = rng.integers(len(self.records), size=min(self.m - count, budget))
+            budget -= len(draws)
+            _, first = np.unique(draws, return_index=True)
+            new = draws[np.sort(first)]
+            new = new[~blocked[new]]
+            blocked[new] = True
+            chosen.append(new)
+            count += len(new)
+        if count == 0:
             raise DataError("could not sample memory-network candidates")
         return models.candidates_from_records(
-            chosen, self.model.config, self.model.stats, self.model.vocab
+            [self.records[i] for i in np.concatenate(chosen)],
+            self.model.config,
+            self.model.stats,
+            self.model.vocab,
         )
 
 
@@ -298,6 +317,9 @@ def train(
             report.stop_reason = "non_finite"
             return report
         nncore.sgd_momentum_step(params, cfg.learning_rate, cfg.momentum)
+        # The tape holds every activation and gradient of the batch; drop
+        # it before validation and the next batch allocate theirs.
+        del tape, loss, loss_km
         loss_accum += loss_m
         loss_count += 1
 

@@ -482,6 +482,18 @@ class TestMemoryNetCli:
         assert rc == 0
         assert len(out.read_text().splitlines()) == 61
 
+    @pytest.mark.parametrize("m", ["0", "-3"])
+    def test_non_positive_memory_m_names_the_field(self, tmp_path, prepared_dir, m, capsys):
+        ckpt = tmp_path / "bad.ckpt"
+        rc = main(
+            ["train", "--data", str(prepared_dir), "--variant", "memory_net",
+             "--memory-m", m, "--out", str(ckpt)]
+        )
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert f"memory_m must be positive, got {m}" in err
+        assert "could not sample" not in err and not ckpt.exists()
+
     def test_predict_without_candidate_data_fails(self, tmp_path, prepared_dir, city_csv):
         ckpt = tmp_path / "mem2.ckpt"
         assert main(

@@ -88,6 +88,12 @@ class TestBuildModel:
         with pytest.raises(ValueError, match="mlp_clusters"):
             ModelConfig(variant="transformer")
 
+    @pytest.mark.parametrize("field", ["memory_m", "memory_batch"])
+    @pytest.mark.parametrize("value", [0, -3])
+    def test_memory_sizes_must_be_positive(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be positive"):
+            ModelConfig(variant="memory_net", **{field: value})
+
 
 class TestForwardShapesAndHull:
     @pytest.mark.parametrize(

@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from conftest import fd_param_gradients, relative_errors
-from taxidest import nncore
+from conftest import fd_param_gradients, relative_errors, tiny_batch, tiny_model
+from taxidest import nncore, training
 from taxidest.nncore import (
     Parameter,
     Tape,
@@ -16,6 +16,7 @@ from taxidest.nncore import (
     dot_similarity,
     embedding_lookup,
     lstm_cell,
+    matmul,
     mean_all,
     mul,
     relu,
@@ -565,3 +566,145 @@ class TestTapeBackward:
         loss = mean_all(tape, z)
         tape.backward(loss)
         assert tape.backward_visits == len(tape.nodes)
+
+
+def reference_softmax(x):
+    e = np.exp(x - x.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+def reference_softmax_grad(y, g):
+    return y * (g - (g * y).sum(axis=-1, keepdims=True))
+
+
+def backward_from(tape, out, g):
+    """Run ``tape`` backward from the upstream gradient ``g`` of ``out``."""
+    out.grad = g
+    for node in reversed(tape.nodes):
+        if node.output.grad is not None:
+            node.backward_fn(node.output.grad)
+
+
+def assert_no_shared_gradients(tensors):
+    grads = list({id(t): t.grad for t in tensors if t.grad is not None}.values())
+    for i, a in enumerate(grads):
+        for b in grads[:i]:
+            assert not np.shares_memory(a, b)
+
+
+class TestGradientHandover:
+    """Backward rules hand their fresh arrays over as gradients; the values
+    stay the pre-handover formulas' bit for bit, and no buffer is shared."""
+
+    def test_owned_array_becomes_the_gradient_then_is_added_to(self):
+        t = Tensor(np.zeros((2, 3), dtype=np.float32))
+        g = np.ones((2, 3), dtype=np.float32)
+        t.accumulate_owned(g)
+        assert t.grad is g
+        t.accumulate_owned(np.full((2, 3), 2.0, dtype=np.float32))
+        assert t.grad is g
+        np.testing.assert_array_equal(g, 3.0)
+
+    @pytest.mark.parametrize("g", [np.ones((2, 3)), np.ones(3, dtype=np.float32)], ids=["dtype", "shape"])
+    def test_other_dtype_or_shape_is_copied_and_cast(self, g):
+        t = Tensor(np.zeros((2, 3), dtype=np.float32))
+        t.accumulate_owned(g)
+        assert t.grad.dtype == np.float32 and not np.shares_memory(t.grad, g)
+        np.testing.assert_array_equal(t.grad, np.ones_like(g))
+
+    def test_parameter_keeps_its_gradient_buffer(self):
+        p = Parameter("p", np.zeros((2, 3)))
+        buf = p.grad
+        p.tensor.accumulate_owned(np.ones((2, 3)))
+        assert p.grad is buf
+        np.testing.assert_array_equal(buf, 1.0)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_softmax(self, dtype):
+        rng = np.random.default_rng(60)
+        x = Tensor(rng.normal(scale=4, size=(9, 31)).astype(dtype))
+        g = rng.normal(size=(9, 31)).astype(dtype)
+        tape = Tape()
+        out = softmax(tape, x)
+        y = reference_softmax(x.data)
+        np.testing.assert_array_equal(out.data, y)
+        backward_from(tape, out, g.copy())
+        np.testing.assert_array_equal(x.grad, reference_softmax_grad(y, g))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_weighted_centroid(self, dtype):
+        rng = np.random.default_rng(61)
+        p = Tensor(reference_softmax(rng.normal(size=(9, 31))).astype(dtype))
+        centers = rng.normal(size=(31, 2))
+        g = rng.normal(size=(9, 2)).astype(dtype)
+        tape = Tape()
+        backward_from(tape, weighted_centroid(tape, p, centers), g.copy())
+        np.testing.assert_array_equal(p.grad, g @ centers.astype(dtype).T)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_dot_similarity(self, dtype):
+        rng = np.random.default_rng(62)
+        a = Tensor(rng.normal(size=(9, 5)).astype(dtype))
+        b = Tensor(rng.normal(size=(31, 5)).astype(dtype))
+        g = rng.normal(size=(9, 31)).astype(dtype)
+        tape = Tape()
+        backward_from(tape, dot_similarity(tape, a, b), g.copy())
+        np.testing.assert_array_equal(a.grad, g @ b.data)
+        np.testing.assert_array_equal(b.grad, g.T @ a.data)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_matmul(self, dtype):
+        rng = np.random.default_rng(63)
+        a = Tensor(rng.normal(size=(9, 5)).astype(dtype))
+        w = Parameter("w", rng.normal(size=(5, 4)).astype(dtype))
+        g = rng.normal(size=(9, 4)).astype(dtype)
+        tape = Tape()
+        backward_from(tape, matmul(tape, a, w.tensor), g.copy())
+        np.testing.assert_array_equal(a.grad, g @ w.value.T)
+        np.testing.assert_array_equal(w.grad, a.data.T @ g)
+
+    def test_tensor_feeding_two_ops_owns_its_gradient(self):
+        rng = np.random.default_rng(64)
+        x = Tensor(rng.normal(size=(4, 6)))
+        w = Parameter("w", rng.normal(size=(6, 3)))
+        tape = Tape()
+        s = softmax(tape, x)
+        r = relu(tape, x)
+        sr = add(tape, s, r)
+        m = matmul(tape, sr, w.tensor)
+        loss = mean_all(tape, mul(tape, m, m))
+        tape.backward(loss)
+        assert_no_shared_gradients([x, s, r, sr, m, w.tensor, loss] + [n.output for n in tape.nodes])
+        y = reference_softmax(x.data)
+        np.testing.assert_array_equal(x.grad, reference_softmax_grad(y, s.grad) + r.grad * (x.data > 0))
+
+    @pytest.mark.parametrize("variant", ["memory_net", "brnn", "mlp_clusters"])
+    def test_no_model_gradients_share_memory(self, variant):
+        rng = np.random.default_rng(65)
+        model = tiny_model(variant)
+        batch = tiny_batch(model, rng, n=5, max_len=6)
+        cands = tiny_batch(model, rng, n=7) if variant == "memory_net" else None
+        tape = Tape()
+        tape.backward(training.loss_batch(model, batch, tape, cands))
+        outputs = [n.output for n in tape.nodes]
+        assert all(t.grad is not None for t in outputs)
+        assert_no_shared_gradients(outputs + [p.tensor for p in model.parameters()])
+
+    def test_cell_state_taking_a_handed_over_gradient_runs_its_cell(self):
+        rng = np.random.default_rng(66)
+        wx = Parameter("wx", rng.normal(0, 0.4, size=(2, 12)))
+        wh = Parameter("wh", rng.normal(0, 0.4, size=(3, 12)))
+        b = Parameter("b", rng.normal(0, 0.2, size=12))
+        xs = [rng.normal(size=(2, 2)) for _ in range(2)]
+        centers = rng.normal(size=(3, 2))
+
+        def build(tape):
+            h = Tensor(np.zeros((2, 3)))
+            c = Tensor(np.zeros((2, 3)))
+            for x in xs:
+                h, c = lstm_cell(tape, Tensor(x), h, c, wx.tensor, wh.tensor, b.tensor)
+            # softmax hands its input gradient to the last c; h is unused.
+            return sum_of(tape, weighted_centroid(tape, softmax(tape, c), centers))
+
+        check_grads(build, [wx, wh, b], tol=1e-3)
+        assert np.abs(wh.grad).max() > 0

@@ -2,6 +2,7 @@
 
 import math
 import os
+import weakref
 
 import numpy as np
 import pytest
@@ -191,6 +192,42 @@ class TestTrainLoop:
         assert len(report.history) == 2
         assert np.isfinite(report.history[-1].val_haversine_km)
 
+
+    def _memory_setup(self):
+        rng = np.random.default_rng(35)
+        recs = make_records([int(rng.integers(2, 6)) for _ in range(15)], rng)
+        model = tiny_model("memory_net", memory_m=6)
+        val = fixed_prefix_examples(
+            recs[:4], model.config.k, model.stats, model.vocab, np.random.default_rng(2)
+        )
+        return model, recs, val
+
+    def test_batch_tape_released_before_validation(self, monkeypatch):
+        model, recs, val = self._memory_setup()
+        tapes, alive = [], []
+        real_loss_batch = training.loss_batch
+
+        def spy_loss_batch(model, batch, tape=None, candidates=None):
+            tapes.append(weakref.ref(tape))
+            return real_loss_batch(model, batch, tape, candidates)
+
+        def spy_evaluate(model, examples, candidates=None):
+            alive.append([ref() is not None for ref in tapes])
+            return 1.0
+
+        monkeypatch.setattr(training, "loss_batch", spy_loss_batch)
+        monkeypatch.setattr(training, "evaluate", spy_evaluate)
+        cfg = TrainConfig(batch_size=3, max_batches=4, validate_every=2, patience=99, seed=3)
+        train(model, recs, val, cfg)
+        assert alive == [[False] * 2, [False] * 4]
+
+    def test_parameter_gradient_buffers_survive_training(self):
+        model, recs, val = self._memory_setup()
+        buffers = {name: p.grad for name, p in model.params.items()}
+        cfg = TrainConfig(batch_size=3, max_batches=3, validate_every=3, patience=99, seed=3)
+        train(model, recs, val, cfg)
+        for name, p in model.params.items():
+            assert p.grad is buffers[name], name
 
     def test_clip_norm_training_runs_on_brnn(self):
         rng = np.random.default_rng(36)
