@@ -184,11 +184,33 @@ class DatasetSplit:
     test: list[TrainRecord]
 
 
-def _parse_optional_int(text: str) -> Optional[int]:
+def _cacheable(value, optional: bool) -> bool:
+    """Whether an int64 cache column reads ``value`` back as it is; an
+    optional id's None is stored as -1, so it must not be negative."""
+    if value is None:
+        return optional
+    return isinstance(value, (int, np.integer)) and (0 if optional else -(2**63)) <= value < 2**63
+
+
+def _parse_int(text: str, line: int, column: str, optional: bool) -> Optional[int]:
+    """An integer field the record cache can hold.  An optional id
+    (ORIGIN_CALL, ORIGIN_STAND) may be empty or NA (None), or an integral
+    float such as ``31508.0``."""
     text = text.strip()
-    if text == "" or text.upper() == "NA":
+    if optional and text.upper() in ("", "NA"):
         return None
-    return int(float(text))
+    try:
+        value = int(text)
+    except ValueError:
+        try:
+            f = float(text)
+        except ValueError:
+            f = float("nan")
+        value = int(f) if optional and f.is_integer() else None  # not for inf or NaN
+    if value is None or not _cacheable(value, optional):
+        kind = "a non-negative integer" if optional else "an integer"
+        raise CsvParseError(line, column, f"not {kind} within int64: {text!r}")
+    return value
 
 
 def parse_csv(stream) -> Iterator[TrainRecord]:
@@ -224,22 +246,10 @@ def parse_csv(stream) -> Iterator[TrainRecord]:
         code = row[pos["CALL_TYPE"]].strip()
         if code not in _CALL_TYPE_FROM_CODE:
             raise CsvParseError(line, "CALL_TYPE", f"unknown call type {code!r}")
-        try:
-            origin_call = _parse_optional_int(row[pos["ORIGIN_CALL"]])
-        except ValueError:
-            raise CsvParseError(line, "ORIGIN_CALL", f"not an integer: {row[pos['ORIGIN_CALL']]!r}")
-        try:
-            origin_stand = _parse_optional_int(row[pos["ORIGIN_STAND"]])
-        except ValueError:
-            raise CsvParseError(line, "ORIGIN_STAND", f"not an integer: {row[pos['ORIGIN_STAND']]!r}")
-        try:
-            taxi_id = int(row[pos["TAXI_ID"]])
-        except ValueError:
-            raise CsvParseError(line, "TAXI_ID", f"not an integer: {row[pos['TAXI_ID']]!r}")
-        try:
-            timestamp = int(row[pos["TIMESTAMP"]])
-        except ValueError:
-            raise CsvParseError(line, "TIMESTAMP", f"not an integer: {row[pos['TIMESTAMP']]!r}")
+        origin_call = _parse_int(row[pos["ORIGIN_CALL"]], line, "ORIGIN_CALL", optional=True)
+        origin_stand = _parse_int(row[pos["ORIGIN_STAND"]], line, "ORIGIN_STAND", optional=True)
+        taxi_id = _parse_int(row[pos["TAXI_ID"]], line, "TAXI_ID", optional=False)
+        timestamp = _parse_int(row[pos["TIMESTAMP"]], line, "TIMESTAMP", optional=False)
         missing = row[pos["MISSING_DATA"]].strip().lower() == "true"
 
         poly_text = row[pos["POLYLINE"]]
@@ -385,24 +395,20 @@ def split_dataset(
 
 
 def fit_standardization(records: Iterable[TrainRecord]) -> StandardizationStats:
-    """Mean and population std over all polyline points of the given records.
-
-    Two passes keep the variance numerically clean; the zero-variance guard
-    substitutes std 1.0 below 1e-12.
+    """Mean and population std over all polyline points of the usable
+    records, as numpy's ``mean`` and ``std`` of their concatenation give
+    them; the squared deviations are formed in place on that one copy.  The
+    zero-variance guard substitutes std 1.0 below 1e-12.
     """
-    arrays = [r.polyline for r in records if r.usable and len(r.polyline)]
+    arrays = [r.polyline for r in records if r.usable]
     n = sum(len(a) for a in arrays)
     if n < 2:
         raise DataError(f"need at least 2 points to fit standardization, got {n}")
-    total = np.zeros(2)
-    for a in arrays:
-        total += a.sum(axis=0)
-    mean = total / n
-    sq = np.zeros(2)
-    for a in arrays:
-        d = a - mean
-        sq += (d * d).sum(axis=0)
-    std = np.sqrt(sq / n)
+    points = np.concatenate(arrays, dtype=np.float64)
+    mean = points.mean(axis=0)
+    points -= mean
+    points *= points
+    std = np.sqrt(points.mean(axis=0))
     return StandardizationStats.from_moments(mean[0], mean[1], std[0], std[1])
 
 
@@ -420,7 +426,16 @@ _Column = NamedTuple("_Column", [("name", str), ("value", np.ndarray)])
 
 
 def save_records(records: Sequence[TrainRecord], path) -> None:
-    """Write a record cache; the file is replaced whole or not at all."""
+    """Write a record cache; the file is replaced whole or not at all.  An
+    id or timestamp that would not read back as it is raises
+    :class:`DataError` naming its record, before anything is written."""
+    for i, r in enumerate(records):
+        if not (_cacheable(r.origin_call, True) and _cacheable(r.origin_stand, True)
+                and _cacheable(r.taxi_id, False) and _cacheable(r.timestamp, False)):
+            raise DataError(
+                f"record {i} (trip {r.trip_id}): origin_call={r.origin_call!r}, origin_stand={r.origin_stand!r} "
+                f"(None or an int in [0, 2**63)), taxi_id={r.taxi_id!r}, timestamp={r.timestamp!r} (int64)"
+            )
     columns = {
         "offsets": np.cumsum([0] + [len(r.polyline) for r in records]),
         "call_type": [CALL_TYPES.index(r.call_type) for r in records],

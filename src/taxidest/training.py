@@ -84,33 +84,14 @@ class TrainReport:
         whole or not at all."""
         with atomic_open(path, "w", encoding="utf-8") as f:
             for pt in self.history:
-                f.write(
-                    json.dumps(
-                        {
-                            "batches": pt.batches_seen,
-                            "train_loss_km": pt.train_loss_km,
-                            "val_haversine_km": pt.val_haversine_km,
-                            "improved": pt.improved,
-                        },
-                        sort_keys=True,
-                    )
-                    + "\n"
-                )
-            f.write(
-                json.dumps(
-                    {
-                        "stop_reason": self.stop_reason,
-                        "best_batches": self.best_batches,
-                        "best_val_km": self.best_val_km,
-                        "checkpoint": self.checkpoint_path,
-                    },
-                    sort_keys=True,
-                )
-                + "\n"
-            )
+                f.write(_json_line({"batches": pt.batches_seen, "train_loss_km": pt.train_loss_km,
+                                    "val_haversine_km": pt.val_haversine_km, "improved": pt.improved}))
+            f.write(_json_line({"stop_reason": self.stop_reason, "best_batches": self.best_batches,
+                                "best_val_km": self.best_val_km, "checkpoint": self.checkpoint_path}))
 
     @classmethod
     def from_jsonl(cls, path) -> "TrainReport":
+        """Read :meth:`to_jsonl`'s file; null numbers read back as inf."""
         report = cls()
         with open(path, "r", encoding="utf-8") as f:
             lines = [json.loads(line) for line in f if line.strip()]
@@ -118,17 +99,28 @@ class TrainReport:
             report.history.append(
                 ValidationPoint(
                     batches_seen=obj["batches"],
-                    train_loss_km=obj["train_loss_km"],
-                    val_haversine_km=obj["val_haversine_km"],
+                    train_loss_km=_number(obj["train_loss_km"]),
+                    val_haversine_km=_number(obj["val_haversine_km"]),
                     improved=obj["improved"],
                 )
             )
         summary = lines[-1]
         report.stop_reason = summary["stop_reason"]
         report.best_batches = summary["best_batches"]
-        report.best_val_km = summary["best_val_km"]
+        report.best_val_km = _number(summary["best_val_km"])
         report.checkpoint_path = summary["checkpoint"]
         return report
+
+
+def _json_line(obj: dict) -> str:
+    """``obj`` as one line of strict JSON, which has no inf or NaN: a
+    non-finite number (``best_val_km`` before any validation) is null."""
+    obj = {k: None if isinstance(v, float) and not math.isfinite(v) else v for k, v in obj.items()}
+    return json.dumps(obj, sort_keys=True, allow_nan=False) + "\n"
+
+
+def _number(x: Optional[float]) -> float:
+    return math.inf if x is None else x
 
 
 def equirectangular_loss(tape: Tape, pred: Tensor, targets_deg: np.ndarray) -> Tensor:
@@ -239,18 +231,6 @@ class _CandidateSampler:
         )
 
 
-def _gradients_finite(params) -> bool:
-    """False if any gradient element is NaN or infinite.  One dot product g.g
-    per parameter finds them; only when it is not finite, as it also is for
-    a float32 norm above ~1e19, are the elements checked."""
-    with np.errstate(over="ignore"):
-        for p in params:
-            g = p.grad.reshape(-1)
-            if not math.isfinite(np.dot(g, g)) and not np.isfinite(g).all():
-                return False
-    return True
-
-
 def train(
     model: DestinationModel,
     train_records: Sequence[TrainRecord],
@@ -264,10 +244,13 @@ def train(
     ``cfg.validate_every`` batches the fixed validation prefix set is
     scored, the best checkpoint saved, and training stops after
     ``cfg.patience`` validations without improvement or at
-    ``cfg.max_batches``.  A non-finite training loss or gradient stops
-    training at once with ``stop_reason="non_finite"``, before that batch's
-    step and with the gradients zeroed, so the parameters and the last
-    checkpoint stay finite.  Deterministic given the seed.
+    ``cfg.max_batches``.  Each batch's step (``nncore.sgd_momentum_step``)
+    takes one global gradient norm; ``cfg.clip_norm``, if set, caps that
+    norm.  A non-finite training loss (before the backward pass) or
+    gradient norm (inside the step) stops training at once with
+    ``stop_reason="non_finite"``: no value or velocity moves and the
+    gradients are zero, so the parameters and the last checkpoint stay
+    finite.  Deterministic given the seed.
     """
     if len(val_examples) == 0:
         raise DataError("train requires a non-empty validation prefix set")
@@ -307,16 +290,10 @@ def train(
         # immediately saturate the softmax.
         loss_km = nncore.scale(tape, loss, 1e-3)
         tape.backward(loss_km)
-        if cfg.clip_norm is None:
-            finite = _gradients_finite(params)
-        else:
-            finite = math.isfinite(nncore.clip_gradients(params, cfg.clip_norm))
-        if not finite:
-            for p in params:
-                p.grad[...] = 0
+        norm = nncore.sgd_momentum_step(params, cfg.learning_rate, cfg.momentum, cfg.clip_norm)
+        if not math.isfinite(norm):  # the step zeroed the gradients and moved nothing
             report.stop_reason = "non_finite"
             return report
-        nncore.sgd_momentum_step(params, cfg.learning_rate, cfg.momentum)
         # The tape holds every activation and gradient of the batch; drop
         # it before validation and the next batch allocate theirs.
         del tape, loss, loss_km

@@ -126,6 +126,25 @@ class TestPrepare:
         assert rc == 2
         assert "val=-5" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "column, value",
+        [("ORIGIN_CALL", "inf"), ("ORIGIN_CALL", "-1"), ("ORIGIN_CALL", "1e30"), ("TAXI_ID", str(2**70))],
+    )
+    def test_id_the_cache_cannot_hold_names_line_and_column(self, tmp_path, column, value, capsys):
+        fields = {"ORIGIN_CALL": "7", "TAXI_ID": "20000002"}
+        fields[column] = value
+        csv_path = tmp_path / "ids.csv"
+        csv_path.write_text(
+            "TRIP_ID,CALL_TYPE,ORIGIN_CALL,ORIGIN_STAND,TAXI_ID,TIMESTAMP,DAY_TYPE,MISSING_DATA,POLYLINE\n"
+            'A,A,31508.0,,20000001,1372636858,A,False,"[[-8.61,41.14]]"\n'
+            'B,A,{ORIGIN_CALL},,{TAXI_ID},1372636858,A,False,"[[-8.62,41.15]]"\n'.format(**fields)
+        )
+        out = tmp_path / "data"
+        assert main(["prepare", "--input", str(csv_path), "--out", str(out), "--val", "0", "--test", "0"]) == 2
+        err = capsys.readouterr().err
+        assert f"line 3, column {column}" in err and "internal error" not in err
+        assert not (out / "records.bin").exists()
+
 
 def _small_train_args(data_dir, out):
     return [
@@ -291,6 +310,18 @@ class TestTrain:
         lines = [json.loads(l) for l in report.read_text().splitlines()]
         assert len(lines) >= 2
         assert "stop_reason" in lines[-1]
+
+    def test_report_before_any_validation_is_strict_json(self, tmp_path, prepared_dir):
+        def strict(name):
+            raise ValueError(f"not strict JSON: {name}")
+
+        args = _small_train_args(prepared_dir, tmp_path / "m.ckpt")
+        args[args.index("--validate-every") + 1] = "500"  # two batches, no validation
+        assert main(args) == 0
+        text = (tmp_path / "m.ckpt.report.jsonl").read_text()
+        assert [json.loads(line, parse_constant=strict) for line in text.splitlines()] == [
+            {"stop_reason": "max_batches", "best_batches": 0, "best_val_km": None, "checkpoint": str(tmp_path / "m.ckpt")}
+        ]
 
     def test_direct_variant_needs_no_clusters(self, tmp_path, prepared_dir):
         path = tmp_path / "direct.ckpt"

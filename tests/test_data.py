@@ -106,6 +106,43 @@ class TestParseCsv:
             parse_rows('1,C,,,1,0,A,False,"[[-8.61,""north""]]"\n')
         assert e.value.column == "POLYLINE"
 
+    @pytest.mark.parametrize(
+        "column, value",
+        [
+            ("ORIGIN_CALL", "inf"),
+            ("ORIGIN_CALL", "nan"),
+            ("ORIGIN_CALL", "-1"),
+            ("ORIGIN_CALL", "1e30"),
+            ("ORIGIN_CALL", "31508.5"),
+            ("ORIGIN_CALL", str(2**63)),
+            ("ORIGIN_STAND", "-inf"),
+            ("ORIGIN_STAND", "-3"),
+            ("TAXI_ID", str(2**70)),
+            ("TAXI_ID", str(-(2**63) - 1)),
+            ("TIMESTAMP", str(2**63)),
+        ],
+    )
+    def test_ids_the_cache_cannot_hold_rejected(self, column, value):
+        fields = {"ORIGIN_CALL": "", "ORIGIN_STAND": "", "TAXI_ID": "1", "TIMESTAMP": "0"}
+        fields[column] = value
+        row = "2,C,{ORIGIN_CALL},{ORIGIN_STAND},{TAXI_ID},{TIMESTAMP},A,False,\"[[-8.61,41.14]]\"\n".format(**fields)
+        with pytest.raises(CsvParseError) as e:
+            parse_rows('1,C,,,1,0,A,False,"[[-8.61,41.14]]"\n', row)
+        assert (e.value.line, e.value.column) == (3, column)
+
+    def test_ids_at_the_cache_limits_accepted(self, tmp_path):
+        top = 2**63 - 1
+        recs = parse_rows(
+            f'1,A,31508.0,0,{top},{-(2**63)},A,False,"[[-8.61,41.14]]"\n',
+            f'2,B,NA,{top},-1,{top},A,False,"[[-8.61,41.14]]"\n',
+        )
+        got = [(r.origin_call, r.origin_stand, r.taxi_id, r.timestamp) for r in recs]
+        assert got == [(31508, 0, top, -(2**63)), (None, top, -1, top)]
+        assert type(recs[0].origin_call) is int
+        save_records(recs, tmp_path / "cache.bin")
+        loaded = load_records(tmp_path / "cache.bin")
+        assert [(r.origin_call, r.origin_stand, r.taxi_id, r.timestamp) for r in loaded] == got
+
     def test_bytes_stream(self):
         text = HEADER + '1,C,,,1,0,A,False,"[[-8.61,41.14]]"\n'
         recs = list(parse_csv(io.BytesIO(text.encode())))
@@ -366,6 +403,17 @@ class TestFitStandardization:
         with pytest.raises(DataError):
             fit_standardization(recs)
 
+    def test_equals_numpy_over_the_concatenated_points(self):
+        rng = np.random.default_rng(4)
+        recs = make_records([20, 35, 11, 1], rng)
+        recs[1].missing_data = True  # not usable: left out
+        pts = np.concatenate([r.polyline for r in recs if r.usable])
+        before = pts.copy()
+        stats = fit_standardization(recs)
+        mean, std = pts.mean(axis=0), pts.std(axis=0)
+        assert (stats.mean_lat, stats.mean_lon, stats.std_lat, stats.std_lon) == (*mean, *std)
+        np.testing.assert_array_equal(np.concatenate([r.polyline for r in recs if r.usable]), before)
+
     def test_standardized_points_are_zero_mean_unit_variance(self):
         rng = np.random.default_rng(2)
         recs = make_records([20, 35, 11], rng)
@@ -521,6 +569,27 @@ class TestRecordCache:
         with pytest.raises(DataError, match=message) as err:
             load_records(path)
         assert str(path) in str(err.value)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("origin_call", -1),
+            ("origin_call", 1e30),
+            ("origin_call", 7.0),
+            ("origin_stand", 2**63),
+            ("taxi_id", 2**70),
+            ("taxi_id", None),
+            ("timestamp", -(2**63) - 1),
+        ],
+    )
+    def test_values_that_would_not_read_back_rejected(self, tmp_path, field, value):
+        path, blob = self._saved(tmp_path)
+        recs = make_records([3, 4, 2], np.random.default_rng(3))
+        setattr(recs[1], field, value)
+        with pytest.raises(DataError) as err:
+            save_records(recs, path)
+        assert str(err.value).startswith("record 1 (trip t1): ") and f"{field}={value!r}" in str(err.value)
+        assert path.read_bytes() == blob
 
     def test_failed_write_keeps_old_cache(self, tmp_path):
         path, blob = self._saved(tmp_path)

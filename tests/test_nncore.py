@@ -1,5 +1,7 @@
 """Autodiff engine and neural building blocks, each against its oracle."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -415,23 +417,26 @@ class TestPackedLstmCell:
 
 
 class TestClipGradients:
+    """Clipping inside the step: with lr 1 and no momentum, each value moves
+    by minus its clipped gradient."""
+
     def test_scales_to_max_norm_and_returns_pre_clip_norm(self):
         p = Parameter("p", np.zeros(2))
         q = Parameter("q", np.zeros((1, 2)))
         p.grad[...] = [3.0, 0.0]
         q.grad[...] = [[0.0, 4.0]]
-        norm = nncore.clip_gradients([p, q], max_norm=1.0)
+        norm = sgd_momentum_step([p, q], lr=1.0, mu=0.0, max_norm=1.0)
         assert norm == pytest.approx(5.0)
-        clipped = np.sqrt(np.sum(p.grad**2) + np.sum(q.grad**2))
+        clipped = np.sqrt(np.sum(p.value**2) + np.sum(q.value**2))
         assert clipped == pytest.approx(1.0)
-        np.testing.assert_allclose(p.grad, [0.6, 0.0])
-        np.testing.assert_allclose(q.grad, [[0.0, 0.8]])
+        np.testing.assert_allclose(-p.value, [0.6, 0.0])
+        np.testing.assert_allclose(-q.value, [[0.0, 0.8]])
 
     def test_below_limit_untouched(self):
         p = Parameter("p", np.zeros(2))
         p.grad[...] = [0.3, 0.4]
-        assert nncore.clip_gradients([p], max_norm=1.0) == pytest.approx(0.5)
-        np.testing.assert_array_equal(p.grad, [0.3, 0.4])
+        assert sgd_momentum_step([p], lr=1.0, mu=0.0, max_norm=1.0) == pytest.approx(0.5)
+        np.testing.assert_array_equal(-p.value, [0.3, 0.4])
 
 
 class TestElementwiseOps:
@@ -533,6 +538,50 @@ class TestSgdMomentum:
         p.grad[...] = 5.0
         sgd_momentum_step([p], lr=0.01, mu=0.9)
         np.testing.assert_array_equal(p.grad, 0.0)
+
+    def test_returns_the_global_norm_without_clipping(self):
+        p = Parameter("p", np.zeros(2))
+        q = Parameter("q", np.zeros((1, 2)))
+        p.grad[...] = [3.0, 0.0]
+        q.grad[...] = [[0.0, 4.0]]
+        assert sgd_momentum_step([p, q], lr=1.0, mu=0.0) == 5.0
+        np.testing.assert_array_equal(-p.value, [3.0, 0.0])
+        np.testing.assert_array_equal(-q.value, [[0.0, 4.0]])
+
+    @pytest.mark.parametrize("clip", [None, 1.0])
+    @pytest.mark.parametrize("planted", [np.nan, np.inf, -np.inf])
+    def test_non_finite_gradient_moves_nothing(self, planted, clip):
+        rng = np.random.default_rng(13)
+        params = [Parameter(n, rng.normal(size=(3, 4)).astype(np.float32)) for n in "ab"]
+        for p in params:
+            p.velocity[...] = rng.normal(size=p.shape)
+            p.grad[...] = rng.normal(size=p.shape)
+        params[1].grad[2, 1] = planted
+        before = [(p.value.copy(), p.velocity.copy()) for p in params]
+        assert not math.isfinite(sgd_momentum_step(params, lr=0.01, mu=0.9, max_norm=clip))
+        for p, (value, velocity) in zip(params, before):
+            np.testing.assert_array_equal(p.value, value)
+            np.testing.assert_array_equal(p.velocity, velocity)
+            assert not p.grad.any()
+
+    def test_float32_gradient_whose_square_overflows_has_a_finite_norm(self):
+        p = Parameter("p", np.zeros(3, dtype=np.float32))
+        p.grad[...] = [1e20, 0.0, 0.0]
+        assert sgd_momentum_step([p], lr=1e-20, mu=0.0) == pytest.approx(1e20, rel=1e-6)
+        assert np.isfinite(p.value).all() and p.value[0] == pytest.approx(-1.0, rel=1e-6)
+
+    def test_float32_update_is_bit_equal_to_the_formula(self):
+        rng = np.random.default_rng(14)
+        p = Parameter("p", rng.normal(size=(50, 7)).astype(np.float32))
+        value, velocity = p.value.copy(), p.velocity.copy()
+        for _ in range(4):
+            g = rng.normal(size=p.shape).astype(np.float32)
+            p.grad[...] = g
+            sgd_momentum_step([p], lr=0.01, mu=0.9)
+            velocity = velocity * 0.9 - 0.01 * g
+            value = value + velocity
+            np.testing.assert_array_equal(p.velocity, velocity)
+            np.testing.assert_array_equal(p.value, value)
 
 
 class TestTapeBackward:

@@ -1,5 +1,6 @@
 """Loss, training loop, early stopping, evaluation, submissions."""
 
+import json
 import math
 import os
 import weakref
@@ -267,69 +268,128 @@ class TestTrainLoop:
         for p in models.load_model(path).parameters():
             assert np.isfinite(p.value).all(), p.name
 
-    def test_non_finite_gradient_norm_stops(self, tmp_path, monkeypatch):
-        # A clipping norm that is not finite stops training even while the
-        # loss itself is still finite.
-        monkeypatch.setattr(training.nncore, "clip_gradients", lambda params, max_norm: math.inf)
-        model, report, _ = self._diverging(tmp_path, learning_rate=0.01, clip_norm=1.0)
-        assert report.stop_reason == "non_finite"
-        assert report.history == []
-        for p in model.parameters():
-            assert np.isfinite(p.value).all() and not p.grad.any(), p.name
-
-    @pytest.mark.parametrize("planted", [np.nan, np.inf, -np.inf])
-    def test_non_finite_gradient_stops_without_clipping(self, monkeypatch, planted):
-        # The loss stays finite; one gradient element is not.
-        model, recs, val = self._setup()
-        before = {n: p.value.copy() for n, p in model.params.items()}
+    def _planting(self, monkeypatch, param, planted, on_call=1, before=None):
+        """Plant ``planted`` in one gradient element after the ``on_call``-th
+        backward pass; ``before`` collects every parameter's value and
+        velocity as they were just before that pass's step."""
         backward = Tape.backward
+        calls = []
 
         def planting(tape, loss):
             backward(tape, loss)
-            model.params["hidden_w"].grad[1, 2] = planted
+            calls.append(1)
+            if len(calls) == on_call:
+                if before is not None:
+                    before.update({p.name: (p.value.copy(), p.velocity.copy()) for p in param.values()})
+                param["hidden_w"].grad[1, 2] = planted
 
         monkeypatch.setattr(Tape, "backward", planting)
-        cfg = TrainConfig(batch_size=4, max_batches=3, validate_every=1, patience=99)
+
+    @pytest.mark.parametrize("clip_norm", [None, 1.0])
+    @pytest.mark.parametrize("planted", [np.nan, np.inf, -np.inf])
+    def test_non_finite_gradient_stops(self, monkeypatch, planted, clip_norm):
+        # The loss stays finite; one gradient element is not.  Planted on the
+        # second batch, when the velocities are not zero.
+        model, recs, val = self._setup()
+        before = {}
+        self._planting(monkeypatch, model.params, planted, on_call=2, before=before)
+        cfg = TrainConfig(batch_size=4, max_batches=4, validate_every=3, patience=99, clip_norm=clip_norm)
         report = train(model, recs, val, cfg)
         assert report.stop_reason == "non_finite"
         assert report.history == []
+        assert any(velocity.any() for _, velocity in before.values())
         for name, p in model.params.items():
-            np.testing.assert_array_equal(p.value, before[name])
-            assert not p.grad.any() and not p.velocity.any(), name
+            np.testing.assert_array_equal(p.value, before[name][0])
+            np.testing.assert_array_equal(p.velocity, before[name][1])
+            assert not p.grad.any(), name
 
-    def test_large_finite_float32_gradient_takes_its_step(self, monkeypatch):
-        # 1e20 squared overflows float32, yet every element is finite.
+    @pytest.mark.parametrize("clip_norm", [None, 2.0])
+    def test_large_finite_float32_gradient_takes_its_step(self, monkeypatch, clip_norm):
+        # 1e20 squared overflows float32, yet every element is finite.  From
+        # zero velocity the step moves the values by lr times the norm, or
+        # times clip_norm when it clips, nearly all in the planted element.
         model = tiny_model("mlp_clusters", dtype="float32")
         _, recs, _ = self._setup()
         val = fixed_prefix_examples(recs[:5], model.config.k, model.stats, model.vocab, np.random.default_rng(1))
-        backward = Tape.backward
-
-        def planting(tape, loss):
-            backward(tape, loss)
-            model.params["hidden_w"].grad[1, 2] = 1e20
-
-        monkeypatch.setattr(Tape, "backward", planting)
-        cfg = TrainConfig(learning_rate=0.0, batch_size=4, max_batches=2, validate_every=1, patience=99)
+        before = {n: p.value.copy() for n, p in model.params.items()}
+        self._planting(monkeypatch, model.params, 1e20)
+        cfg = TrainConfig(batch_size=4, max_batches=1, validate_every=2, patience=99, clip_norm=clip_norm)
         assert train(model, recs, val, cfg).stop_reason == "max_batches"
+        step = cfg.learning_rate * (1e20 if clip_norm is None else clip_norm)
+        moved = {n: p.value.astype(np.float64) - before[n] for n, p in model.params.items()}
+        assert np.sqrt(sum(np.sum(d**2) for d in moved.values())) == pytest.approx(step, rel=1e-3)
+        assert moved["hidden_w"][1, 2] == pytest.approx(-step, rel=1e-3)
+
+
+def reference_gradients_finite(params) -> bool:
+    """The gradient guard that ``train`` ran before the step took the norm."""
+    with np.errstate(over="ignore"):
+        for p in params:
+            g = p.grad.reshape(-1)
+            if not math.isfinite(np.dot(g, g)) and not np.isfinite(g).all():
+                return False
+    return True
+
+
+def reference_sgd_momentum_step(params, lr, mu) -> None:
+    """The step as it was, forming ``lr * grad`` for every parameter."""
+    for p in params:
+        p.velocity *= mu
+        p.velocity -= lr * p.grad
+        p.tensor.data += p.velocity
+        p.grad[...] = 0
+
+
+class TestStepMatchesReference:
+    @staticmethod
+    def reference_step(params, lr, mu, max_norm=None):
+        assert max_norm is None
+        params = list(params)
+        if not reference_gradients_finite(params):
+            for p in params:
+                p.grad[...] = 0
+            return math.inf
+        reference_sgd_momentum_step(params, lr, mu)
+        return 0.0
+
+    @pytest.mark.parametrize("variant", ["mlp_clusters", "brnn", "memory_net"])
+    def test_float32_values_and_velocities_bit_equal(self, monkeypatch, variant):
+        rng = np.random.default_rng(37)
+        recs = make_records([int(rng.integers(2, 8)) for _ in range(15)], rng)
+        cfg = TrainConfig(batch_size=5, max_batches=6, validate_every=3, patience=99, seed=4)
+        runs = []
+        for step in (self.reference_step, training.nncore.sgd_momentum_step):
+            monkeypatch.setattr(training.nncore, "sgd_momentum_step", step)
+            model = tiny_model(variant, dtype="float32", memory_m=6)
+            val = fixed_prefix_examples(recs[:4], model.config.k, model.stats, model.vocab, np.random.default_rng(2))
+            runs.append((train(model, recs, val, cfg), model))
+        (ref_report, ref), (report, model) = runs
+        assert report == ref_report and report.stop_reason == "max_batches"
+        for name, p in model.params.items():
+            assert p.value.dtype == np.float32 and ref.params[name].velocity.any(), name
+            np.testing.assert_array_equal(p.value, ref.params[name].value)
+            np.testing.assert_array_equal(p.velocity, ref.params[name].velocity)
 
 
 class TestTrainReport:
     def test_jsonl_round_trip(self, tmp_path):
-        for stop_reason in ("max_batches", "non_finite"):
-            report = TrainReport(
-                history=[
-                    training.ValidationPoint(10, 2.5, 3.1, True),
-                    training.ValidationPoint(20, 2.0, 3.3, False),
-                ],
-                best_batches=10,
-                best_val_km=3.1,
-                stop_reason=stop_reason,
-                checkpoint_path="model.ckpt",
-            )
+        def strict(name):
+            raise ValueError(f"not strict JSON: {name}")
+
+        history = [training.ValidationPoint(10, 2.5, 3.1, True), training.ValidationPoint(20, 2.0, 3.3, False)]
+        reports = [
+            TrainReport(history, 10, 3.1, stop_reason, "model.ckpt") for stop_reason in ("max_batches", "non_finite")
+        ]
+        # No validation ran: best_val_km is inf, written as null.
+        reports.append(TrainReport(stop_reason="non_finite", checkpoint_path="model.ckpt"))
+        for report in reports:
             path = tmp_path / "report.jsonl"
             report.to_jsonl(path)
+            lines = [json.loads(line, parse_constant=strict) for line in path.read_text().splitlines()]
+            assert len(lines) == len(report.history) + 1
             loaded = TrainReport.from_jsonl(path)
             assert loaded == report
+        assert lines[-1]["best_val_km"] is None and loaded.best_val_km == math.inf
 
     def test_failed_write_keeps_old_report(self, tmp_path):
         path = tmp_path / "report.jsonl"
