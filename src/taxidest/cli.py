@@ -31,7 +31,6 @@ from .data import (
     build_vocab,
     fit_standardization,
     load_records,
-    make_prefix_example,
     parse_csv,
     save_records,
     split_dataset,
@@ -132,14 +131,13 @@ class _Prepared(NamedTuple):
 
 def _derive_split(records, seed, n_val, n_test) -> _Prepared:
     """The split that ``splits.json``'s numbers stand for: ``split_dataset``
-    under ``default_rng(seed)``, then one cut per validation record and then
-    one per test record from the same generator."""
+    under ``default_rng(seed)``, then ``fixed_prefix_examples`` for the
+    validation records and then for the test records, from the same
+    generator."""
     rng = np.random.default_rng(seed)
     split = split_dataset(records, rng, n_val, n_test)
-    validation, test = (
-        [PrefixExample(r, int(rng.integers(1, len(r.polyline) + 1))) for r in part]
-        for part in (split.validation, split.test)
-    )
+    validation = fixed_prefix_examples(split.validation, rng)
+    test = fixed_prefix_examples(split.test, rng)
     return _Prepared(split.train, validation, test)
 
 
@@ -194,16 +192,16 @@ def _cmd_prepare(args) -> int:
 
 
 def _cmd_cluster(args) -> int:
-    train_records = _load_prepared(args.data).train
-    dests = np.array([r.polyline[-1] for r in train_records], dtype=np.float64)
-    if len(dests) == 0:
-        raise DataError("training split has no destinations to cluster")
-    cfg = MeanShiftConfig(
+    cfg = MeanShiftConfig(  # a bad option fails before the data loads
         bandwidth_m=args.bandwidth,
         max_iterations=args.max_iter,
         merge_radius_m=args.merge_radius,
         seed_subsample=args.seed_subsample,
     )
+    train_records = _load_prepared(args.data).train
+    dests = np.array([r.polyline[-1] for r in train_records], dtype=np.float64)
+    if len(dests) == 0:
+        raise DataError("training split has no destinations to cluster")
     cs = mean_shift(dests, cfg)
     save_clusters(cs, args.out)
     print(f"C={cs.count}")
@@ -225,16 +223,6 @@ def _model_config_from_args(args) -> ModelConfig:
 
 def _cmd_train(args) -> int:
     config = _model_config_from_args(args)  # a bad option fails before the data loads
-    prepared = _load_prepared(args.data)
-    stats = fit_standardization(prepared.train)
-    vocab = build_vocab(prepared.train)
-    clusters = None
-    if config.uses_cluster_centroid:
-        if args.clusters is None:
-            raise DataError(f"variant {args.variant} requires --clusters")
-        clusters = load_clusters(args.clusters)
-    model = build_model(config, clusters, stats, vocab, seed=args.seed)
-
     batch = args.batch
     if batch is None:
         batch = config.memory_batch if config.variant == "memory_net" else TrainConfig.batch_size
@@ -248,6 +236,15 @@ def _cmd_train(args) -> int:
         seed=args.seed,
         clip_norm=args.clip_norm,
     )
+    prepared = _load_prepared(args.data)
+    stats = fit_standardization(prepared.train)
+    vocab = build_vocab(prepared.train)
+    clusters = None
+    if config.uses_cluster_centroid:
+        if args.clusters is None:
+            raise DataError(f"variant {args.variant} requires --clusters")
+        clusters = load_clusters(args.clusters)
+    model = build_model(config, clusters, stats, vocab, seed=args.seed)
     report = train(model, prepared.train, prepared.validation, cfg, checkpoint_path=args.out)
     if not report.history:
         models.save_model(model, args.out)  # no validation ever ran
@@ -265,7 +262,7 @@ def _cmd_evaluate(args) -> int:
     prepared = _load_prepared(args.data)
     if args.split == "train":
         rng = np.random.default_rng(args.seed)
-        examples = fixed_prefix_examples(prepared.train, model.config.k, model.stats, model.vocab, rng)
+        examples = fixed_prefix_examples(prepared.train, rng)
     else:
         examples = getattr(prepared, args.split)
     candidates = None
@@ -282,11 +279,10 @@ def _cmd_predict(args) -> int:
         records = list(parse_csv(f))
     if not records:
         raise DataError(f"{args.input}: no prefix trajectories")
-    examples = []
-    for r in records:  # every row is answered, whatever its MISSING_DATA flag
+    for r in records:
         if len(r.polyline) == 0:
             raise DataError(f"{args.input}: trip {r.trip_id} has an empty POLYLINE; a prefix needs a point")
-        examples.append(make_prefix_example(r, len(r.polyline), model.config.k, model.stats, model.vocab))
+    examples = models.candidates_from_records(records)  # every row, whatever its MISSING_DATA flag
     candidates = None
     if model.config.variant == "memory_net":
         if args.data is None:

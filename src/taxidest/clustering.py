@@ -57,8 +57,9 @@ class MeanShiftConfig:
     seed_subsample: Optional[int] = None
 
     def __post_init__(self):
-        if self.bandwidth_m <= 0 or self.merge_radius_m <= 0:
-            raise ValueError("bandwidth and merge radius must be positive")
+        if not (0 < self.bandwidth_m < math.inf and 0 < self.merge_radius_m < math.inf):
+            raise ValueError(f"bandwidth and merge radius must be finite and > 0, got "
+                             f"{self.bandwidth_m} and {self.merge_radius_m}")
         if self.max_iterations <= 0:
             raise ValueError("max_iterations must be positive")
         if self.merge_radius_m > self.bandwidth_m:

@@ -325,11 +325,10 @@ def make_prefix_example(
     stats: StandardizationStats,
     vocab: MetadataVocab,
 ) -> PrefixExample:
-    """The example for the prefix of length ``cut``, checked: ``1 <= cut <=
-    len(record.polyline)`` and ``k >= 1``, else ValueError.
-
-    ``stats`` and ``vocab`` are not read: the model featurizes whole batches
-    with its own window size, statistics and vocabularies.
+    """The prefix of length ``cut``, checked for callers that build their own
+    pairs: ``1 <= cut <= len(record.polyline)`` and ``k >= 1``, else
+    ValueError.  ``stats`` and ``vocab`` are not read: the model featurizes
+    whole batches with its own window size, statistics and vocabularies.
     """
     n = len(record.polyline)
     if not 1 <= cut <= n:
@@ -353,16 +352,23 @@ class PrefixSampler:
             raise DataError("no usable records to sample prefixes from")
         lengths = np.array([len(r.polyline) for r in self.records], dtype=np.int64)
         self._cum = np.cumsum(lengths)
+        self._starts = self._cum - lengths  # prefixes of the records before each one
 
     @property
     def total_prefixes(self) -> int:
         return int(self._cum[-1])
 
-    def sample(self, rng: np.random.Generator) -> tuple[TrainRecord, int]:
-        u = int(rng.integers(self._cum[-1]))
-        idx = int(np.searchsorted(self._cum, u, side="right"))
-        start = 0 if idx == 0 else int(self._cum[idx - 1])
-        return self.records[idx], u - start + 1
+    def sample(self, rng: np.random.Generator, size: Optional[int] = None) -> PrefixExample | list[PrefixExample]:
+        """One :class:`PrefixExample` (``size=None``) or a list of ``size``,
+        from one ``rng.integers(total, size=size)`` call and one
+        ``searchsorted``; the draws and the generator's final state are
+        those of ``size`` scalar calls."""
+        u = rng.integers(self._cum[-1], size=size)
+        idx = np.searchsorted(self._cum, u, side="right")
+        cut = u - self._starts[idx] + 1
+        if size is None:
+            return PrefixExample(self.records[idx], int(cut))
+        return [PrefixExample(self.records[i], c) for i, c in zip(idx.tolist(), cut.tolist())]
 
 
 def split_dataset(

@@ -20,7 +20,8 @@ import numpy as np
 
 from . import nncore
 from .clustering import ClusterSet
-from .data import MetadataVocab, PrefixExample, TrainRecord, make_prefix_example, time_features
+from .data import MetadataVocab, PrefixExample, TrainRecord, time_features
+from .data import make_prefix_example  # noqa: F401  (perfbench/spans.py patches this name here)
 from .geo import StandardizationStats
 from .nncore import Parameter, Tape, Tensor
 from .nncore.checkpoint import load_checkpoint, save_checkpoint
@@ -91,6 +92,9 @@ class ModelConfig:
         missing = [f for f in EMBEDDING_FIELDS if f not in self.embedding_dims]
         if missing:
             raise ValueError(f"embedding_dims missing entries for {missing}")
+        for f in EMBEDDING_FIELDS:
+            if self.embedding_dims[f] < 1:
+                raise ValueError(f"embedding_dims[{f!r}] must be >= 1, got {self.embedding_dims[f]}")
 
     @property
     def uses_embeddings(self) -> bool:
@@ -393,16 +397,10 @@ def _recurrent_head(model, tape, feats: Features) -> Tensor:
     return _centroid_head(model, tape, h, model.clusters.centers)
 
 
-def candidates_from_records(
-    records: Sequence[TrainRecord],
-    config: ModelConfig,
-    stats: StandardizationStats,
-    vocab: MetadataVocab,
-) -> list[PrefixExample]:
-    """Full trajectories as examples (cut = length)."""
-    return [
-        make_prefix_example(r, len(r.polyline), config.k, stats, vocab) for r in records
-    ]
+def candidates_from_records(records: Sequence[TrainRecord]) -> list[PrefixExample]:
+    """Full trajectories as examples (cut = length), in order; each record
+    must have at least one point."""
+    return [PrefixExample(r, len(r.polyline)) for r in records]
 
 
 def _encoder(model: DestinationModel, tape: Tape, x: Tensor, name: str) -> Tensor:

@@ -19,7 +19,8 @@ import numpy as np
 
 from . import models, nncore
 from ._atomic import atomic_open
-from .data import DataError, PrefixExample, PrefixSampler, TrainRecord, make_prefix_example
+from .data import DataError, PrefixExample, PrefixSampler, TrainRecord
+from .data import make_prefix_example  # noqa: F401  (perfbench/spans.py patches this name here)
 from .geo import EARTH, haversine_distance_arrays
 from .models import DestinationModel
 from .nncore import Tape, Tensor
@@ -55,8 +56,11 @@ class TrainConfig:
     clip_norm: Optional[float] = None
 
     def __post_init__(self):
-        if self.learning_rate < 0 or not 0 <= self.momentum < 1:
-            raise ValueError("need learning_rate >= 0 and momentum in [0, 1)")
+        if not 0 <= self.learning_rate < math.inf or not 0 <= self.momentum < 1:
+            raise ValueError(f"need a finite learning_rate >= 0 and momentum in [0, 1), got "
+                             f"{self.learning_rate} and {self.momentum}")
+        if self.clip_norm is not None and not 0 < self.clip_norm < math.inf:
+            raise ValueError(f"clip_norm must be None or finite and > 0, got {self.clip_norm}")
         if self.batch_size < 1 or self.max_batches < 1 or self.validate_every < 1:
             raise ValueError("batch_size, max_batches, validate_every must be positive")
         if self.patience < 1:
@@ -151,18 +155,15 @@ def loss_batch(
     return equirectangular_loss(tape, pred, models.destinations(batch))
 
 
-def fixed_prefix_examples(
-    records: Sequence[TrainRecord],
-    k: int,
-    stats,
-    vocab,
-    rng: np.random.Generator,
-) -> list[PrefixExample]:
-    """One random cut per trajectory, fixed once so evaluations are comparable."""
-    return [
-        make_prefix_example(rec, int(rng.integers(1, len(rec.polyline) + 1)), k, stats, vocab)
-        for rec in records
-    ]
+def fixed_prefix_examples(records: Sequence[TrainRecord], rng: np.random.Generator) -> list[PrefixExample]:
+    """One random cut per trajectory, fixed once so evaluations are comparable.
+
+    One ``rng.integers(1, lengths + 1)`` call draws every cut, uniform in
+    [1, length]; it gives the values and the generator state of one scalar
+    call per record, in order.
+    """
+    lengths = np.fromiter((len(r.polyline) for r in records), np.int64, len(records))
+    return [PrefixExample(r, cut) for r, cut in zip(records, rng.integers(1, lengths + 1).tolist())]
 
 
 def evaluate(
@@ -183,13 +184,15 @@ def evaluate(
 
 class _CandidateSampler:
     """Random training trajectories as memory-network candidates,
-    excluding any trajectory present in the query batch."""
+    excluding any trajectory present in the query batch.
+
+    ``model`` is not read; the signature is the one perfbench calls.
+    """
 
     def __init__(self, records: Sequence[TrainRecord], model: DestinationModel, m: int):
         self.records = [r for r in records if r.usable]
         if not self.records:
             raise DataError("memory network needs usable candidate records")
-        self.model = model
         self.m = min(m, len(self.records))
         self._positions: dict[str, list[int]] = {}
         for i, r in enumerate(self.records):
@@ -223,12 +226,7 @@ class _CandidateSampler:
             count += len(new)
         if count == 0:
             raise DataError("could not sample memory-network candidates")
-        return models.candidates_from_records(
-            [self.records[i] for i in np.concatenate(chosen)],
-            self.model.config,
-            self.model.stats,
-            self.model.vocab,
-        )
+        return models.candidates_from_records([self.records[i] for i in np.concatenate(chosen).tolist()])
 
 
 def train(
@@ -240,7 +238,8 @@ def train(
 ) -> TrainReport:
     """SGD-with-momentum loop with early stopping on validation Haversine.
 
-    Batches stream from the all-prefixes distribution; every
+    Each batch is one ``PrefixSampler.sample`` draw of ``cfg.batch_size``
+    prefixes, uniform over all prefixes of the training rides; every
     ``cfg.validate_every`` batches the fixed validation prefix set is
     scored, the best checkpoint saved, and training stops after
     ``cfg.patience`` validations without improvement or at
@@ -270,10 +269,7 @@ def train(
     loss_count = 0
 
     for batch_no in range(1, cfg.max_batches + 1):
-        batch = [
-            make_prefix_example(*sampler.sample(rng), model.config.k, model.stats, model.vocab)
-            for _ in range(cfg.batch_size)
-        ]
+        batch = sampler.sample(rng, cfg.batch_size)
         candidates = None
         if is_memory:
             batch_ids = frozenset(ex.trip_id for ex in batch)

@@ -303,6 +303,13 @@ class TestCluster:
         rc = main(["cluster", "--data", str(tmp_path / "missing"), "--out", str(tmp_path / "c.csv")])
         assert rc == 2
 
+    @pytest.mark.parametrize("option, value", [("--bandwidth", "nan"), ("--bandwidth", "inf"), ("--merge-radius", "nan")])
+    def test_radius_not_finite_and_positive(self, tmp_path, prepared_dir, option, value, capsys):
+        out = tmp_path / "c.csv"
+        assert main(["cluster", "--data", str(prepared_dir), option, value, "--out", str(out)]) == 2
+        assert "must be finite and > 0" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestTrain:
     def test_report_written(self, trained_ckpt):
@@ -373,6 +380,20 @@ class TestTrain:
         seen.clear()
         assert main(args + ["--batch", "3"]) == 0
         assert seen[0].batch_size == 3
+
+    @pytest.mark.parametrize(
+        "option, value, field",
+        [("--lr", "nan", "learning_rate"), ("--lr", "inf", "learning_rate"),
+         ("--clip-norm", "nan", "clip_norm"), ("--clip-norm", "inf", "clip_norm"),
+         ("--clip-norm", "-1", "clip_norm"), ("--clip-norm", "0", "clip_norm"),
+         ("--embedding-dim", "-1", "embedding_dims"), ("--embedding-dim", "0", "embedding_dims")],
+    )
+    def test_bad_setting_names_its_field(self, tmp_path, prepared_dir, option, value, field, capsys):
+        args = _small_train_args(prepared_dir, tmp_path / "m.ckpt") + [option, value]
+        assert main(args) == 2
+        err = capsys.readouterr().err
+        assert field in err and "internal error" not in err
+        assert not (tmp_path / "m.ckpt").exists()
 
     def test_unknown_variant_usage_error(self, tmp_path, prepared_dir, capsys):
         with pytest.raises(SystemExit) as e:

@@ -345,6 +345,14 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             MeanShiftConfig(bandwidth_m=0)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("bandwidth_m", math.nan), ("bandwidth_m", math.inf), ("merge_radius_m", math.nan), ("merge_radius_m", -1.0)],
+    )
+    def test_not_finite_and_positive(self, field, value):
+        with pytest.raises(ValueError, match="finite and > 0"):
+            MeanShiftConfig(**{field: value})
+
 
 class TestClusterIO:
     def test_round_trip_bit_exact(self, tmp_path):

@@ -16,6 +16,7 @@ from taxidest.data import (
     CsvParseError,
     DataError,
     MetadataVocab,
+    PrefixExample,
     PrefixSampler,
     TrainRecord,
     build_vocab,
@@ -335,6 +336,44 @@ class TestSamplePrefix:
         recs[0].missing_data = True
         with pytest.raises(DataError):
             PrefixSampler(recs)
+
+
+def reference_sample(records, rng):
+    """The former scalar ``PrefixSampler.sample``: one draw and one
+    ``searchsorted`` per (record, cut) pair."""
+    cum = np.cumsum([len(r.polyline) for r in records])
+    u = int(rng.integers(cum[-1]))
+    idx = int(np.searchsorted(cum, u, side="right"))
+    start = 0 if idx == 0 else int(cum[idx - 1])
+    return records[idx], u - start + 1
+
+
+class TestSampleBatch:
+    """``sample(rng, n)`` against ``n`` scalar draws: the same records, the
+    same cuts, and the generator left in the same state."""
+
+    @pytest.mark.parametrize("n", [1, 200])
+    @pytest.mark.parametrize("lengths", [[3, 1, 7, 2, 5, 1, 40], [6], [1]], ids=["pool", "one", "one-point"])
+    def test_matches_scalar_draws(self, lengths, n):
+        sampler = PrefixSampler(make_records(lengths, np.random.default_rng(0)))
+        rng, ref_rng = np.random.default_rng(5), np.random.default_rng(5)
+        for _ in range(3):  # successive batches from one generator
+            got = sampler.sample(rng, n)
+            want = [reference_sample(sampler.records, ref_rng) for _ in range(n)]
+            assert [(id(ex.record), ex.cut) for ex in got] == [(id(r), cut) for r, cut in want]
+            assert all(type(ex.cut) is int for ex in got)
+            assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+    def test_without_size_one_example(self):
+        rng = np.random.default_rng(0)
+        recs = make_records([int(n) for n in rng.integers(1, 60, size=50)], rng)
+        sampler = PrefixSampler(recs)
+        rng, ref_rng = np.random.default_rng(9), np.random.default_rng(9)
+        for _ in range(100):
+            ex = sampler.sample(rng)
+            rec, cut = reference_sample(sampler.records, ref_rng)
+            assert isinstance(ex, PrefixExample) and ex.record is rec and ex.cut == cut and type(ex.cut) is int
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
 class TestSplitDataset:

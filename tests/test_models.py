@@ -88,6 +88,12 @@ class TestBuildModel:
         with pytest.raises(ValueError, match="mlp_clusters"):
             ModelConfig(variant="transformer")
 
+    @pytest.mark.parametrize("value", [0, -1])
+    def test_embedding_dim_below_one_names_the_field(self, value):
+        dims = {f: 2 for f in EMBEDDING_FIELDS} | {"taxi": value}
+        with pytest.raises(ValueError, match=rf"embedding_dims\['taxi'\] must be >= 1, got {value}"):
+            ModelConfig(variant="mlp_no_embed", embedding_dims=dims)
+
     @pytest.mark.parametrize("field", ["memory_m", "memory_batch"])
     @pytest.mark.parametrize("value", [0, -3])
     def test_memory_sizes_must_be_positive(self, field, value):
@@ -214,7 +220,7 @@ class TestPackedRecurrentBatch:
 class TestMemoryNetwork:
     def _candidates(self, model, rng, n):
         recs = make_records([3] * n, rng)
-        return candidates_from_records(recs, model.config, model.stats, model.vocab)
+        return candidates_from_records(recs)
 
     def test_query_input_recorded_before_candidates(self):
         # Backward sums the shared embedding gradients in reverse tape order;
@@ -307,7 +313,7 @@ class TestPredictChunks:
         cands = None
         if variant == "memory_net":
             recs = make_records([3] * 5, rng)
-            cands = candidates_from_records(recs, model.config, model.stats, model.vocab)
+            cands = candidates_from_records(recs)
         whole = forward(model, batch, None, cands).data
         monkeypatch.setattr(models, "PREDICT_CHUNK", 3)
         pred = predict(model, batch, cands)
@@ -318,7 +324,7 @@ class TestPredictChunks:
         rng = np.random.default_rng(25)
         model = tiny_model("memory_net")
         batch = tiny_batch(model, rng, n=7)
-        cands = candidates_from_records(make_records([3] * 4, rng), model.config, model.stats, model.vocab)
+        cands = candidates_from_records(make_records([3] * 4, rng))
         monkeypatch.setattr(models, "PREDICT_CHUNK", 2)
         encoded = []
         memory = models._candidate_memory

@@ -105,14 +105,42 @@ class TestEvaluate:
             evaluate(single_center_model(), [])
 
 
+class TestFixedPrefixExamples:
+    """One array draw against the former loop of one scalar draw per ride:
+    the same cuts, in order, and the generator left in the same state."""
+
+    @pytest.mark.parametrize("lengths", [[], [1], [1, 1, 1], [3, 1, 7, 2, 5, 1, 40], list(range(1, 300))])
+    def test_matches_one_scalar_draw_per_ride(self, lengths):
+        recs = make_records(lengths, np.random.default_rng(0))
+        rng, ref_rng = np.random.default_rng(4), np.random.default_rng(4)
+        for _ in range(2):  # validation, then test, from one generator
+            got = fixed_prefix_examples(recs, rng)
+            want = [int(ref_rng.integers(1, len(r.polyline) + 1)) for r in recs]
+            assert [ex.record for ex in got] == recs and [ex.cut for ex in got] == want
+            assert all(type(ex.cut) is int for ex in got)
+            assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+class TestTrainConfig:
+    @pytest.mark.parametrize(
+        "field, value",
+        [("learning_rate", math.nan), ("learning_rate", math.inf), ("learning_rate", -0.1),
+         ("clip_norm", math.nan), ("clip_norm", math.inf), ("clip_norm", 0.0), ("clip_norm", -1.0)],
+    )
+    def test_rejects(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            TrainConfig(**{field: value})
+
+    def test_accepts_zero_learning_rate_and_no_clip(self):
+        assert TrainConfig(learning_rate=0.0, clip_norm=None).clip_norm is None
+
+
 class TestTrainLoop:
     def _setup(self, n=20, seed=32):
         rng = np.random.default_rng(seed)
         recs = make_records([int(rng.integers(2, 8)) for _ in range(n)], rng)
         model = tiny_model("mlp_clusters")
-        val = fixed_prefix_examples(
-            recs[:5], model.config.k, model.stats, model.vocab, np.random.default_rng(1)
-        )
+        val = fixed_prefix_examples(recs[:5], np.random.default_rng(1))
         return model, recs, val
 
     def test_zero_lr_leaves_parameters_and_history_flat(self):
@@ -185,9 +213,7 @@ class TestTrainLoop:
         rng = np.random.default_rng(35)
         recs = make_records([int(rng.integers(2, 6)) for _ in range(15)], rng)
         model = tiny_model("memory_net", memory_m=6)
-        val = fixed_prefix_examples(
-            recs[:4], model.config.k, model.stats, model.vocab, np.random.default_rng(2)
-        )
+        val = fixed_prefix_examples(recs[:4], np.random.default_rng(2))
         cfg = TrainConfig(batch_size=3, max_batches=4, validate_every=2, patience=99, seed=3)
         report = train(model, recs, val, cfg)
         assert len(report.history) == 2
@@ -198,9 +224,7 @@ class TestTrainLoop:
         rng = np.random.default_rng(35)
         recs = make_records([int(rng.integers(2, 6)) for _ in range(15)], rng)
         model = tiny_model("memory_net", memory_m=6)
-        val = fixed_prefix_examples(
-            recs[:4], model.config.k, model.stats, model.vocab, np.random.default_rng(2)
-        )
+        val = fixed_prefix_examples(recs[:4], np.random.default_rng(2))
         return model, recs, val
 
     def test_batch_tape_released_before_validation(self, monkeypatch):
@@ -234,9 +258,7 @@ class TestTrainLoop:
         rng = np.random.default_rng(36)
         recs = make_records([int(rng.integers(2, 8)) for _ in range(12)], rng)
         model = tiny_model("brnn")
-        val = fixed_prefix_examples(
-            recs[:4], model.config.k, model.stats, model.vocab, np.random.default_rng(3)
-        )
+        val = fixed_prefix_examples(recs[:4], np.random.default_rng(3))
         cfg = dict(batch_size=5, max_batches=4, validate_every=2, patience=99)
         # Gradient norms here are about 0.4, so a limit of 0.01 clips every batch.
         clipped = train(model, recs, val, TrainConfig(**cfg, clip_norm=0.01))
@@ -249,7 +271,7 @@ class TestTrainLoop:
         """mlp_direct at learning rate 1e4: the loss is NaN by the third batch."""
         _, recs, _ = self._setup()
         model = tiny_model("mlp_direct")
-        val = fixed_prefix_examples(recs[:5], model.config.k, model.stats, model.vocab, np.random.default_rng(1))
+        val = fixed_prefix_examples(recs[:5], np.random.default_rng(1))
         path = tmp_path / "model.ckpt"
         base = dict(learning_rate=1e4, batch_size=4, max_batches=8, validate_every=1, patience=99)
         base.update(cfg)
@@ -310,7 +332,7 @@ class TestTrainLoop:
         # times clip_norm when it clips, nearly all in the planted element.
         model = tiny_model("mlp_clusters", dtype="float32")
         _, recs, _ = self._setup()
-        val = fixed_prefix_examples(recs[:5], model.config.k, model.stats, model.vocab, np.random.default_rng(1))
+        val = fixed_prefix_examples(recs[:5], np.random.default_rng(1))
         before = {n: p.value.copy() for n, p in model.params.items()}
         self._planting(monkeypatch, model.params, 1e20)
         cfg = TrainConfig(batch_size=4, max_batches=1, validate_every=2, patience=99, clip_norm=clip_norm)
@@ -361,7 +383,7 @@ class TestStepMatchesReference:
         for step in (self.reference_step, training.nncore.sgd_momentum_step):
             monkeypatch.setattr(training.nncore, "sgd_momentum_step", step)
             model = tiny_model(variant, dtype="float32", memory_m=6)
-            val = fixed_prefix_examples(recs[:4], model.config.k, model.stats, model.vocab, np.random.default_rng(2))
+            val = fixed_prefix_examples(recs[:4], np.random.default_rng(2))
             runs.append((train(model, recs, val, cfg), model))
         (ref_report, ref), (report, model) = runs
         assert report == ref_report and report.stop_reason == "max_batches"
