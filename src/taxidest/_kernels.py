@@ -1,8 +1,9 @@
-"""Hot numeric kernels, in numpy.
+"""Numeric kernels, in numpy.
 
-Two kernels dominate runtime: the mean-shift seed iteration over a spatial
-grid index (clustering 1.7M destinations) and the row scatter-add that
-accumulates embedding gradients every training batch.
+The mean-shift seed iteration over a spatial grid index dominates
+clustering (1.7M destinations at Porto size).  The row scatter-add that
+accumulates embedding gradients runs every training batch but is cheap:
+traced, about 0.3 ms of a 38 ms mlp_clusters batch of 200.
 """
 
 from __future__ import annotations

@@ -429,6 +429,8 @@ _CACHE = _container.Format(
 #: Integer columns, one row per record, all int64; then the points.
 _META_COLUMNS = ("call_type", "origin_call", "origin_stand", "taxi_id", "timestamp", "missing")
 _Column = NamedTuple("_Column", [("name", str), ("value", np.ndarray)])
+#: Records that :func:`load_records` converts to Python values at a time.
+_LOAD_BLOCK = 4096
 
 
 def save_records(records: Sequence[TrainRecord], path) -> None:
@@ -483,19 +485,23 @@ def load_records(path) -> list[TrainRecord]:
         raise DataError(f"{path}: the offsets do not start at 0 and never fall")
     if (cols["call_type"] >= len(CALL_TYPES)).any():
         raise DataError(f"{path}: a call type code is not below {len(CALL_TYPES)}")
-    bounds = offsets.tolist()
-    return [
-        TrainRecord(
-            trip_id=tid,
-            call_type=CALL_TYPES[ct],
-            origin_call=None if oc == -1 else oc,
-            origin_stand=None if os_ == -1 else os_,
-            taxi_id=taxi,
-            timestamp=ts,
-            missing_data=bool(missing),
-            polyline=points[start:end],
-        )
-        for tid, ct, oc, os_, taxi, ts, missing, start, end in zip(
-            trip_ids, *(cols[name].tolist() for name in _META_COLUMNS), bounds[:-1], bounds[1:]
-        )
-    ]
+    records = []
+    for lo in range(0, n, _LOAD_BLOCK):  # no whole-column lists alive at once
+        hi = min(lo + _LOAD_BLOCK, n)
+        bounds = offsets[lo : hi + 1].tolist()
+        records += [
+            TrainRecord(
+                trip_id=tid,
+                call_type=CALL_TYPES[ct],
+                origin_call=None if oc == -1 else oc,
+                origin_stand=None if os_ == -1 else os_,
+                taxi_id=taxi,
+                timestamp=ts,
+                missing_data=bool(missing),
+                polyline=points[start:end],
+            )
+            for tid, ct, oc, os_, taxi, ts, missing, start, end in zip(
+                trip_ids[lo:hi], *(cols[name][lo:hi].tolist() for name in _META_COLUMNS), bounds[:-1], bounds[1:]
+            )
+        ]
+    return records

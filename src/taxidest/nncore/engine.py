@@ -1,16 +1,20 @@
 """Tape-based reverse-mode automatic differentiation over numpy buffers.
 
 The tape records every operation node in execution order; backward walks
-the list in exact reverse, once per node, accumulating gradients into the
-input tensors of each node.  A backward rule that builds a fresh array for
-one input hands it over (``Tensor.accumulate_owned``), and on first write
-that array becomes the input's gradient without a copy; a gradient that
-something else still holds (the output's own, or a view of it) is added
-with ``Tensor.accumulate``, which copies on first write.  So no two tensors
-ever share a gradient buffer.  Graphs are rebuilt per batch and nothing is
-cached between batches.  Most ops are single primitives; ``lstm_cell`` is
-one fused node per step with a hand-written backward.  Single precision is
-the training default, double precision exists for gradient-check tests.
+the list in exact reverse, once per node.  It takes each node's output
+gradient off the output before it calls the node's rule, so the rule owns
+that array: it may compute in it, hand it to an input, or drop it, and an
+intermediate gradient is freed as soon as its rule is done with it.  Only
+leaves keep their gradients after backward: parameters and tensors that no
+node produced.  A rule accumulates into its inputs: an array it owns (its
+``g`` or one it built) is handed over with ``Tensor.accumulate_owned`` and
+on first write becomes the input's gradient without a copy; an array it
+still reads, or a view of one, is added with ``Tensor.accumulate``, which
+copies on first write.  So no two tensors ever share a gradient buffer.
+Graphs are rebuilt per batch and nothing is cached between batches.  Most
+ops are single primitives; ``lstm_cell`` is one fused node per step with a
+hand-written backward.  Single precision is the training default, double
+precision exists for gradient-check tests.
 """
 
 from __future__ import annotations
@@ -120,10 +124,13 @@ class Tape:
         self.nodes.append(_Node(output, backward_fn))
 
     def backward(self, loss: Tensor) -> None:
-        """Accumulate d(loss)/d(input) into every tensor reachable from ``loss``.
+        """Accumulate d(loss)/d(leaf) into every leaf reachable from ``loss``.
 
-        Parameters keep pre-allocated zero gradients, so parameters not on
-        the loss path simply stay at zero.
+        Each node's rule receives its output's gradient and owns it: the
+        output's ``grad`` is set to ``None`` first, so after backward only
+        leaves (parameters and tensors that no node produced) hold
+        gradients.  Parameters keep pre-allocated zero gradients, so
+        parameters not on the loss path simply stay at zero.
         """
         if loss.data.size != 1:
             raise ValueError(f"backward requires a scalar loss, got shape {loss.data.shape}")
@@ -131,8 +138,10 @@ class Tape:
         self.backward_visits = 0
         for node in reversed(self.nodes):
             self.backward_visits += 1
-            g = node.output.grad
+            out = node.output
+            g = out.grad
             if g is not None:
+                out.grad = None
                 node.backward_fn(g)
 
 

@@ -2,14 +2,20 @@
 
 Every op takes the tape first (``None`` skips recording, for inference),
 then Tensors for differentiable arguments and plain arrays or scalars for
-constants.  Backward rules accumulate into input tensors: an array built
-for one input is handed over with ``Tensor.accumulate_owned`` and may
-become that input's gradient without a copy; the upstream gradient itself,
-or a view of it, goes through ``Tensor.accumulate``, which copies on first
-write.  Constants never receive gradients.
+constants.  A backward rule receives its output's gradient ``g`` and owns
+it: the tape has already taken it off the output.  So a rule may compute
+in ``g`` and hand it to one input with ``Tensor.accumulate_owned``, where
+on first write it becomes that input's gradient without a copy; an array
+built for one input is handed over the same way.  Only a view of ``g``, or
+``g`` when the rule still reads it afterwards, goes through
+``Tensor.accumulate``, which copies on first write.  Every value is the
+plain formula's bit for bit; only the buffers differ.  Constants never
+receive gradients.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -66,8 +72,9 @@ def add_bias(tape: Tape, x: Tensor, b: Tensor) -> Tensor:
     out = Tensor(x.data + b.data)
     if tape is not None:
         def bwd(g):
-            x.accumulate(g)
-            b.accumulate_owned(g.sum(axis=0))
+            db = g.sum(axis=0)
+            x.accumulate_owned(g)
+            b.accumulate_owned(db)
         tape.record(out, bwd)
     return out
 
@@ -84,9 +91,14 @@ def relu(tape: Tape, x: Tensor) -> Tensor:
     if tape is not None:
         mask = x.data > 0  # subgradient at exactly 0 is 0
         def bwd(g):
-            x.accumulate_owned(g * mask)
+            g *= mask
+            x.accumulate_owned(g)
         tape.record(out, bwd)
     return out
+
+
+#: Elements of ``g * y`` that softmax's backward forms at a time.
+_SOFTMAX_BLOCK = 1 << 15
 
 
 def softmax(tape: Tape, x: Tensor) -> Tensor:
@@ -97,11 +109,17 @@ def softmax(tape: Tape, x: Tensor) -> Tensor:
     out = Tensor(y)
     if tape is not None:
         def bwd(g):
-            # y * (g - sum(g * y)) in one buffer, bit for bit.
-            t = g * y
-            np.subtract(g, t.sum(axis=-1, keepdims=True), out=t)
-            t *= y
-            x.accumulate_owned(t)
+            # y * (g - sum(g * y)) in g's own buffer, bit for bit; the row
+            # sums are taken a block of rows at a time, in one small buffer.
+            gs, ys = (g[None], y[None]) if g.ndim == 1 else (g, y)
+            step = max(1, _SOFTMAX_BLOCK // math.prod(gs.shape[1:]))
+            t = np.empty_like(gs[:step])
+            for i in range(0, len(gs), step):
+                gb, yb = gs[i : i + step], ys[i : i + step]
+                tb = np.multiply(gb, yb, out=t[: len(gb)])
+                np.subtract(gb, tb.sum(axis=-1, keepdims=True), out=gb)
+                gb *= yb
+            x.accumulate_owned(g)
         tape.record(out, bwd)
     return out
 
@@ -174,7 +192,7 @@ def concat_rows(
         def bwd(g):
             for part, ix, take in zip(parts, row_indices, part_rows):
                 if take == slice(None):
-                    part.accumulate(g[ix])
+                    part.accumulate_owned(g[ix])
                 else:
                     part.ensure_grad()[take] += g[ix]
         tape.record(out, bwd)
@@ -220,7 +238,7 @@ def add(tape: Tape, a: Tensor, b: Tensor) -> Tensor:
     if tape is not None:
         def bwd(g):
             a.accumulate(g)
-            b.accumulate(g)
+            b.accumulate_owned(g)
         tape.record(out, bwd)
     return out
 
@@ -230,8 +248,9 @@ def sub(tape: Tape, a: Tensor, b: Tensor) -> Tensor:
     out = Tensor(a.data - b.data)
     if tape is not None:
         def bwd(g):
-            a.accumulate(g)
-            b.accumulate_owned(-g)
+            neg = -g
+            a.accumulate_owned(g)
+            b.accumulate_owned(neg)
         tape.record(out, bwd)
     return out
 
@@ -242,7 +261,8 @@ def mul(tape: Tape, a: Tensor, b: Tensor) -> Tensor:
     if tape is not None:
         def bwd(g):
             a.accumulate_owned(g * b.data)
-            b.accumulate_owned(g * a.data)
+            g *= a.data
+            b.accumulate_owned(g)
         tape.record(out, bwd)
     return out
 
@@ -251,7 +271,8 @@ def scale(tape: Tape, x: Tensor, c: float) -> Tensor:
     out = Tensor(x.data * float(c))
     if tape is not None:
         def bwd(g):
-            x.accumulate_owned(g * float(c))
+            g *= float(c)
+            x.accumulate_owned(g)
         tape.record(out, bwd)
     return out
 
@@ -261,7 +282,7 @@ def add_const(tape: Tape, x: Tensor, c) -> Tensor:
     out = Tensor(x.data + c)
     if tape is not None:
         def bwd(g):
-            x.accumulate(g)
+            x.accumulate_owned(g)
         tape.record(out, bwd)
     return out
 
@@ -273,7 +294,8 @@ def affine_const(tape: Tape, x: Tensor, mul_c, add_c) -> Tensor:
     out = Tensor(x.data * mul_c + add_c)
     if tape is not None:
         def bwd(g):
-            x.accumulate_owned(g * mul_c)
+            g *= mul_c
+            x.accumulate_owned(g)
         tape.record(out, bwd)
     return out
 
@@ -416,7 +438,7 @@ def lstm_cell(
     c = _CellState(c_data, h)
     if tape is not None:
         def bwd(dh):
-            dc = c.grad
+            dc, c.grad = c.grad, None
             d_tanh_c = dh * o_g
             d_tanh_c *= 1.0 - tanh_c * tanh_c
             if dc is not None:

@@ -13,6 +13,7 @@ from conftest import make_records
 from taxidest import models
 from taxidest.clustering import ClusterSet
 from taxidest.data import (
+    CALL_TYPES,
     CsvParseError,
     DataError,
     MetadataVocab,
@@ -483,6 +484,23 @@ class TestRecordCache:
             assert a.taxi_id == b.taxi_id
             assert a.timestamp == b.timestamp
             assert a.missing_data == b.missing_data
+            np.testing.assert_array_equal(a.polyline, b.polyline)
+
+    def test_round_trip_across_load_blocks(self, tmp_path):
+        rng = np.random.default_rng(3)
+        n = 2 * 4096 + 5  # load_records converts 4096 records at a time
+        recs = make_records(rng.integers(1, 4, size=n).tolist(), rng)
+        for i, r in enumerate(recs):
+            r.origin_call = None if i % 3 else i
+            r.origin_stand = i % 7 or None
+            r.call_type = CALL_TYPES[i % 3]
+            r.taxi_id, r.timestamp, r.missing_data = i, r.timestamp + i, i % 2 == 0
+        path = tmp_path / "cache.bin"
+        save_records(recs, path)
+        loaded = load_records(path)
+        fields = ("trip_id", "call_type", "origin_call", "origin_stand", "taxi_id", "timestamp", "missing_data")
+        assert [[getattr(r, f) for f in fields] for r in loaded] == [[getattr(r, f) for f in fields] for r in recs]
+        for a, b in zip(recs, loaded):
             np.testing.assert_array_equal(a.polyline, b.polyline)
 
     def _saved(self, tmp_path):

@@ -1,6 +1,7 @@
 """Autodiff engine and neural building blocks, each against its oracle."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -627,11 +628,40 @@ def reference_softmax_grad(y, g):
 
 
 def backward_from(tape, out, g):
-    """Run ``tape`` backward from the upstream gradient ``g`` of ``out``."""
+    """Run ``tape`` backward from the upstream gradient ``g`` of ``out``,
+    handing each rule its output's gradient as ``Tape.backward`` does."""
     out.grad = g
     for node in reversed(tape.nodes):
-        if node.output.grad is not None:
-            node.backward_fn(node.output.grad)
+        upstream, node.output.grad = node.output.grad, None
+        if upstream is not None:
+            node.backward_fn(upstream)
+
+
+def capture_upstream(tape, tensors):
+    """Wrap the backward rules of the nodes that produced ``tensors``; the
+    returned list fills with a copy of the gradient each rule receives, in
+    the order of ``tensors``."""
+    seen = [None] * len(tensors)
+    for node in tape.nodes:
+        for i, t in enumerate(tensors):
+            if node.output is t:
+                def wrapped(g, fn=node.backward_fn, i=i):
+                    seen[i] = g.copy()
+                    fn(g)
+                node.backward_fn = wrapped
+    return seen
+
+
+def copying_backward(tape, loss, monkeypatch):
+    """The gradients with no buffer handed over: every rule gets a private
+    copy of its output's gradient, every input a private copy of what it is
+    given, and every node output keeps its gradient."""
+    with monkeypatch.context() as m:
+        m.setattr(Tensor, "accumulate_owned", Tensor.accumulate)
+        loss.accumulate(np.ones_like(loss.data))
+        for node in reversed(tape.nodes):
+            if node.output.grad is not None:
+                node.backward_fn(node.output.grad.copy())
 
 
 def assert_no_shared_gradients(tensors):
@@ -722,22 +752,81 @@ class TestGradientHandover:
         sr = add(tape, s, r)
         m = matmul(tape, sr, w.tensor)
         loss = mean_all(tape, mul(tape, m, m))
+        upstream = capture_upstream(tape, [s, r])
         tape.backward(loss)
-        assert_no_shared_gradients([x, s, r, sr, m, w.tensor, loss] + [n.output for n in tape.nodes])
+        assert tape.backward_visits == len(tape.nodes)
+        assert all(n.output.grad is None for n in tape.nodes)
+        assert_no_shared_gradients([x, w.tensor])
+        gs, gr = upstream
+        np.testing.assert_array_equal(gs, gr)  # add passes one gradient to both
         y = reference_softmax(x.data)
-        np.testing.assert_array_equal(x.grad, reference_softmax_grad(y, s.grad) + r.grad * (x.data > 0))
+        np.testing.assert_array_equal(x.grad, reference_softmax_grad(y, gs) + gr * (x.data > 0))
 
     @pytest.mark.parametrize("variant", ["memory_net", "brnn", "mlp_clusters"])
-    def test_no_model_gradients_share_memory(self, variant):
-        rng = np.random.default_rng(65)
-        model = tiny_model(variant)
-        batch = tiny_batch(model, rng, n=5, max_len=6)
-        cands = tiny_batch(model, rng, n=7) if variant == "memory_net" else None
+    def test_no_model_gradients_share_memory(self, variant, monkeypatch):
+        def build():
+            rng = np.random.default_rng(65)
+            model = tiny_model(variant)
+            batch = tiny_batch(model, rng, n=5, max_len=6)
+            cands = tiny_batch(model, rng, n=7) if variant == "memory_net" else None
+            tape = Tape()
+            return model, tape, training.loss_batch(model, batch, tape, cands)
+
+        model, tape, loss = build()
+        tape.backward(loss)
+        assert tape.backward_visits == len(tape.nodes)
+        assert all(n.output.grad is None for n in tape.nodes)
+        assert_no_shared_gradients([p.tensor for p in model.parameters()])
+        ref_model, ref_tape, ref_loss = build()
+        copying_backward(ref_tape, ref_loss, monkeypatch)
+        assert all(n.output.grad is not None for n in ref_tape.nodes)  # every node is on the loss path
+        for p, q in zip(model.parameters(), ref_model.parameters()):
+            np.testing.assert_array_equal(p.grad, q.grad)
+
+    def test_cell_state_gradient_freed_by_its_step(self):
+        rng = np.random.default_rng(69)
+        wx = Parameter("wx", rng.normal(0, 0.4, size=(2, 12)))
+        wh = Parameter("wh", rng.normal(0, 0.4, size=(3, 12)))
+        b = Parameter("b", rng.normal(0, 0.2, size=12))
+        h0, c0 = Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 3)))
         tape = Tape()
-        tape.backward(training.loss_batch(model, batch, tape, cands))
-        outputs = [n.output for n in tape.nodes]
-        assert all(t.grad is not None for t in outputs)
-        assert_no_shared_gradients(outputs + [p.tensor for p in model.parameters()])
+        h, c, states = h0, c0, []
+        for _ in range(3):
+            h, c = lstm_cell(tape, Tensor(rng.normal(size=(2, 2))), h, c, wx.tensor, wh.tensor, b.tensor)
+            states += [h, c]
+        tape.backward(add(tape, sum_of(tape, h), sum_of(tape, c)))
+        assert all(t.grad is None for t in states)
+        assert h0.grad is not None and c0.grad is not None
+
+    @pytest.mark.parametrize("shape", [(300, 2048), (7, 40000), (5000,), (3, 4, 9000)])
+    def test_softmax_row_blocks_equal_one_pass(self, shape):
+        rng = np.random.default_rng(67)
+        x = Tensor(rng.normal(scale=4, size=shape).astype(np.float32))
+        g = rng.normal(size=shape).astype(np.float32)
+        tape = Tape()
+        out = softmax(tape, x)
+        backward_from(tape, out, g.copy())
+        np.testing.assert_array_equal(x.grad, reference_softmax_grad(out.data, g))
+
+    def test_memory_net_backward_frees_intermediate_gradients(self):
+        rows, cands = 128, 2048
+        rng = np.random.default_rng(68)
+        model = tiny_model("memory_net", dtype="float32")
+        batch = tiny_batch(model, rng, n=rows, max_len=6)
+        memory = tiny_batch(model, rng, n=cands)
+        tape = Tape()
+        loss = training.loss_batch(model, batch, tape, memory)
+        unit = rows * cands * 4  # one B x M float32 buffer
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            tape.backward(loss)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert (peak - before) / unit <= 1.5
+        assert (held - before) / unit <= 0.25
 
     def test_cell_state_taking_a_handed_over_gradient_runs_its_cell(self):
         rng = np.random.default_rng(66)
