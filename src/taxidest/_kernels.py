@@ -36,9 +36,9 @@ def scatter_add_rows(out: np.ndarray, idx: np.ndarray, rows: np.ndarray) -> None
 #
 # Points and seeds are (lat, lon) in degrees, float64.  Distances are
 # equirectangular meters with the per-pair mean latitude, matching the
-# training loss metric.  The grid is an over-approximating index only:
-# cell size >= bandwidth in both axes, so the 3x3 neighborhood of a seed's
-# cell is a superset of its bandwidth ball; exact distances filter inside.
+# training loss metric.  The grid iterate_seeds searches has cells a
+# bandwidth wide in both axes, so the 3x3 neighborhood of a seed's cell is
+# a superset of its bandwidth ball; exact distances filter inside.
 
 #: Most (position, candidate point) pairs one chunk of a neighbour gather
 #: holds; bounds each chunk's temporaries at 512 KB per float64 array.  A
@@ -54,19 +54,20 @@ _DC = np.tile(np.arange(-1, 2, dtype=np.int64), 3)
 
 
 class GridIndex:
-    """CSR-style spatial grid over points, cell size >= bandwidth."""
+    """CSR-style spatial grid over points, cells at least ``cell_m`` wide;
+    ``order`` lists them cell by cell, in input order inside a cell."""
 
-    def __init__(self, lat: np.ndarray, lon: np.ndarray, bandwidth_m: float, radius_m: float):
+    def __init__(self, lat: np.ndarray, lon: np.ndarray, cell_m: float, radius_m: float):
         self.lat = np.ascontiguousarray(lat, dtype=np.float64)
         self.lon = np.ascontiguousarray(lon, dtype=np.float64)
         self.lat0 = float(self.lat.min())
         self.lon0 = float(self.lon.min())
-        # Degrees per bandwidth; longitude scaled at the coarsest (widest)
-        # latitude in range so cells never under-cover the metric ball.
-        self.cell_lat = bandwidth_m / radius_m / _DEG2RAD
+        # Degrees per cell; longitude scaled at the coarsest (widest)
+        # latitude in range so no cell is narrower than cell_m.
+        self.cell_lat = cell_m / radius_m / _DEG2RAD
         max_abs_lat = float(np.max(np.abs(self.lat)))
         cos_floor = max(math.cos(min(max_abs_lat * _DEG2RAD, math.radians(89.0))), 1e-3)
-        self.cell_lon = bandwidth_m / (radius_m * cos_floor) / _DEG2RAD
+        self.cell_lon = cell_m / (radius_m * cos_floor) / _DEG2RAD
 
         row = np.floor((self.lat - self.lat0) / self.cell_lat).astype(np.int64)
         col = np.floor((self.lon - self.lon0) / self.cell_lon).astype(np.int64)

@@ -65,7 +65,6 @@ def _build_parser() -> _Parser:
     sp.add_argument("--bandwidth", type=float, default=500.0, help="meters")
     sp.add_argument("--merge-radius", type=float, default=250.0, help="meters")
     sp.add_argument("--max-iter", type=int, default=100)
-    sp.add_argument("--seed-subsample", type=int, default=None)
     sp.add_argument("--out", required=True, help="cluster CSV path")
 
     sp = sub.add_parser("train", help="train a destination model")
@@ -196,7 +195,6 @@ def _cmd_cluster(args) -> int:
         bandwidth_m=args.bandwidth,
         max_iterations=args.max_iter,
         merge_radius_m=args.merge_radius,
-        seed_subsample=args.seed_subsample,
     )
     train_records = _load_prepared(args.data).train
     dests = np.array([r.polyline[-1] for r in train_records], dtype=np.float64)

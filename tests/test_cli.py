@@ -359,6 +359,16 @@ class TestTrain:
         assert rc == 2
         assert str(cut) in capsys.readouterr().err
 
+    def test_non_finite_cluster_centre_fails(self, tmp_path, prepared_dir, cluster_csv, capsys):
+        bad = tmp_path / "nan.csv"
+        bad.write_text(cluster_csv.read_text() + "nan,-8.6\n")
+        rc = main(
+            ["train", "--data", str(prepared_dir), "--clusters", str(bad), "--out", str(tmp_path / "x.ckpt")]
+        )
+        assert rc == 2
+        assert str(bad) in capsys.readouterr().err
+        assert not (tmp_path / "x.ckpt").exists()
+
     @pytest.mark.parametrize("variant", ["memory_net", "mlp_direct"])
     def test_default_batch(self, tmp_path, prepared_dir, monkeypatch, variant):
         """memory_net's default batch is ModelConfig.memory_batch, here set to

@@ -96,6 +96,33 @@ def reference_window_members(grid, lat_r, lon_r, y_lat, y_lon, bw2):
     return cand[within]
 
 
+def reference_cell_seeds(pts, bandwidth_m):
+    """The first point, in input order, of each occupied cell of a grid with
+    cells half the bandwidth wide; longitude cells are sized at the largest
+    |lat|, as in the kernels' grid."""
+    deg = math.pi / 180.0
+    cell_lat = bandwidth_m / 2 / R / deg
+    cell_lon = bandwidth_m / 2 / (R * math.cos(float(np.abs(pts[:, 0]).max()) * deg)) / deg
+    lat0, lon0 = pts[:, 0].min(), pts[:, 1].min()
+    first = {}
+    for lat, lon in pts:
+        first.setdefault((math.floor((lat - lat0) / cell_lat), math.floor((lon - lon0) / cell_lon)), (lat, lon))
+    return np.array(list(first.values()))
+
+
+def spy_seeds(monkeypatch):
+    """Record the seeds of every ``_kernels.iterate_seeds`` call."""
+    seen = []
+    iterate_seeds = _kernels.iterate_seeds
+
+    def spy(grid, seeds_lat, seeds_lon, *args):
+        seen.append(np.column_stack([seeds_lat, seeds_lon]))
+        return iterate_seeds(grid, seeds_lat, seeds_lon, *args)
+
+    monkeypatch.setattr(_kernels, "iterate_seeds", spy)
+    return seen
+
+
 def reference_merge_modes(modes, merge_radius_m):
     """Greedy merge checking each mode against every accepted one."""
     uniq, first_idx, counts = np.unique(modes, axis=0, return_index=True, return_counts=True)
@@ -177,12 +204,22 @@ class TestMeanShift:
         b = mean_shift(pts, MeanShiftConfig())
         np.testing.assert_array_equal(a.centers, b.centers)
 
-    def test_seed_subsample(self):
-        rng = np.random.default_rng(7)
-        b1, b2 = two_blobs(rng)
-        cfg = MeanShiftConfig(bandwidth_m=500, seed_subsample=50)
-        cs = mean_shift(np.concatenate([b1, b2]), cfg)
-        assert cs.count == 2
+    def test_default_seeds_are_first_point_per_half_bandwidth_cell(self, monkeypatch):
+        seen = spy_seeds(monkeypatch)
+        pts = blobs_and_background(seed=19, n_background=300)
+        mean_shift(pts, MeanShiftConfig(bandwidth_m=400, merge_radius_m=300))
+        want = reference_cell_seeds(pts, 400.0)
+        assert len(seen) == 1 and 1 < len(want) < len(pts)
+        assert_bit_identical(seen[0], want)
+
+    def test_seed_count_bounded_by_area(self, monkeypatch):
+        # 250 m cells over a 1 km square: at most 4 + 2 cells per axis
+        # whatever the alignment, however many points.
+        seen = spy_seeds(monkeypatch)
+        rng = np.random.default_rng(20)
+        pts = meters_to_latlon(rng.uniform(0, 1000, 20_000), rng.uniform(0, 1000, 20_000))
+        mean_shift(pts, MeanShiftConfig(bandwidth_m=500))
+        assert len(seen[0]) <= (1000 // 250 + 2) ** 2
 
     def test_geopoint_input(self):
         pts = [GeoPoint(41.15, -8.61), GeoPoint(41.1501, -8.6101)]
@@ -332,7 +369,8 @@ class TestMergeModes:
         pts = blobs_and_background(seed=18, n_background=400)
         cfg = MeanShiftConfig(bandwidth_m=400, merge_radius_m=300)
         grid = _kernels.GridIndex(pts[:, 0], pts[:, 1], cfg.bandwidth_m, R)
-        modes, _ = reference_iterate_seeds(grid, pts[:, 0], pts[:, 1], cfg.bandwidth_m, cfg.max_iterations, R)
+        seeds = reference_cell_seeds(pts, cfg.bandwidth_m)
+        modes, _ = reference_iterate_seeds(grid, seeds[:, 0], seeds[:, 1], cfg.bandwidth_m, cfg.max_iterations, R)
         assert_bit_identical(mean_shift(pts, cfg).centers, reference_merge_modes(modes, cfg.merge_radius_m))
 
 
@@ -402,6 +440,14 @@ class TestClusterIO:
         path.write_text("lat,lon\n41.1,-8.6\nnot,numbers\n")
         with pytest.raises(ValueError, match=":3"):
             load_clusters(path)
+
+    @pytest.mark.parametrize("row", ["nan,-8.6", "41.1,inf", "100,-8.6", "41.1,-200"])
+    def test_centre_not_finite_or_out_of_range_rejected(self, tmp_path, row):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"lat,lon\n41.1,-8.6\n{row}\n")
+        with pytest.raises(ValueError, match="not finite") as err:
+            load_clusters(path)
+        assert f"{path}:3" in str(err.value)
 
     def test_needs_a_center(self):
         with pytest.raises(ValueError):
