@@ -40,6 +40,9 @@ from .training import TrainConfig, evaluate, fixed_prefix_examples, train, write
 
 __all__ = ["main"]
 
+#: `train --batch` default for memory_net; the other variants take TrainConfig's.
+MEMORY_NET_BATCH = 5000
+
 
 class _Parser(argparse.ArgumentParser):
     """argparse with usage failures mapped to exit code 1."""
@@ -75,11 +78,11 @@ def _build_parser() -> _Parser:
     sp.add_argument("--hidden", type=int, default=500)
     sp.add_argument("--rnn-hidden", type=int, default=500)
     sp.add_argument("--window", type=int, default=5)
-    sp.add_argument("--embedding-dim", type=int, default=10)
+    sp.add_argument("--embedding-dim", type=int, default=10, help="width of each of the six embedding tables")
     sp.add_argument("--memory-m", type=int, default=10000)
     sp.add_argument("--lr", type=float, default=0.01)
     sp.add_argument("--momentum", type=float, default=0.9)
-    sp.add_argument("--batch", type=int, default=None, help="default 200 (memory_net: ModelConfig.memory_batch)")
+    sp.add_argument("--batch", type=int, default=None, help=f"default 200 (memory_net: {MEMORY_NET_BATCH})")
     sp.add_argument("--max-batches", type=int, default=10000)
     sp.add_argument("--validate-every", type=int, default=500)
     sp.add_argument("--patience", type=int, default=5)
@@ -211,7 +214,7 @@ def _model_config_from_args(args) -> ModelConfig:
         variant=args.variant,
         k=args.k,
         hidden=args.hidden,
-        embedding_dims={f: args.embedding_dim for f in EMBEDDING_FIELDS},
+        embedding_dim=args.embedding_dim,
         rnn_hidden=args.rnn_hidden,
         window=args.window,
         memory_m=args.memory_m,
@@ -223,7 +226,7 @@ def _cmd_train(args) -> int:
     config = _model_config_from_args(args)  # a bad option fails before the data loads
     batch = args.batch
     if batch is None:
-        batch = config.memory_batch if config.variant == "memory_net" else TrainConfig.batch_size
+        batch = MEMORY_NET_BATCH if config.variant == "memory_net" else TrainConfig.batch_size
     cfg = TrainConfig(
         learning_rate=args.lr,
         momentum=args.momentum,

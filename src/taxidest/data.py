@@ -20,6 +20,8 @@ import csv
 import io
 import json
 from dataclasses import dataclass, field
+from itertools import repeat
+from operator import attrgetter
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -32,6 +34,7 @@ __all__ = [
     "CsvParseError",
     "DataError",
     "DatasetSplit",
+    "EMBEDDING_FIELDS",
     "MetadataVocab",
     "PrefixExample",
     "PrefixSampler",
@@ -108,53 +111,43 @@ class TrainRecord:
         return GeoPoint(float(self.polyline[-1, 0]), float(self.polyline[-1, 1]))
 
 
+#: Record attribute holding each id table's raw id.
+_ID_ATTRIBUTES = {"client": "origin_call", "taxi": "taxi_id", "stand": "origin_stand"}
+
+
 @dataclass
 class MetadataVocab:
-    """Dense-index maps for raw client / taxi / stand IDs.
+    """Dense-index maps ``{field: {raw id: index}}`` for the client, taxi
+    and stand ids.
 
     Index 0 is reserved for UNK (absent or unseen at lookup time); observed
     raw IDs map to contiguous indices starting at 1, in first-seen order.
     """
 
-    client_map: dict[int, int] = field(default_factory=dict)
-    taxi_map: dict[int, int] = field(default_factory=dict)
-    stand_map: dict[int, int] = field(default_factory=dict)
+    maps: dict[str, dict[int, int]] = field(default_factory=lambda: {f: {} for f in _ID_ATTRIBUTES})
 
-    @property
-    def client_size(self) -> int:
-        return len(self.client_map) + 1
+    def sizes(self) -> dict[str, int]:
+        """Rows of every embedding table, in ``EMBEDDING_FIELDS`` order."""
+        return {**{f: len(self.maps[f]) + 1 for f in _ID_ATTRIBUTES}, **_CALENDAR_SIZES}
 
-    @property
-    def taxi_size(self) -> int:
-        return len(self.taxi_map) + 1
-
-    @property
-    def stand_size(self) -> int:
-        return len(self.stand_map) + 1
-
-    def client_index(self, raw: Optional[int]) -> int:
-        return 0 if raw is None else self.client_map.get(raw, 0)
-
-    def taxi_index(self, raw: Optional[int]) -> int:
-        return 0 if raw is None else self.taxi_map.get(raw, 0)
-
-    def stand_index(self, raw: Optional[int]) -> int:
-        return 0 if raw is None else self.stand_map.get(raw, 0)
+    def indices(self, records: Sequence[TrainRecord]) -> dict[str, np.ndarray]:
+        """int64 rows [len(records)] of every embedding table, in
+        ``EMBEDDING_FIELDS`` order."""
+        n = len(records)
+        rows = {
+            f: np.fromiter(map(self.maps[f].get, map(attrgetter(attr), records), repeat(0)), np.int64, n)
+            for f, attr in _ID_ATTRIBUTES.items()
+        }
+        timestamps = np.fromiter(map(attrgetter("timestamp"), records), np.int64, n)
+        rows.update(zip(_CALENDAR_SIZES, time_features(timestamps)))
+        return rows
 
     def to_json(self) -> dict:
-        return {
-            "client": {str(k): v for k, v in self.client_map.items()},
-            "taxi": {str(k): v for k, v in self.taxi_map.items()},
-            "stand": {str(k): v for k, v in self.stand_map.items()},
-        }
+        return {f: {str(k): v for k, v in self.maps[f].items()} for f in _ID_ATTRIBUTES}
 
     @classmethod
     def from_json(cls, obj: dict) -> "MetadataVocab":
-        return cls(
-            client_map={int(k): v for k, v in obj["client"].items()},
-            taxi_map={int(k): v for k, v in obj["taxi"].items()},
-            stand_map={int(k): v for k, v in obj["stand"].items()},
-        )
+        return cls({f: {int(k): v for k, v in obj[f].items()} for f in _ID_ATTRIBUTES})
 
 
 class PrefixExample(NamedTuple):
@@ -292,16 +285,24 @@ def parse_csv(stream) -> Iterator[TrainRecord]:
 
 
 def build_vocab(records: Iterable[TrainRecord]) -> MetadataVocab:
-    """Assign dense indices (first-seen order, starting at 1) to raw IDs."""
-    vocab = MetadataVocab()
-    for rec in records:
-        if rec.origin_call is not None and rec.origin_call not in vocab.client_map:
-            vocab.client_map[rec.origin_call] = len(vocab.client_map) + 1
-        if rec.origin_stand is not None and rec.origin_stand not in vocab.stand_map:
-            vocab.stand_map[rec.origin_stand] = len(vocab.stand_map) + 1
-        if rec.taxi_id not in vocab.taxi_map:
-            vocab.taxi_map[rec.taxi_id] = len(vocab.taxi_map) + 1
-    return vocab
+    """Assign dense indices (first-seen order, starting at 1) to raw IDs;
+    an absent id (None) gets none."""
+    records = list(records)
+    maps = {}
+    for f, attr in _ID_ATTRIBUTES.items():
+        seen = dict.fromkeys(map(attrgetter(attr), records))
+        seen.pop(None, None)
+        maps[f] = dict(zip(seen, range(1, len(seen) + 1)))
+    return MetadataVocab(maps)
+
+
+#: Rows of each calendar table, one per value that ``time_features`` gives;
+#: these vocabularies are closed, with no UNK row.
+_CALENDAR_SIZES = {"quarter_hour": 96, "day_of_week": 7, "week_of_year": 52}
+
+#: Embedding tables in input-concatenation order: the id tables, then the
+#: calendar ones.
+EMBEDDING_FIELDS = (*_ID_ATTRIBUTES, *_CALENDAR_SIZES)
 
 
 def time_features(timestamps) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

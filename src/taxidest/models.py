@@ -20,7 +20,7 @@ import numpy as np
 
 from . import nncore
 from .clustering import ClusterSet
-from .data import MetadataVocab, PrefixExample, TrainRecord, time_features
+from .data import EMBEDDING_FIELDS, MetadataVocab, PrefixExample, TrainRecord
 from .data import make_prefix_example  # noqa: F401  (perfbench/spans.py patches this name here)
 from .geo import StandardizationStats
 from .nncore import Parameter, Tape, Tensor
@@ -29,7 +29,6 @@ from .nncore.checkpoint import load_checkpoint, save_checkpoint
 __all__ = [
     "EMBEDDING_FIELDS",
     "PREDICT_CHUNK",
-    "TIME_VOCAB_SIZES",
     "VARIANTS",
     "DestinationModel",
     "Features",
@@ -58,43 +57,26 @@ VARIANTS = (
 _MLP_VARIANTS = ("mlp_clusters", "mlp_direct", "mlp_no_embed", "mlp_embed_only")
 _RNN_VARIANTS = ("rnn", "brnn", "brnn_window")
 
-#: Embedding tables in input-concatenation order.
-EMBEDDING_FIELDS = ("client", "taxi", "stand", "quarter_hour", "day_of_week", "week_of_year")
-
-#: Calendar vocabularies are closed; no UNK row.
-TIME_VOCAB_SIZES = {"quarter_hour": 96, "day_of_week": 7, "week_of_year": 52}
-
-
-def _default_dims() -> dict[str, int]:
-    return {name: 10 for name in EMBEDDING_FIELDS}
-
 
 @dataclass
 class ModelConfig:
     variant: str = "mlp_clusters"
     k: int = 5
     hidden: int = 500
-    embedding_dims: dict[str, int] = field(default_factory=_default_dims)
+    embedding_dim: int = 10  # width of every embedding table
     rnn_hidden: int = 500
     window: int = 5
     memory_m: int = 10_000
-    memory_batch: int = 5_000
     dtype: str = "float32"
 
     def __post_init__(self):
         if self.variant not in VARIANTS:
             raise ValueError(f"unknown variant {self.variant!r}; expected one of {VARIANTS}")
-        if self.k < 1 or self.hidden < 1 or self.rnn_hidden < 1 or self.window < 1:
-            raise ValueError("k, hidden, rnn_hidden and window must be positive")
-        for name in ("memory_m", "memory_batch"):
+        for name in ("k", "hidden", "embedding_dim", "rnn_hidden", "window", "memory_m"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
-        missing = [f for f in EMBEDDING_FIELDS if f not in self.embedding_dims]
-        if missing:
-            raise ValueError(f"embedding_dims missing entries for {missing}")
-        for f in EMBEDDING_FIELDS:
-            if self.embedding_dims[f] < 1:
-                raise ValueError(f"embedding_dims[{f!r}] must be >= 1, got {self.embedding_dims[f]}")
+        if self.dtype not in ("float32", "float64"):
+            raise ValueError(f"dtype must be float32 or float64, got {self.dtype!r}")
 
     @property
     def uses_embeddings(self) -> bool:
@@ -110,7 +92,7 @@ class ModelConfig:
 
     @property
     def embedding_total(self) -> int:
-        return sum(self.embedding_dims[f] for f in EMBEDDING_FIELDS)
+        return len(EMBEDDING_FIELDS) * self.embedding_dim
 
     def np_dtype(self):
         return np.dtype(self.dtype)
@@ -129,15 +111,6 @@ class DestinationModel:
 
     def parameter_count(self) -> int:
         return sum(p.size for p in self.parameters())
-
-
-def _vocab_sizes(vocab: MetadataVocab) -> dict[str, int]:
-    return {
-        "client": vocab.client_size,
-        "taxi": vocab.taxi_size,
-        "stand": vocab.stand_size,
-        **TIME_VOCAB_SIZES,
-    }
 
 
 def _mlp_input_width(config: ModelConfig) -> int:
@@ -182,12 +155,8 @@ def build_model(
         add_param(f"{name}_b", b)
 
     if config.uses_embeddings:
-        sizes = _vocab_sizes(vocab)
-        for fname in EMBEDDING_FIELDS:
-            table = rng.uniform(
-                -0.1, 0.1, size=(sizes[fname], config.embedding_dims[fname])
-            ).astype(dtype)
-            add_param(f"emb_{fname}", table)
+        for fname, rows in vocab.sizes().items():
+            add_param(f"emb_{fname}", rng.uniform(-0.1, 0.1, size=(rows, config.embedding_dim)).astype(dtype))
 
     variant = config.variant
     n_out = clusters.count if config.uses_cluster_centroid else 2
@@ -279,17 +248,7 @@ def featurize(model: DestinationModel, batch: Sequence[PrefixExample]) -> Featur
             if cfg.variant in ("brnn", "brnn_window"):
                 feats.bwd = [steps[starts[:n] + lengths[:n] - 1 - t] for t, n in enumerate(running)]
     if cfg.uses_embeddings:
-        vocab = model.vocab
-        ids = np.array(
-            [
-                (vocab.client_index(r.origin_call), vocab.taxi_index(r.taxi_id),
-                 vocab.stand_index(r.origin_stand), r.timestamp)
-                for r in (ex.record for ex in batch)
-            ],
-            dtype=np.int64,
-        )
-        # EMBEDDING_FIELDS order: client, taxi, stand, then the calendar fields
-        feats.index = dict(zip(EMBEDDING_FIELDS, [*ids[:, :3].T, *time_features(ids[:, 3])]))
+        feats.index = model.vocab.indices([ex.record for ex in batch])
     return feats
 
 
@@ -479,14 +438,37 @@ def save_model(model: DestinationModel, path) -> None:
     save_checkpoint(path, model.parameters(), extras)
 
 
+def _config_from_json(obj: dict) -> ModelConfig:
+    """The stored config; the older layout's ``memory_batch`` is dropped and
+    its per-table ``embedding_dims``, which must all be equal, become
+    ``embedding_dim``."""
+    obj = dict(obj)
+    obj.pop("memory_batch", None)
+    if "embedding_dims" in obj:
+        widths = set(obj.pop("embedding_dims").values())
+        if len(widths) != 1:
+            raise ValueError(f"embedding_dims holds the widths {sorted(widths)}; every table needs one width")
+        obj["embedding_dim"] = widths.pop()
+    return ModelConfig(**obj)
+
+
 def load_model(path) -> DestinationModel:
+    """The model saved at ``path``.  A checkpoint in the older config layout
+    (see :func:`_config_from_json`) loads too; metadata that cannot be read
+    raises ValueError naming the path.  Parameter names and shapes are not
+    checked against the config."""
     extras, values = load_checkpoint(path)
-    config = ModelConfig(**extras["model_config"])
-    stats = StandardizationStats(**extras["stats"])
-    vocab = MetadataVocab.from_json(extras["vocab"])
-    clusters = None
-    if extras["clusters"] is not None:
-        clusters = ClusterSet(np.array(extras["clusters"], dtype=np.float64))
+    try:
+        config = _config_from_json(extras["model_config"])
+        stats = StandardizationStats(**extras["stats"])
+        vocab = MetadataVocab.from_json(extras["vocab"])
+        clusters = None
+        if extras["clusters"] is not None:
+            clusters = ClusterSet(np.array(extras["clusters"], dtype=np.float64))
+    except KeyError as e:
+        raise ValueError(f"{path}: checkpoint metadata has no {e} entry") from e
+    except (AttributeError, TypeError, ValueError) as e:
+        raise ValueError(f"{path}: checkpoint metadata is not readable: {e}") from e
     params = {name: Parameter(name, arr) for name, arr in values.items()}
     return DestinationModel(
         config=config, params=params, clusters=clusters, stats=stats, vocab=vocab

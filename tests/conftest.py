@@ -6,6 +6,8 @@ cancellation noise: the loss is thousands of meters while individual
 gradient elements can be 1e-4 of the gradient scale.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -22,9 +24,7 @@ def tiny_stats() -> StandardizationStats:
 
 
 def tiny_vocab() -> data.MetadataVocab:
-    return data.MetadataVocab(
-        client_map={10: 1, 20: 2}, taxi_map={5: 1}, stand_map={3: 1, 9: 2}
-    )
+    return data.MetadataVocab({"client": {10: 1, 20: 2}, "taxi": {5: 1}, "stand": {3: 1, 9: 2}})
 
 
 def tiny_clusters() -> ClusterSet:
@@ -38,7 +38,7 @@ def tiny_config(variant: str, **overrides) -> models.ModelConfig:
         variant=variant,
         k=2,
         hidden=6,
-        embedding_dims={f: 2 for f in models.EMBEDDING_FIELDS},
+        embedding_dim=2,
         rnn_hidden=4,
         window=3,
         dtype="float64",
@@ -50,6 +50,22 @@ def tiny_config(variant: str, **overrides) -> models.ModelConfig:
 def tiny_model(variant: str, seed: int = 0, **overrides):
     cfg = tiny_config(variant, **overrides)
     return models.build_model(cfg, tiny_clusters(), tiny_stats(), tiny_vocab(), seed=seed)
+
+
+def older_layout_extras(model) -> dict:
+    """``save_model``'s checkpoint extras for ``model`` in the config layout
+    written before the single embedding width: one width per table in
+    ``embedding_dims``, and the training batch ``memory_batch``."""
+    config = dataclasses.asdict(model.config)
+    width = config.pop("embedding_dim")
+    config["embedding_dims"] = {f: width for f in models.EMBEDDING_FIELDS}
+    config["memory_batch"] = 5000
+    return {
+        "model_config": config,
+        "stats": dataclasses.asdict(model.stats),
+        "vocab": model.vocab.to_json(),
+        "clusters": None if model.clusters is None else model.clusters.centers.tolist(),
+    }
 
 
 def make_records(lengths, rng, spread=(0.02, 0.03)) -> list[data.TrainRecord]:

@@ -308,7 +308,7 @@ def test_shape_audit_reference_model():
     clusters = mean_shift(dests, MeanShiftConfig())
     c = clusters.count
     model = build_model(ModelConfig(variant="mlp_clusters"), clusters, tiny_stats(), vocab, seed=0)
-    tables = (vocab.client_size + vocab.taxi_size + vocab.stand_size + 96 + 7 + 52) * 10
+    tables = (sum(len(m) + 1 for m in vocab.maps.values()) + 96 + 7 + 52) * 10
     expected = 80 * 500 + 500 + 500 * c + c + tables
     actual = model.parameter_count()
     _criterion(

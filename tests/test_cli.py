@@ -1,16 +1,18 @@
 """End-to-end CLI pipeline on the synthetic fixture, plus error paths."""
 
 import contextlib
-import dataclasses
 import json
 import os
+import re
 import shutil
 
 import numpy as np
 import pytest
 
-from taxidest import cli, fixtures, training
+from conftest import older_layout_extras
+from taxidest import cli, fixtures, models, training
 from taxidest.cli import main
+from taxidest.nncore.checkpoint import save_checkpoint
 
 
 @pytest.fixture(scope="module")
@@ -371,7 +373,7 @@ class TestTrain:
 
     @pytest.mark.parametrize("variant", ["memory_net", "mlp_direct"])
     def test_default_batch(self, tmp_path, prepared_dir, monkeypatch, variant):
-        """memory_net's default batch is ModelConfig.memory_batch, here set to
+        """memory_net's default batch is cli.MEMORY_NET_BATCH, here set to
         7; the other variants' is TrainConfig's."""
         seen = []
 
@@ -379,10 +381,7 @@ class TestTrain:
             seen.append(cfg)
             return training.TrainReport(stop_reason="max_batches")
 
-        make_config = cli._model_config_from_args
-        monkeypatch.setattr(
-            cli, "_model_config_from_args", lambda args: dataclasses.replace(make_config(args), memory_batch=7)
-        )
+        monkeypatch.setattr(cli, "MEMORY_NET_BATCH", 7)
         monkeypatch.setattr(cli, "train", capture)
         args = ["train", "--data", str(prepared_dir), "--variant", variant, "--hidden", "4", "--out", str(tmp_path / "x.ckpt")]
         assert main(args) == 0
@@ -396,13 +395,18 @@ class TestTrain:
         [("--lr", "nan", "learning_rate"), ("--lr", "inf", "learning_rate"),
          ("--clip-norm", "nan", "clip_norm"), ("--clip-norm", "inf", "clip_norm"),
          ("--clip-norm", "-1", "clip_norm"), ("--clip-norm", "0", "clip_norm"),
-         ("--embedding-dim", "-1", "embedding_dims"), ("--embedding-dim", "0", "embedding_dims")],
+         ("--embedding-dim", "-1", "embedding_dim must be positive, got -1"),
+         ("--embedding-dim", "0", "embedding_dim must be positive, got 0"),
+         ("--k", "0", "k must be positive, got 0"), ("--hidden", "0", "hidden must be positive, got 0"),
+         ("--rnn-hidden", "0", "rnn_hidden must be positive, got 0"),
+         ("--window", "0", "window must be positive, got 0"),
+         ("--memory-m", "0", "memory_m must be positive, got 0")],
     )
     def test_bad_setting_names_its_field(self, tmp_path, prepared_dir, option, value, field, capsys):
         args = _small_train_args(prepared_dir, tmp_path / "m.ckpt") + [option, value]
         assert main(args) == 2
         err = capsys.readouterr().err
-        assert field in err and "internal error" not in err
+        assert re.search(rf"\b{re.escape(field)}\b", err) and "internal error" not in err
         assert not (tmp_path / "m.ckpt").exists()
 
     def test_unknown_variant_usage_error(self, tmp_path, prepared_dir, capsys):
@@ -450,6 +454,34 @@ class TestEvaluate:
         capsys.readouterr()
         assert main(["evaluate", "--model", str(ckpt), "--data", str(data_dir), "--split", "test"]) == 0
         assert capsys.readouterr().out == "mean_haversine_km 0.000\n"
+
+    def test_older_checkpoint_layout_evaluates_alike(self, trained_ckpt, prepared_dir, tmp_path, capsys):
+        model = models.load_model(trained_ckpt)
+        older = tmp_path / "older.ckpt"
+        save_checkpoint(older, model.parameters(), older_layout_extras(model))
+        runs = []
+        for path in (trained_ckpt, older):
+            assert main(["evaluate", "--model", str(path), "--data", str(prepared_dir)]) == 0
+            runs.append(capsys.readouterr().out)
+        assert runs[0] == runs[1]
+
+    @pytest.mark.parametrize(
+        "damage",
+        [lambda e: e["model_config"]["embedding_dims"].update(taxi=5),  # unequal widths
+         lambda e: e["model_config"].update(embedding_width=4),  # a key this version does not know
+         lambda e: e.pop("vocab")],
+    )
+    def test_unreadable_checkpoint_config_is_a_data_error(
+        self, trained_ckpt, prepared_dir, tmp_path, capsys, damage
+    ):
+        model = models.load_model(trained_ckpt)
+        extras = older_layout_extras(model)
+        damage(extras)
+        path = tmp_path / "damaged.ckpt"
+        save_checkpoint(path, model.parameters(), extras)
+        assert main(["evaluate", "--model", str(path), "--data", str(prepared_dir)]) == 2
+        err = capsys.readouterr().err
+        assert str(path) in err and "internal error" not in err
 
     def test_missing_checkpoint(self, prepared_dir, tmp_path):
         rc = main(["evaluate", "--model", str(tmp_path / "no.ckpt"), "--data", str(prepared_dir)])

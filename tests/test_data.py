@@ -14,6 +14,7 @@ from taxidest import models
 from taxidest.clustering import ClusterSet
 from taxidest.data import (
     CALL_TYPES,
+    EMBEDDING_FIELDS,
     CsvParseError,
     DataError,
     MetadataVocab,
@@ -153,8 +154,9 @@ class TestParseCsv:
 
 class TestVocab:
     def test_empty_input(self):
-        v = build_vocab([])
-        assert (v.client_size, v.taxi_size, v.stand_size) == (1, 1, 1)
+        assert build_vocab([]).sizes() == {
+            "client": 1, "taxi": 1, "stand": 1, "quarter_hour": 96, "day_of_week": 7, "week_of_year": 52
+        }
 
     def test_dedup(self):
         rng = np.random.default_rng(0)
@@ -163,13 +165,21 @@ class TestVocab:
         recs[1].origin_call = 7
         recs[2].origin_call = 9
         v = build_vocab(recs)
-        assert v.client_size == 3
+        assert v.maps["client"] == {7: 1, 9: 2}
+        assert v.sizes()["client"] == 3
 
     def test_unseen_maps_to_unk(self):
-        v = MetadataVocab(client_map={7: 1})
-        assert v.client_index(7) == 1
-        assert v.client_index(12345) == 0
-        assert v.client_index(None) == 0
+        rng = np.random.default_rng(2)
+        recs = make_records([1, 1, 1], rng)
+        for r, call in zip(recs, (7, 12345, None)):
+            r.origin_call, r.taxi_id, r.origin_stand = call, 5, None
+        v = MetadataVocab({"client": {7: 1}, "taxi": {}, "stand": {}})
+        rows = v.indices(recs)
+        assert list(rows) == list(EMBEDDING_FIELDS)
+        np.testing.assert_array_equal(rows["client"], [1, 0, 0])
+        np.testing.assert_array_equal(rows["taxi"], [0, 0, 0])
+        np.testing.assert_array_equal(rows["stand"], [0, 0, 0])
+        assert all(a.dtype == np.int64 and a.shape == (3,) for a in rows.values())
 
     def test_indices_contiguous_from_one(self):
         rng = np.random.default_rng(1)
@@ -177,13 +187,19 @@ class TestVocab:
         for i, r in enumerate(recs):
             r.origin_call = 100 + i
         v = build_vocab(recs)
-        assert sorted(v.client_map.values()) == list(range(1, 11))
-        for raw in v.client_map:
-            assert 0 < v.client_index(raw) < v.client_size
+        assert list(v.maps["client"]) == [100 + i for i in range(10)]  # first-seen order
+        np.testing.assert_array_equal(v.indices(recs)["client"], np.arange(1, 11))
+        assert v.sizes()["client"] == 11
 
     def test_json_round_trip(self):
-        v = MetadataVocab(client_map={7: 1, 9: 2}, taxi_map={5: 1}, stand_map={})
+        v = MetadataVocab({"client": {7: 1, 9: 2}, "taxi": {5: 1}, "stand": {}})
         assert MetadataVocab.from_json(v.to_json()) == v
+
+    def test_json_layout(self):
+        """Checkpoints store this layout; the ones already written must load."""
+        v = MetadataVocab({"client": {7: 1}, "taxi": {20000003: 1, 20000001: 2}, "stand": {}})
+        expected = '{"client": {"7": 1}, "taxi": {"20000003": 1, "20000001": 2}, "stand": {}}'
+        assert json.dumps(v.to_json()) == expected
 
 
 class TestTimeFeatures:

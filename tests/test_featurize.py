@@ -35,9 +35,9 @@ def reference_example(record, cut: int, k: int, stats, vocab) -> dict:
         "first_k": std_prefix[first_idx],
         "last_k": std_prefix[last_idx],
         "full_prefix": prefix,
-        "client_idx": vocab.client_index(record.origin_call),
-        "taxi_idx": vocab.taxi_index(record.taxi_id),
-        "stand_idx": vocab.stand_index(record.origin_stand),
+        "client_idx": vocab.maps["client"].get(record.origin_call, 0),
+        "taxi_idx": vocab.maps["taxi"].get(record.taxi_id, 0),
+        "stand_idx": vocab.maps["stand"].get(record.origin_stand, 0),
         "time": reference_time_features(record.timestamp),
     }
 

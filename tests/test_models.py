@@ -10,6 +10,7 @@ import pytest
 from conftest import (
     make_records,
     model_gradient_check,
+    older_layout_extras,
     tiny_batch,
     tiny_clusters,
     tiny_config,
@@ -40,14 +41,12 @@ class TestBuildModel:
         cfg = ModelConfig(variant="mlp_clusters")  # stock defaults: k=5, hidden=500, dims 10
         model = build_model(cfg, clusters, tiny_stats(), vocab, seed=0)
         c = clusters.count
-        tables = (
-            vocab.client_size + vocab.taxi_size + vocab.stand_size + 96 + 7 + 52
-        ) * 10
+        tables = (sum(len(m) + 1 for m in vocab.maps.values()) + 96 + 7 + 52) * 10
         expected = 80 * 500 + 500 + 500 * c + c + tables
         assert model.parameter_count() == expected
 
     def test_input_width_reference(self):
-        model = tiny_model("mlp_clusters", k=5, embedding_dims={f: 10 for f in EMBEDDING_FIELDS})
+        model = tiny_model("mlp_clusters", k=5, embedding_dim=10)
         assert model.params["hidden_w"].shape[0] == 4 * 5 + 60
 
     def test_input_width_no_embed(self):
@@ -62,7 +61,7 @@ class TestBuildModel:
         assert model.clusters is None
 
     def test_time_tables_sized_by_calendar(self):
-        model = tiny_model("mlp_clusters", embedding_dims={f: 10 for f in EMBEDDING_FIELDS})
+        model = tiny_model("mlp_clusters", embedding_dim=10)
         assert model.params["emb_quarter_hour"].shape == (96, 10)
         assert model.params["emb_day_of_week"].shape == (7, 10)
         assert model.params["emb_week_of_year"].shape == (52, 10)
@@ -90,15 +89,24 @@ class TestBuildModel:
 
     @pytest.mark.parametrize("value", [0, -1])
     def test_embedding_dim_below_one_names_the_field(self, value):
-        dims = {f: 2 for f in EMBEDDING_FIELDS} | {"taxi": value}
-        with pytest.raises(ValueError, match=rf"embedding_dims\['taxi'\] must be >= 1, got {value}"):
-            ModelConfig(variant="mlp_no_embed", embedding_dims=dims)
+        with pytest.raises(ValueError, match=rf"^embedding_dim must be positive, got {value}$"):
+            ModelConfig(variant="mlp_no_embed", embedding_dim=value)
 
-    @pytest.mark.parametrize("field", ["memory_m", "memory_batch"])
+    @pytest.mark.parametrize("field", ["memory_m"])
     @pytest.mark.parametrize("value", [0, -3])
     def test_memory_sizes_must_be_positive(self, field, value):
         with pytest.raises(ValueError, match=f"{field} must be positive"):
             ModelConfig(variant="memory_net", **{field: value})
+
+    @pytest.mark.parametrize("field", ["k", "hidden", "rnn_hidden", "window"])
+    def test_size_error_names_one_field(self, field):
+        with pytest.raises(ValueError, match=rf"^{field} must be positive, got 0$"):
+            ModelConfig(**{field: 0})
+
+    @pytest.mark.parametrize("dtype", ["int8", "float16"])
+    def test_dtype_must_be_float32_or_float64(self, dtype):
+        with pytest.raises(ValueError, match=f"dtype must be float32 or float64, got '{dtype}'"):
+            ModelConfig(dtype=dtype)
 
 
 class TestForwardShapesAndHull:
@@ -366,6 +374,47 @@ class TestCheckpoint:
             assert loaded.clusters is None
         else:
             np.testing.assert_array_equal(loaded.clusters.centers, model.clusters.centers)
+
+    @pytest.mark.parametrize("variant", ["mlp_clusters", "memory_net"])
+    def test_older_layout_loads_and_predicts_identically(self, tmp_path, variant):
+        rng = np.random.default_rng(25)
+        model = tiny_model(variant)
+        batch = tiny_batch(model, rng, n=4, max_len=5)
+        cands = tiny_batch(model, rng, n=3) if variant == "memory_net" else None
+        path = tmp_path / "older.ckpt"
+        save_checkpoint(path, model.parameters(), older_layout_extras(model))
+        loaded = load_model(path)
+        assert loaded.config == model.config and loaded.vocab == model.vocab
+        np.testing.assert_array_equal(predict(loaded, batch, cands), predict(model, batch, cands))
+
+    def test_older_layout_with_unequal_widths_rejected(self, tmp_path):
+        model = tiny_model("mlp_clusters")
+        extras = older_layout_extras(model)
+        extras["model_config"]["embedding_dims"]["taxi"] = 3
+        path = tmp_path / "older.ckpt"
+        save_checkpoint(path, model.parameters(), extras)
+        with pytest.raises(ValueError, match=r"embedding_dims holds the widths \[2, 3\]") as err:
+            load_model(path)
+        assert str(err.value).startswith(f"{path}: ")
+
+    @pytest.mark.parametrize(
+        "damage, why",
+        [(lambda e: e["model_config"].update(embedding_width=3), "embedding_width"),
+         (lambda e: e["model_config"].update(k=0), "k must be positive, got 0"),
+         (lambda e: e["model_config"].update(dtype="int8"), "dtype must be float32 or float64"),
+         (lambda e: e.pop("stats"), "no 'stats' entry"),
+         (lambda e: e["vocab"].pop("stand"), "no 'stand' entry"),
+         (lambda e: e.update(clusters="none"), "not readable")],
+    )
+    def test_unreadable_metadata_names_path(self, tmp_path, damage, why):
+        model = tiny_model("mlp_clusters")
+        extras = older_layout_extras(model)
+        damage(extras)
+        path = tmp_path / "damaged.ckpt"
+        save_checkpoint(path, model.parameters(), extras)
+        with pytest.raises(ValueError, match=why) as err:
+            load_model(path)
+        assert str(err.value).startswith(f"{path}: ")
 
     def test_parameter_order_preserved(self, tmp_path):
         model = tiny_model("mlp_clusters")

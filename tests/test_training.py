@@ -33,7 +33,7 @@ def single_center_model(center=(41.15, -8.61), dtype="float64"):
         variant="mlp_clusters",
         k=2,
         hidden=4,
-        embedding_dims={f: 2 for f in models.EMBEDDING_FIELDS},
+        embedding_dim=2,
         dtype=dtype,
     )
     clusters = ClusterSet(np.array([center]))
