@@ -246,7 +246,10 @@ def _cmd_train(args) -> int:
             raise DataError(f"variant {args.variant} requires --clusters")
         clusters = load_clusters(args.clusters)
     model = build_model(config, clusters, stats, vocab, seed=args.seed)
-    report = train(model, prepared.train, prepared.validation, cfg, checkpoint_path=args.out)
+    try:
+        report = train(model, prepared.train, prepared.validation, cfg, checkpoint_path=args.out)
+    except training._NoCandidates as e:
+        raise DataError(f"{e}; lower --batch (now {batch}) or prepare more trips") from e
     if not report.history:
         models.save_model(model, args.out)  # no validation ever ran
     report_path = args.report if args.report else f"{args.out}.report.jsonl"

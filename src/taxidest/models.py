@@ -1,20 +1,31 @@
-"""The eight destination-prediction architectures.
+"""The eight destination-prediction architectures, as one table.
 
-Four MLP variants (cluster-centroid output, direct output, no embeddings,
-embeddings only), a forward LSTM, a bidirectional LSTM, a bidirectional
-LSTM over sliding point windows, and a memory network that softmax-weights
-candidate destinations by dot-product similarity of encoded trajectories.
+Every variant has the same three parts, and ``_LAYOUTS`` says which of
+each it takes:
 
-All centroid-output variants share the same head: a 500-ReLU hidden layer,
-a softmax over fixed 2-D centers, and a probability-weighted centroid, so
-their predictions always fall in the convex hull of the centers.
+- the trajectory input: the first and last k standardized points
+  (``"points"``), the final state of a forward LSTM or of an LSTM in each
+  direction over single points or sliding point windows (``"lstm"``), or
+  none;
+- the six metadata embeddings, concatenated after it, or none;
+- the output: a ReLU hidden layer, then a softmax over fixed 2-D
+  centres and its probability-weighted centroid (``"centroid"``, so the
+  prediction always falls in the convex hull of the centres), or two
+  unstandardized coordinates (``"direct"``); or the memory network
+  (``"memory"``), which encodes the query and candidate trajectories with
+  two ReLU layers and softmax-weights the candidates' destinations by
+  dot-product similarity.
+
+``_parameter_shapes`` turns a config into its parameters' names and
+shapes: ``build_model`` initializes them in that order, and
+``load_model`` checks a checkpoint against them.
 """
 
 from __future__ import annotations
 
 import functools
 from dataclasses import asdict, dataclass, field
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -43,19 +54,29 @@ __all__ = [
     "save_model",
 ]
 
-VARIANTS = (
-    "mlp_clusters",
-    "mlp_direct",
-    "mlp_no_embed",
-    "mlp_embed_only",
-    "rnn",
-    "brnn",
-    "brnn_window",
-    "memory_net",
-)
 
-_MLP_VARIANTS = ("mlp_clusters", "mlp_direct", "mlp_no_embed", "mlp_embed_only")
-_RNN_VARIANTS = ("rnn", "brnn", "brnn_window")
+class _Layout(NamedTuple):
+    """What a variant is made of; see the module docstring."""
+
+    trajectory: Optional[str]  # "points", "lstm" or None
+    embeddings: bool
+    directions: int  # LSTMs, forward first
+    windowed: bool  # an LSTM step reads ``window`` points, else one
+    output: str  # "centroid", "direct" or "memory"
+
+
+_LAYOUTS = {
+    "mlp_clusters": _Layout("points", True, 0, False, "centroid"),
+    "mlp_direct": _Layout("points", True, 0, False, "direct"),
+    "mlp_no_embed": _Layout("points", False, 0, False, "centroid"),
+    "mlp_embed_only": _Layout(None, True, 0, False, "centroid"),
+    "rnn": _Layout("lstm", True, 1, False, "centroid"),
+    "brnn": _Layout("lstm", True, 2, False, "centroid"),
+    "brnn_window": _Layout("lstm", True, 2, True, "centroid"),
+    "memory_net": _Layout("points", True, 0, False, "memory"),
+}
+
+VARIANTS = tuple(_LAYOUTS)
 
 
 @dataclass
@@ -79,20 +100,8 @@ class ModelConfig:
             raise ValueError(f"dtype must be float32 or float64, got {self.dtype!r}")
 
     @property
-    def uses_embeddings(self) -> bool:
-        return self.variant != "mlp_no_embed"
-
-    @property
-    def uses_gps_window(self) -> bool:
-        return self.variant != "mlp_embed_only"
-
-    @property
     def uses_cluster_centroid(self) -> bool:
-        return self.variant in ("mlp_clusters", "mlp_no_embed", "mlp_embed_only") + _RNN_VARIANTS
-
-    @property
-    def embedding_total(self) -> int:
-        return len(EMBEDDING_FIELDS) * self.embedding_dim
+        return _LAYOUTS[self.variant].output == "centroid"
 
     def np_dtype(self):
         return np.dtype(self.dtype)
@@ -113,13 +122,35 @@ class DestinationModel:
         return sum(p.size for p in self.parameters())
 
 
-def _mlp_input_width(config: ModelConfig) -> int:
-    width = 0
-    if config.uses_gps_window:
+def _parameter_shapes(
+    config: ModelConfig, vocab: MetadataVocab, clusters: Optional[ClusterSet]
+) -> list[tuple[str, tuple[int, ...]]]:
+    """Every parameter's name and shape, in creation order: the embedding
+    tables, the LSTM directions, then the hidden and output layers or
+    memory_net's query and candidate encoders."""
+    layout = _LAYOUTS[config.variant]
+    if layout.output == "centroid" and clusters is None:
+        raise ValueError(f"variant {config.variant} requires a ClusterSet")
+    shapes, width = [], 0
+    if layout.embeddings:
+        shapes += [(f"emb_{f}", (rows, config.embedding_dim)) for f, rows in vocab.sizes().items()]
+        width += len(EMBEDDING_FIELDS) * config.embedding_dim
+    if layout.trajectory == "points":
         width += 4 * config.k
-    if config.uses_embeddings:
-        width += config.embedding_total
-    return width
+    step, gates = 2 * (config.window if layout.windowed else 1), 4 * config.rnn_hidden
+    for direction in ("fwd", "bwd")[: layout.directions]:
+        shapes += [(f"lstm_{direction}_wx", (step, gates)),
+                   (f"lstm_{direction}_wh", (config.rnn_hidden, gates)),
+                   (f"lstm_{direction}_b", (gates,))]
+        width += config.rnn_hidden
+    if layout.output == "memory":  # two encoders of identical shape, separate weights
+        layers = [("enc_query", width, config.hidden), ("enc_cand", width, config.hidden)]
+    else:
+        n_out = clusters.count if layout.output == "centroid" else 2
+        layers = [("hidden", width, config.hidden), ("out", config.hidden, n_out)]
+    for name, fan_in, fan_out in layers:
+        shapes += [(f"{name}_w", (fan_in, fan_out)), (f"{name}_b", (fan_out,))]
+    return shapes
 
 
 def build_model(
@@ -131,53 +162,23 @@ def build_model(
 ) -> DestinationModel:
     """Allocate and initialize all parameters; deterministic given the seed.
 
-    Weight matrices are Glorot-uniform, biases zero (LSTM forget-gate slice
-    1.0), embeddings uniform in +-0.1.
+    Parameters are drawn in :func:`_parameter_shapes` order: embeddings
+    uniform in +-0.1, weight matrices Glorot-uniform, biases zero (LSTM
+    forget-gate slice 1.0).
     """
-    if config.uses_cluster_centroid and clusters is None:
-        raise ValueError(f"variant {config.variant} requires a ClusterSet")
     rng = np.random.default_rng(seed)
     dtype = config.np_dtype()
     params: dict[str, Parameter] = {}
-
-    def add_param(name, value):
+    for name, shape in _parameter_shapes(config, vocab, clusters):
+        if name.startswith("emb_"):
+            value = rng.uniform(-0.1, 0.1, size=shape).astype(dtype)
+        elif len(shape) == 2:
+            value = nncore.glorot_uniform(rng, *shape, dtype)
+        else:
+            value = np.zeros(shape, dtype=dtype)
+            if name.startswith("lstm_"):
+                value[shape[0] // 4 : shape[0] // 2] = 1.0  # forget gate bias
         params[name] = Parameter(name, value)
-
-    def add_dense(name, fan_in, fan_out):
-        add_param(f"{name}_w", nncore.glorot_uniform(rng, fan_in, fan_out, dtype))
-        add_param(f"{name}_b", np.zeros(fan_out, dtype=dtype))
-
-    def add_lstm(name, in_width, hidden):
-        add_param(f"{name}_wx", nncore.glorot_uniform(rng, in_width, 4 * hidden, dtype))
-        add_param(f"{name}_wh", nncore.glorot_uniform(rng, hidden, 4 * hidden, dtype))
-        b = np.zeros(4 * hidden, dtype=dtype)
-        b[hidden : 2 * hidden] = 1.0  # forget gate bias
-        add_param(f"{name}_b", b)
-
-    if config.uses_embeddings:
-        for fname, rows in vocab.sizes().items():
-            add_param(f"emb_{fname}", rng.uniform(-0.1, 0.1, size=(rows, config.embedding_dim)).astype(dtype))
-
-    variant = config.variant
-    n_out = clusters.count if config.uses_cluster_centroid else 2
-
-    if variant in _MLP_VARIANTS:
-        add_dense("hidden", _mlp_input_width(config), config.hidden)
-        add_dense("out", config.hidden, n_out)
-    elif variant in _RNN_VARIANTS:
-        step_width = 2 * (config.window if variant == "brnn_window" else 1)
-        add_lstm("lstm_fwd", step_width, config.rnn_hidden)
-        state_width = config.rnn_hidden
-        if variant in ("brnn", "brnn_window"):
-            add_lstm("lstm_bwd", step_width, config.rnn_hidden)
-            state_width = 2 * config.rnn_hidden
-        add_dense("hidden", state_width + config.embedding_total, config.hidden)
-        add_dense("out", config.hidden, n_out)
-    else:  # memory_net: two encoders of identical shape, separate weights
-        in_width = _mlp_input_width(config)
-        add_dense("enc_query", in_width, config.hidden)
-        add_dense("enc_cand", in_width, config.hidden)
-
     return DestinationModel(
         config=config,
         params=params,
@@ -220,9 +221,10 @@ def featurize(model: DestinationModel, batch: Sequence[PrefixExample]) -> Featur
     gather at offsets into that array.
     """
     cfg = model.config
+    layout = _LAYOUTS[cfg.variant]
     dtype = cfg.np_dtype()
     feats = Features()
-    if cfg.uses_gps_window:
+    if layout.trajectory is not None:
         lengths = np.fromiter((ex.cut for ex in batch), np.int64, len(batch))
         starts = np.cumsum(lengths) - lengths
         stats = model.stats
@@ -230,14 +232,14 @@ def featurize(model: DestinationModel, batch: Sequence[PrefixExample]) -> Featur
         points = (points - np.array([stats.mean_lat, stats.mean_lon])) / np.array(
             [stats.std_lat, stats.std_lon]
         )
-        if cfg.variant not in _RNN_VARIANTS:
+        if layout.trajectory == "points":
             k = np.arange(cfg.k)
             first = np.minimum(k, lengths[:, None] - 1)
             last = np.maximum(lengths[:, None] - cfg.k + k, 0)
             windows = starts[:, None] + np.concatenate([first, last], axis=1)
             feats.gps = points[windows].reshape(len(batch), 4 * cfg.k).astype(dtype)
         else:
-            window = cfg.window if cfg.variant == "brnn_window" else 1
+            window = cfg.window if layout.windowed else 1
             ends = np.arange(len(points))[:, None] - (window - 1) + np.arange(window)
             steps = points[np.maximum(ends, np.repeat(starts, lengths)[:, None])]
             steps = steps.reshape(len(points), 2 * window).astype(dtype)  # one per point
@@ -245,9 +247,9 @@ def featurize(model: DestinationModel, batch: Sequence[PrefixExample]) -> Featur
             starts, lengths = starts[order], lengths[order]
             running = (lengths > np.arange(lengths[0])[:, None]).sum(axis=1)  # n_t, non-increasing
             feats.fwd = [steps[starts[:n] + t] for t, n in enumerate(running)]
-            if cfg.variant in ("brnn", "brnn_window"):
+            if layout.directions == 2:
                 feats.bwd = [steps[starts[:n] + lengths[:n] - 1 - t] for t, n in enumerate(running)]
-    if cfg.uses_embeddings:
+    if layout.embeddings:
         feats.index = model.vocab.indices([ex.record for ex in batch])
     return feats
 
@@ -257,52 +259,9 @@ def destinations(batch: Sequence[PrefixExample]) -> np.ndarray:
     return np.array([ex.record.polyline[-1] for ex in batch], dtype=np.float64).reshape(-1, 2)
 
 
-def _embedding_pieces(model: DestinationModel, tape: Tape, feats: Features) -> list[Tensor]:
-    return [
-        nncore.embedding_lookup(tape, model.params[f"emb_{f}"].tensor, feats.index[f])
-        for f in EMBEDDING_FIELDS
-    ]
-
-
-def _mlp_input(model: DestinationModel, tape: Tape, feats: Features) -> Tensor:
-    pieces: list[Tensor] = []
-    if feats.gps is not None:
-        pieces.append(Tensor(feats.gps))
-    if model.config.uses_embeddings:
-        pieces.extend(_embedding_pieces(model, tape, feats))
-    return nncore.concat(tape, pieces)
-
-
-def _centroid_head(model: DestinationModel, tape: Tape, h: Tensor, centers: np.ndarray) -> Tensor:
-    e = nncore.dense(tape, h, model.params["out_w"].tensor, model.params["out_b"].tensor)
-    p = nncore.softmax(tape, e)
-    return nncore.weighted_centroid(tape, p, centers)
-
-
-def _hidden_layer(model: DestinationModel, tape: Tape, x: Tensor) -> Tensor:
-    return nncore.relu(
-        tape, nncore.dense(tape, x, model.params["hidden_w"].tensor, model.params["hidden_b"].tensor)
-    )
-
-
 # ---------------------------------------------------------------------------
-# Forward passes
+# Forward pass
 # ---------------------------------------------------------------------------
-
-
-def _mlp_head(model: DestinationModel, tape: Tape, feats: Features) -> Tensor:
-    cfg = model.config
-    h = _hidden_layer(model, tape, _mlp_input(model, tape, feats))
-    if cfg.variant == "mlp_direct":
-        y_std = nncore.dense(tape, h, model.params["out_w"].tensor, model.params["out_b"].tensor)
-        stats = model.stats
-        return nncore.affine_const(
-            tape,
-            y_std,
-            np.array([stats.std_lat, stats.std_lon]),
-            np.array([stats.mean_lat, stats.mean_lon]),
-        )
-    return _centroid_head(model, tape, h, model.clusters.centers)
 
 
 def _run_lstm(model, tape, name, inputs_per_step: list[np.ndarray], order: np.ndarray) -> Tensor:
@@ -349,11 +308,22 @@ def _recurrent_states(model: DestinationModel, tape: Tape, feats: Features) -> T
     return state
 
 
-def _recurrent_head(model, tape, feats: Features) -> Tensor:
-    state = _recurrent_states(model, tape, feats)
-    x = nncore.concat(tape, [state] + _embedding_pieces(model, tape, feats))
-    h = _hidden_layer(model, tape, x)
-    return _centroid_head(model, tape, h, model.clusters.centers)
+def _input(model: DestinationModel, tape: Tape, feats: Features) -> Tensor:
+    """Each example's input row: its GPS block or its final LSTM state(s),
+    then its embeddings."""
+    pieces: list[Tensor] = []
+    if feats.gps is not None:
+        pieces.append(Tensor(feats.gps))
+    if feats.fwd:
+        pieces.append(_recurrent_states(model, tape, feats))
+    for f, rows in feats.index.items():
+        pieces.append(nncore.embedding_lookup(tape, model.params[f"emb_{f}"].tensor, rows))
+    return nncore.concat(tape, pieces)
+
+
+def _relu_dense(model: DestinationModel, tape: Tape, x: Tensor, name: str) -> Tensor:
+    w, b = model.params[f"{name}_w"].tensor, model.params[f"{name}_b"].tensor
+    return nncore.relu(tape, nncore.dense(tape, x, w, b))
 
 
 def candidates_from_records(records: Sequence[TrainRecord]) -> list[PrefixExample]:
@@ -362,25 +332,12 @@ def candidates_from_records(records: Sequence[TrainRecord]) -> list[PrefixExampl
     return [PrefixExample(r, len(r.polyline)) for r in records]
 
 
-def _encoder(model: DestinationModel, tape: Tape, x: Tensor, name: str) -> Tensor:
-    w, b = model.params[f"enc_{name}_w"].tensor, model.params[f"enc_{name}_b"].tensor
-    return nncore.relu(tape, nncore.dense(tape, x, w, b))
-
-
 def _candidate_memory(model: DestinationModel, tape: Tape, candidates) -> tuple[Tensor, np.ndarray]:
     """Encoded candidates [M, hidden] and their destinations [M, 2]."""
     if candidates is None or len(candidates) == 0:
         raise ValueError("memory_net needs at least one candidate")
-    x = _mlp_input(model, tape, featurize(model, candidates))
-    return _encoder(model, tape, x, "cand"), destinations(candidates)
-
-
-def _memory_head(model: DestinationModel, tape: Tape, q_in: Tensor, memory) -> Tensor:
-    """Softmax over dot-product similarities weighs candidate destinations;
-    ``memory`` is what :func:`_candidate_memory` returns."""
-    encoded, dests = memory
-    sims = nncore.dot_similarity(tape, _encoder(model, tape, q_in, "query"), encoded)
-    return nncore.weighted_centroid(tape, nncore.softmax(tape, sims), dests)
+    x = _input(model, tape, featurize(model, candidates))
+    return _relu_dense(model, tape, x, "enc_cand"), destinations(candidates)
 
 
 def forward(model: DestinationModel, batch, tape: Tape = None, candidates=None) -> Tensor:
@@ -393,15 +350,33 @@ def forward(model: DestinationModel, batch, tape: Tape = None, candidates=None) 
 
 
 def _head(model: DestinationModel, tape: Tape, feats: Features, memory) -> Tensor:
-    """The variant's prediction from featurized inputs.  ``memory()`` gives
-    memory_net's encoded candidates; it runs after the query's input is on
-    the tape, the order in which backward sums the embedding gradients."""
-    variant = model.config.variant
-    if variant in _MLP_VARIANTS:
-        return _mlp_head(model, tape, feats)
-    if variant in _RNN_VARIANTS:
-        return _recurrent_head(model, tape, feats)
-    return _memory_head(model, tape, _mlp_input(model, tape, feats), memory())
+    """The variant's prediction from featurized inputs.
+
+    The centroid output and memory_net both end in a softmax-weighted
+    centroid: of the cluster centres, by the output layer over the hidden
+    layer, or of the candidates' destinations, by the dot products of the
+    encoded query and candidates.  ``memory()`` gives memory_net's encoded
+    candidates; it runs after the query's input is on the tape, the order
+    in which backward sums the embedding gradients.
+    """
+    output = _LAYOUTS[model.config.variant].output
+    x = _input(model, tape, feats)
+    if output == "memory":
+        encoded, values = memory()
+        logits = nncore.dot_similarity(tape, _relu_dense(model, tape, x, "enc_query"), encoded)
+    else:
+        h = _relu_dense(model, tape, x, "hidden")
+        logits = nncore.dense(tape, h, model.params["out_w"].tensor, model.params["out_b"].tensor)
+        if output == "direct":  # the two outputs are standardized coordinates
+            stats = model.stats
+            return nncore.affine_const(
+                tape,
+                logits,
+                np.array([stats.std_lat, stats.std_lon]),
+                np.array([stats.mean_lat, stats.mean_lon]),
+            )
+        values = model.clusters.centers
+    return nncore.weighted_centroid(tape, nncore.softmax(tape, logits), values)
 
 
 #: Prefixes per forward pass in :func:`predict`; bounds the rows x C and
@@ -452,11 +427,27 @@ def _config_from_json(obj: dict) -> ModelConfig:
     return ModelConfig(**obj)
 
 
+def _check_parameters(path, config: ModelConfig, expected, values: dict[str, np.ndarray]) -> None:
+    """Raise ValueError naming ``path`` and the first parameter whose name,
+    shape or dtype differs from the ``expected`` (name, shape) list."""
+    names, dtype = list(values), config.np_dtype()
+    for i, (name, shape) in enumerate(expected):
+        if i == len(names) or names[i] != name:
+            found = "none" if i == len(names) else repr(names[i])
+            raise ValueError(f"{path}: variant {config.variant}'s parameter {i} is {name!r}; "
+                             f"the checkpoint has {found} there")
+        if values[name].shape != shape or values[name].dtype != dtype:
+            raise ValueError(f"{path}: parameter {name!r} is {values[name].dtype} {values[name].shape}, "
+                             f"expected {dtype} {shape}")
+    if len(names) > len(expected):
+        raise ValueError(f"{path}: parameter {names[len(expected)]!r} is not one of variant {config.variant}'s")
+
+
 def load_model(path) -> DestinationModel:
     """The model saved at ``path``.  A checkpoint in the older config layout
-    (see :func:`_config_from_json`) loads too; metadata that cannot be read
-    raises ValueError naming the path.  Parameter names and shapes are not
-    checked against the config."""
+    (see :func:`_config_from_json`) loads too; metadata that cannot be read,
+    or parameters whose names, order, shapes or dtype do not fit the config,
+    raise ValueError naming the path."""
     extras, values = load_checkpoint(path)
     try:
         config = _config_from_json(extras["model_config"])
@@ -465,10 +456,12 @@ def load_model(path) -> DestinationModel:
         clusters = None
         if extras["clusters"] is not None:
             clusters = ClusterSet(np.array(extras["clusters"], dtype=np.float64))
+        expected = _parameter_shapes(config, vocab, clusters)
     except KeyError as e:
         raise ValueError(f"{path}: checkpoint metadata has no {e} entry") from e
     except (AttributeError, TypeError, ValueError) as e:
         raise ValueError(f"{path}: checkpoint metadata is not readable: {e}") from e
+    _check_parameters(path, config, expected, values)
     params = {name: Parameter(name, arr) for name, arr in values.items()}
     return DestinationModel(
         config=config, params=params, clusters=clusters, stats=stats, vocab=vocab

@@ -43,7 +43,6 @@ __all__ = [
     "slice_cols",
     "softmax",
     "sqrt",
-    "sub",
     "tanh",
     "weighted_centroid",
 ]
@@ -239,18 +238,6 @@ def add(tape: Tape, a: Tensor, b: Tensor) -> Tensor:
         def bwd(g):
             a.accumulate(g)
             b.accumulate_owned(g)
-        tape.record(out, bwd)
-    return out
-
-
-def sub(tape: Tape, a: Tensor, b: Tensor) -> Tensor:
-    _same_shape(a, b, "sub")
-    out = Tensor(a.data - b.data)
-    if tape is not None:
-        def bwd(g):
-            neg = -g
-            a.accumulate_owned(g)
-            b.accumulate_owned(neg)
         tape.record(out, bwd)
     return out
 

@@ -182,6 +182,10 @@ def evaluate(
     return total / len(examples) / 1000.0
 
 
+class _NoCandidates(DataError):
+    """No memory-network candidate was left to draw."""
+
+
 class _CandidateSampler:
     """Random training trajectories as memory-network candidates,
     excluding any trajectory present in the query batch.
@@ -224,8 +228,11 @@ class _CandidateSampler:
             blocked[new] = True
             chosen.append(new)
             count += len(new)
-        if count == 0:
-            raise DataError("could not sample memory-network candidates")
+        if count == 0:  # nothing was chosen, so ``blocked`` marks the excluded trips alone
+            raise _NoCandidates(
+                f"could not sample memory-network candidates: the batch's own trips are left out, "
+                f"and they are {int(blocked.sum())} of the {len(self.records)} training trips"
+            )
         return models.candidates_from_records([self.records[i] for i in np.concatenate(chosen).tolist()])
 
 

@@ -99,7 +99,7 @@ def test_nothing_eligible():
     sampler = _CandidateSampler(records, tiny_model("memory_net"), 5)
     exclude = frozenset(r.trip_id for r in records)
     rng, ref_rng = np.random.default_rng(1), np.random.default_rng(1)
-    with pytest.raises(DataError, match="could not sample"):
+    with pytest.raises(DataError, match="could not sample .* they are 25 of the 25 training trips$"):
         sampler.sample(rng, exclude)
     with pytest.raises(DataError):
         reference_sample(sampler.records, sampler.m, ref_rng, exclude)

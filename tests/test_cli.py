@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from conftest import older_layout_extras
-from taxidest import cli, fixtures, models, training
+from taxidest import cli, fixtures, models, nncore, training
 from taxidest.cli import main
 from taxidest.nncore.checkpoint import save_checkpoint
 
@@ -483,6 +483,23 @@ class TestEvaluate:
         err = capsys.readouterr().err
         assert str(path) in err and "internal error" not in err
 
+    @pytest.mark.parametrize(
+        "edit, why",
+        [(lambda p: p.pop("out_b"), "parameter 9 is 'out_b'; the checkpoint has none there"),
+         (lambda p: p.update(hidden_w=nncore.Parameter("hidden_w", p["hidden_w"].value[:, :8])),
+          "parameter 'hidden_w' is float32 (36, 8), expected float32 (36, 16)")],
+    )
+    def test_parameters_that_do_not_fit_the_config_are_a_data_error(
+        self, trained_ckpt, prepared_dir, tmp_path, capsys, edit, why
+    ):
+        model = models.load_model(trained_ckpt)
+        edit(model.params)
+        path = tmp_path / "misfit.ckpt"
+        models.save_model(model, path)
+        assert main(["evaluate", "--model", str(path), "--data", str(prepared_dir)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"taxidest evaluate: {path}: ") and why in err
+
     def test_missing_checkpoint(self, prepared_dir, tmp_path):
         rc = main(["evaluate", "--model", str(tmp_path / "no.ckpt"), "--data", str(prepared_dir)])
         assert rc == 2
@@ -587,6 +604,21 @@ class TestMemoryNetCli:
         err = capsys.readouterr().err
         assert f"memory_m must be positive, got {m}" in err
         assert "could not sample" not in err and not ckpt.exists()
+
+    def test_batch_covering_every_trip_names_the_counts(self, tmp_path, capsys):
+        """memory_net leaves a batch's own trips out of its candidates; a
+        batch of 5000 prefixes covers all 160 training trips of 200."""
+        csv, data_dir = tmp_path / "city.csv", tmp_path / "data"
+        fixtures.generate_city_csv(csv, 200, seed=0)
+        assert main(["prepare", "--input", str(csv), "--out", str(data_dir),
+                     "--val", "20", "--test", "20", "--seed", "0"]) == 0
+        ckpt = tmp_path / "mem.ckpt"
+        rc = main(["train", "--data", str(data_dir), "--variant", "memory_net", "--batch", "5000",
+                   "--max-batches", "2", "--validate-every", "1", "--out", str(ckpt)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "they are 160 of the 160 training trips; lower --batch (now 5000) or prepare more trips" in err
+        assert not ckpt.exists()
 
     def test_predict_without_candidate_data_fails(self, tmp_path, prepared_dir, city_csv):
         ckpt = tmp_path / "mem2.ckpt"

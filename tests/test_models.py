@@ -30,7 +30,7 @@ from taxidest.models import (
     predict,
     save_model,
 )
-from taxidest.nncore import Tensor
+from taxidest.nncore import Parameter, Tensor
 from taxidest.nncore.checkpoint import save_checkpoint
 
 
@@ -44,6 +44,39 @@ class TestBuildModel:
         tables = (sum(len(m) + 1 for m in vocab.maps.values()) + 96 + 7 + 52) * 10
         expected = 80 * 500 + 500 + 500 * c + c + tables
         assert model.parameter_count() == expected
+
+    def test_parameter_layout_per_variant(self):
+        # Creation order is the order of the initializer's draws, so this
+        # pins bit-identical initialization as well as the shapes.
+        k, hidden, rnn, window, e = 3, 7, 5, 4, 2
+        c = tiny_clusters().count
+        emb = [(f"emb_{f}", (rows, e)) for f, rows in
+               zip(EMBEDDING_FIELDS, (3, 2, 3, 96, 7, 52))]  # tiny_vocab: 2, 1 and 2 ids, plus UNK
+
+        def dense(name, fan_in, fan_out):
+            return [(f"{name}_w", (fan_in, fan_out)), (f"{name}_b", (fan_out,))]
+
+        def lstm(direction, step):
+            return [(f"lstm_{direction}_wx", (step, 4 * rnn)), (f"lstm_{direction}_wh", (rnn, 4 * rnn)),
+                    (f"lstm_{direction}_b", (4 * rnn,))]
+
+        out = dense("out", hidden, c)
+        expected = {
+            "mlp_clusters": emb + dense("hidden", 4 * k + 6 * e, hidden) + out,
+            "mlp_direct": emb + dense("hidden", 4 * k + 6 * e, hidden) + dense("out", hidden, 2),
+            "mlp_no_embed": dense("hidden", 4 * k, hidden) + out,
+            "mlp_embed_only": emb + dense("hidden", 6 * e, hidden) + out,
+            "rnn": emb + lstm("fwd", 2) + dense("hidden", rnn + 6 * e, hidden) + out,
+            "brnn": emb + lstm("fwd", 2) + lstm("bwd", 2) + dense("hidden", 2 * rnn + 6 * e, hidden) + out,
+            "brnn_window": emb + lstm("fwd", 2 * window) + lstm("bwd", 2 * window)
+            + dense("hidden", 2 * rnn + 6 * e, hidden) + out,
+            "memory_net": emb + dense("enc_query", 4 * k + 6 * e, hidden)
+            + dense("enc_cand", 4 * k + 6 * e, hidden),
+        }
+        assert list(expected) == list(models.VARIANTS)
+        for variant, layout in expected.items():
+            model = tiny_model(variant, k=k, hidden=hidden, rnn_hidden=rnn, window=window, embedding_dim=e)
+            assert [(name, p.shape) for name, p in model.params.items()] == layout, variant
 
     def test_input_width_reference(self):
         model = tiny_model("mlp_clusters", k=5, embedding_dim=10)
@@ -404,7 +437,8 @@ class TestCheckpoint:
          (lambda e: e["model_config"].update(dtype="int8"), "dtype must be float32 or float64"),
          (lambda e: e.pop("stats"), "no 'stats' entry"),
          (lambda e: e["vocab"].pop("stand"), "no 'stand' entry"),
-         (lambda e: e.update(clusters="none"), "not readable")],
+         (lambda e: e.update(clusters="none"), "not readable"),
+         (lambda e: e.update(clusters=None), "variant mlp_clusters requires a ClusterSet")],
     )
     def test_unreadable_metadata_names_path(self, tmp_path, damage, why):
         model = tiny_model("mlp_clusters")
@@ -412,6 +446,28 @@ class TestCheckpoint:
         damage(extras)
         path = tmp_path / "damaged.ckpt"
         save_checkpoint(path, model.parameters(), extras)
+        with pytest.raises(ValueError, match=why) as err:
+            load_model(path)
+        assert str(err.value).startswith(f"{path}: ")
+
+    @pytest.mark.parametrize(
+        "edit, why",
+        [(lambda p: p.pop("out_b"), "variant mlp_direct's parameter 9 is 'out_b'; the checkpoint has none there"),
+         (lambda p: p.update(hidden_b=p.pop("hidden_b")),
+          "variant mlp_direct's parameter 7 is 'hidden_b'; the checkpoint has 'out_w' there"),
+         (lambda p: p.update(extra=Parameter("extra", np.zeros(3, np.float32))),
+          "parameter 'extra' is not one of variant mlp_direct's"),
+         (lambda p: p.update(hidden_w=Parameter("hidden_w", p["hidden_w"].value[:, :8])),
+          r"parameter 'hidden_w' is float32 \(20, 8\), expected float32 \(20, 16\)"),
+         (lambda p: p.update(out_w=Parameter("out_w", p["out_w"].value.astype(np.float64))),
+          r"parameter 'out_w' is float64 \(16, 2\), expected float32 \(16, 2\)")],
+        ids=["missing", "reordered", "extra", "mis-shaped", "float64-in-float32"],
+    )
+    def test_parameters_that_do_not_fit_the_config_name_path(self, tmp_path, edit, why):
+        model = tiny_model("mlp_direct", hidden=16, dtype="float32")
+        edit(model.params)
+        path = tmp_path / "misfit.ckpt"
+        save_model(model, path)
         with pytest.raises(ValueError, match=why) as err:
             load_model(path)
         assert str(err.value).startswith(f"{path}: ")

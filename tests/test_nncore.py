@@ -28,7 +28,6 @@ from taxidest.nncore import (
     slice_cols,
     softmax,
     sqrt,
-    sub,
     weighted_centroid,
 )
 
@@ -448,7 +447,7 @@ class TestElementwiseOps:
 
         def build(tape):
             s = add(tape, mul(tape, a.tensor, bb.tensor), a.tensor)
-            d = sub(tape, s, bb.tensor)
+            d = add(tape, s, scale(tape, bb.tensor, -1))
             q = sqrt(tape, nncore.add_const(tape, mul(tape, d, d), 0.1))
             w = nncore.cos(tape, scale(tape, q, 0.3))
             return mean_all(tape, w)
