@@ -23,6 +23,7 @@ parameters in order.
 from __future__ import annotations
 
 import json
+import math
 import os
 import struct
 from typing import Callable, NamedTuple, Optional, Sequence
@@ -67,12 +68,36 @@ def write(path, fmt: Format, fields: dict, arrays: Sequence) -> None:
             f.write(np.ascontiguousarray(arr, dtype=arr.dtype.newbyteorder("<")).reshape(-1).view(np.uint8))
 
 
+#: Each ``params`` entry's fields and their JSON types.
+_ENTRY_FIELDS = {"name": str, "shape": list, "dtype": str, "offset": int, "nbytes": int}
+
+
+def _entry(e) -> tuple[str, list, np.dtype, int, int]:
+    """(name, shape, dtype, offset, nbytes) of one ``params`` entry;
+    ValueError says what is malformed."""
+    if not isinstance(e, dict):
+        raise ValueError("not an object")
+    for key, kind in _ENTRY_FIELDS.items():
+        if type(e.get(key)) is not kind:  # type(), so that a bool is no int
+            raise ValueError(f"{key!r} is missing or not a JSON {kind.__name__}")
+    if not all(type(d) is int and d >= 0 for d in e["shape"]) or e["offset"] < 0 or e["nbytes"] < 0:
+        raise ValueError(f"negative or non-integer shape {e['shape']}, offset {e['offset']} or nbytes {e['nbytes']}")
+    try:
+        dtype = np.dtype(e["dtype"])
+    except TypeError:
+        raise ValueError(f"unknown dtype {e['dtype']!r}") from None
+    if dtype.kind not in "biufc":
+        raise ValueError(f"dtype {e['dtype']!r} is not numeric")
+    return e["name"], e["shape"], dtype, e["offset"], e["nbytes"]
+
+
 def read(path, fmt: Format, where: Optional[Callable] = None) -> tuple[dict, dict[str, np.ndarray]]:
     """Returns (header, {array name: native-order array}), arrays in file order.
 
     Raises ``fmt.error`` naming the path for a bad magic or version, a
-    truncated or unreadable header, an array whose bytes the file cuts
-    short or which do not match its shape, and bytes after the last one.
+    truncated or unreadable header, a header that is not an object with a
+    ``params`` list of well-formed entries, an array whose bytes the file
+    cuts short or which do not match its shape, and bytes after the last one.
     For a cut inside array ``name``, ``where(name, arrays read before it,
     its bytes present)`` may say where the cut lies instead.
     """
@@ -93,17 +118,22 @@ def read(path, fmt: Format, where: Optional[Callable] = None) -> tuple[dict, dic
             header = json.loads(f.read(hlen).decode("utf-8"))
         except ValueError as e:
             raise fmt.error(f"{path}: unreadable {fmt.kind} header: {e}") from None
+        if not isinstance(header, dict) or not isinstance(header.get("params"), list):
+            raise fmt.error(f"{path}: the {fmt.kind} header is not an object with a params list")
         blob, arrays, end = size - body - hlen, {}, 0
-        for e in header["params"]:
-            name, offset, nbytes, dtype = e["name"], e["offset"], e["nbytes"], np.dtype(e["dtype"])
+        for i, e in enumerate(header["params"]):
+            try:
+                name, shape, dtype, offset, nbytes = _entry(e)
+            except ValueError as why:
+                raise fmt.error(f"{path}: {fmt.kind} header entry {i}: {why}") from None
             if offset + nbytes > blob:
                 cut = where(name, arrays, max(blob - offset, 0)) if where else None
                 raise fmt.error(f"{path}: truncated in " + (cut or (
                     f"{fmt.item} {name!r}: needs bytes {offset}..{offset + nbytes} after the header, "
                     f"the file has {blob}")))
-            if nbytes != dtype.itemsize * int(np.prod(e["shape"])):
-                raise fmt.error(f"{path}: {fmt.item} {name!r}: {nbytes} bytes do not hold {e['shape']} of {dtype}")
-            arr = np.empty(e["shape"], dtype=dtype)
+            if nbytes != dtype.itemsize * math.prod(shape):
+                raise fmt.error(f"{path}: {fmt.item} {name!r}: {nbytes} bytes do not hold {shape} of {dtype}")
+            arr = np.empty(shape, dtype=dtype)
             f.seek(body + hlen + offset)
             if f.readinto(arr.reshape(-1).view(np.uint8)) != nbytes:
                 raise fmt.error(f"{path}: truncated in {fmt.item} {name!r} while reading")

@@ -14,6 +14,7 @@ on the training split and stores both in the checkpoint.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -65,30 +66,32 @@ def _build_parser() -> _Parser:
 
     sp = sub.add_parser("cluster", help="mean-shift the training destinations")
     sp.add_argument("--data", required=True, help="prepared data directory")
-    sp.add_argument("--bandwidth", type=float, default=500.0, help="meters")
-    sp.add_argument("--merge-radius", type=float, default=250.0, help="meters")
-    sp.add_argument("--max-iter", type=int, default=100)
+    sp.add_argument("--bandwidth", type=float, default=MeanShiftConfig.bandwidth_m, help="meters")
+    sp.add_argument("--merge-radius", type=float, default=MeanShiftConfig.merge_radius_m, help="meters")
+    sp.add_argument("--max-iter", type=int, default=MeanShiftConfig.max_iterations)
     sp.add_argument("--out", required=True, help="cluster CSV path")
 
     sp = sub.add_parser("train", help="train a destination model")
     sp.add_argument("--data", required=True)
     sp.add_argument("--clusters", default=None, help="cluster CSV (centroid variants)")
-    sp.add_argument("--variant", default="mlp_clusters", choices=VARIANTS)
-    sp.add_argument("--k", type=int, default=5)
-    sp.add_argument("--hidden", type=int, default=500)
-    sp.add_argument("--rnn-hidden", type=int, default=500)
-    sp.add_argument("--window", type=int, default=5)
-    sp.add_argument("--embedding-dim", type=int, default=10, help="width of each of the six embedding tables")
-    sp.add_argument("--memory-m", type=int, default=10000)
-    sp.add_argument("--lr", type=float, default=0.01)
-    sp.add_argument("--momentum", type=float, default=0.9)
-    sp.add_argument("--batch", type=int, default=None, help=f"default 200 (memory_net: {MEMORY_NET_BATCH})")
-    sp.add_argument("--max-batches", type=int, default=10000)
-    sp.add_argument("--validate-every", type=int, default=500)
-    sp.add_argument("--patience", type=int, default=5)
-    sp.add_argument("--clip-norm", type=float, default=None)
-    sp.add_argument("--dtype", default="float32", choices=("float32", "float64"))
-    sp.add_argument("--seed", type=int, default=0)
+    sp.add_argument("--variant", default=ModelConfig.variant, choices=VARIANTS)
+    sp.add_argument("--k", type=int, default=ModelConfig.k)
+    sp.add_argument("--hidden", type=int, default=ModelConfig.hidden)
+    sp.add_argument("--rnn-hidden", type=int, default=ModelConfig.rnn_hidden)
+    sp.add_argument("--window", type=int, default=ModelConfig.window)
+    sp.add_argument("--embedding-dim", type=int, default=ModelConfig.embedding_dim,
+                    help="width of each of the six embedding tables")
+    sp.add_argument("--memory-m", type=int, default=ModelConfig.memory_m)
+    sp.add_argument("--lr", type=float, default=TrainConfig.learning_rate)
+    sp.add_argument("--momentum", type=float, default=TrainConfig.momentum)
+    sp.add_argument("--batch", type=int, default=None,
+                    help=f"default {TrainConfig.batch_size} (memory_net: {MEMORY_NET_BATCH})")
+    sp.add_argument("--max-batches", type=int, default=TrainConfig.max_batches)
+    sp.add_argument("--validate-every", type=int, default=TrainConfig.validate_every)
+    sp.add_argument("--patience", type=int, default=TrainConfig.patience)
+    sp.add_argument("--clip-norm", type=float, default=TrainConfig.clip_norm)
+    sp.add_argument("--dtype", default=ModelConfig.dtype, choices=("float32", "float64"))
+    sp.add_argument("--seed", type=int, default=TrainConfig.seed)
     sp.add_argument("--out", required=True, help="checkpoint path")
     sp.add_argument("--report", default=None, help="training report JSONL (default OUT.report.jsonl)")
 
@@ -210,24 +213,15 @@ def _cmd_cluster(args) -> int:
 
 
 def _model_config_from_args(args) -> ModelConfig:
-    return ModelConfig(
-        variant=args.variant,
-        k=args.k,
-        hidden=args.hidden,
-        embedding_dim=args.embedding_dim,
-        rnn_hidden=args.rnn_hidden,
-        window=args.window,
-        memory_m=args.memory_m,
-        dtype=args.dtype,
-    )
+    """Every ``train`` option that sets a ModelConfig field has its name."""
+    return ModelConfig(**{f.name: getattr(args, f.name) for f in dataclasses.fields(ModelConfig)})
 
 
-def _cmd_train(args) -> int:
-    config = _model_config_from_args(args)  # a bad option fails before the data loads
+def _train_config_from_args(args, config: ModelConfig) -> TrainConfig:
     batch = args.batch
     if batch is None:
         batch = MEMORY_NET_BATCH if config.variant == "memory_net" else TrainConfig.batch_size
-    cfg = TrainConfig(
+    return TrainConfig(
         learning_rate=args.lr,
         momentum=args.momentum,
         batch_size=batch,
@@ -237,6 +231,11 @@ def _cmd_train(args) -> int:
         seed=args.seed,
         clip_norm=args.clip_norm,
     )
+
+
+def _cmd_train(args) -> int:
+    config = _model_config_from_args(args)  # a bad option fails before the data loads
+    cfg = _train_config_from_args(args, config)
     prepared = _load_prepared(args.data)
     stats = fit_standardization(prepared.train)
     vocab = build_vocab(prepared.train)
@@ -249,7 +248,7 @@ def _cmd_train(args) -> int:
     try:
         report = train(model, prepared.train, prepared.validation, cfg, checkpoint_path=args.out)
     except training._NoCandidates as e:
-        raise DataError(f"{e}; lower --batch (now {batch}) or prepare more trips") from e
+        raise DataError(f"{e}; lower --batch (now {cfg.batch_size}) or prepare more trips") from e
     if not report.history:
         models.save_model(model, args.out)  # no validation ever ran
     report_path = args.report if args.report else f"{args.out}.report.jsonl"

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import _kernels
 from ._atomic import atomic_open
-from .geo import EARTH
+from .geo import EARTH_RADIUS_M
 
 __all__ = [
     "ClusterSet",
@@ -66,19 +66,17 @@ class MeanShiftConfig:
 
 
 def _as_latlon_array(points) -> np.ndarray:
-    if isinstance(points, np.ndarray):
-        arr = np.asarray(points, dtype=np.float64)
-        if arr.ndim != 2 or arr.shape[1] != 2:
-            raise ValueError(f"expected an (N, 2) array, got shape {arr.shape}")
-        return arr
-    return np.array([(p.lat, p.lon) for p in points], dtype=np.float64).reshape(-1, 2)
+    arr = np.asarray(points, dtype=np.float64)
+    if arr.ndim != 2 or arr.shape[1] != 2:
+        raise ValueError(f"expected an (N, 2) array, got shape {arr.shape}")
+    return arr
 
 
 def _equirect_m(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Equirectangular meters between (lat, lon) rows of a and b, broadcast."""
     d_phi = (b[..., 0] - a[..., 0]) * _DEG2RAD
     d_lam = (b[..., 1] - a[..., 1]) * _DEG2RAD * np.cos(0.5 * (b[..., 0] + a[..., 0]) * _DEG2RAD)
-    return EARTH.radius_m * np.hypot(d_phi, d_lam)
+    return EARTH_RADIUS_M * np.hypot(d_phi, d_lam)
 
 
 def mean_shift(
@@ -88,7 +86,7 @@ def mean_shift(
 ) -> ClusterSet:
     """Cluster (lat, lon) points; returns the merged density modes.
 
-    ``points`` is an (N, 2) array or a sequence of GeoPoints.  ``seeds``
+    ``points`` is an (N, 2) array of (lat, lon) rows.  ``seeds``
     defaults to the first point, in input order, of each occupied cell of
     a grid with cells half the bandwidth wide, listed in input order.
     Seeds iterate to the flat-kernel mean of their bandwidth ball until the
@@ -102,21 +100,21 @@ def mean_shift(
     if seeds is None:
         # Full-bandwidth cells lost a tenth of the centres on mlp-porto's
         # destinations.  The stable sort puts each cell's first point first.
-        cells = _kernels.GridIndex(pts[:, 0], pts[:, 1], cfg.bandwidth_m / 2, EARTH.radius_m)
+        cells = _kernels.GridIndex(pts[:, 0], pts[:, 1], cfg.bandwidth_m / 2, EARTH_RADIUS_M)
         seed_arr = pts[np.sort(cells.order[cells.cell_start])]
     else:
         seed_arr = _as_latlon_array(seeds)
         if len(seed_arr) == 0:
             raise ValueError("explicit seeds must be non-empty")
 
-    grid = _kernels.GridIndex(pts[:, 0], pts[:, 1], cfg.bandwidth_m, EARTH.radius_m)
+    grid = _kernels.GridIndex(pts[:, 0], pts[:, 1], cfg.bandwidth_m, EARTH_RADIUS_M)
     modes, _ = _kernels.iterate_seeds(
         grid,
         seed_arr[:, 0],
         seed_arr[:, 1],
         cfg.bandwidth_m,
         cfg.max_iterations,
-        EARTH.radius_m,
+        EARTH_RADIUS_M,
     )
     return ClusterSet(_merge_modes(modes, cfg.merge_radius_m))
 
@@ -135,7 +133,7 @@ def _merge_modes(modes: np.ndarray, merge_radius_m: float) -> np.ndarray:
         modes, axis=0, return_index=True, return_inverse=False, return_counts=True
     )
     ranked = uniq[np.lexsort((first_idx, -counts))]
-    grid = _kernels.GridIndex(ranked[:, 0], ranked[:, 1], merge_radius_m, EARTH.radius_m)
+    grid = _kernels.GridIndex(ranked[:, 0], ranked[:, 1], merge_radius_m, EARTH_RADIUS_M)
     later, earlier = [], []
     for lo, hi, n_cand, slots in _kernels.neighbour_chunks(grid, ranked[:, 0], ranked[:, 1]):
         me = np.repeat(np.arange(lo, hi), n_cand)

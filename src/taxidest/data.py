@@ -104,12 +104,6 @@ class TrainRecord:
         """False for records excluded from training, clustering and stats."""
         return not self.missing_data and len(self.polyline) >= 1
 
-    @property
-    def destination(self) -> GeoPoint:
-        if len(self.polyline) == 0:
-            raise DataError(f"trip {self.trip_id} has an empty polyline")
-        return GeoPoint(float(self.polyline[-1, 0]), float(self.polyline[-1, 1]))
-
 
 #: Record attribute holding each id table's raw id.
 _ID_ATTRIBUTES = {"client": "origin_call", "taxi": "taxi_id", "stand": "origin_stand"}
@@ -167,7 +161,10 @@ class PrefixExample(NamedTuple):
 
     @property
     def target(self) -> GeoPoint:
-        return self.record.destination
+        polyline = self.record.polyline
+        if len(polyline) == 0:
+            raise DataError(f"trip {self.trip_id} has an empty polyline")
+        return GeoPoint(float(polyline[-1, 0]), float(polyline[-1, 1]))
 
 
 @dataclass
@@ -462,8 +459,9 @@ def save_records(records: Sequence[TrainRecord], path) -> None:
 def load_records(path) -> list[TrainRecord]:
     """Read a record cache; each polyline is a slice of one points array.
     A cache of another version, a truncated file, bytes after the last
-    column, or columns that disagree raise :class:`DataError` naming the
-    path; a cut inside the points also names the first record it cuts."""
+    column, columns that disagree, or a point that is not finite within
+    |lat| <= 90, |lon| <= 180 raise :class:`DataError` naming the path; a
+    cut inside the points or a bad point also names its record."""
 
     def where(name, cols, present):
         if name == "points" and "offsets" in cols:  # 16 bytes a point
@@ -486,6 +484,15 @@ def load_records(path) -> list[TrainRecord]:
         raise DataError(f"{path}: the offsets do not start at 0 and never fall")
     if (cols["call_type"] >= len(CALL_TYPES)).any():
         raise DataError(f"{path}: a call type code is not below {len(CALL_TYPES)}")
+    # One min and max over all coordinates clears any city within |lon| <= 90;
+    # only otherwise are the columns searched against their own limits.
+    if len(points) and not -90.0 <= points.min() <= points.max() <= 90.0:  # false for NaN too
+        bad = ~(np.abs(points) <= _LON_LAT_LIMITS[::-1]).all(axis=1)
+        if bad.any():
+            j = int(np.flatnonzero(bad)[0])
+            i = int(np.searchsorted(offsets[1:], j, side="right"))
+            raise DataError(f"{path}: record {i} (trip {trip_ids[i]}) has the point {tuple(points[j].tolist())}; "
+                            "need finite (lat, lon) with |lat| <= 90 and |lon| <= 180")
     records = []
     for lo in range(0, n, _LOAD_BLOCK):  # no whole-column lists alive at once
         hi = min(lo + _LOAD_BLOCK, n)

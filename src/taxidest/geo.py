@@ -1,9 +1,8 @@
-"""Geodesic distances and coordinate standardization.
+"""The Earth, points and coordinate standardization.
 
-All public functions take and return coordinates in decimal degrees;
-trigonometry is done in radians internally.  Distances are in meters and
-are always computed in double precision, so the training loss and the
-evaluation metric share one Earth model.
+Coordinates are in decimal degrees and distances in meters, computed in
+double precision on arrays; the training loss, clustering and the
+evaluation metric all use the one radius ``EARTH_RADIUS_M``.
 """
 
 from __future__ import annotations
@@ -14,16 +13,14 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
-    "EARTH",
-    "EarthModel",
+    "EARTH_RADIUS_M",
     "GeoPoint",
     "StandardizationStats",
-    "equirectangular_distance",
-    "equirectangular_grad_y",
-    "haversine_distance",
-    "standardize",
-    "unstandardize",
+    "haversine_distance_arrays",
 ]
+
+#: Mean radius of the spherical Earth, meters.
+EARTH_RADIUS_M = 6_371_000.0
 
 _DEG2RAD = math.pi / 180.0
 
@@ -43,18 +40,6 @@ class GeoPoint:
             raise ValueError(f"latitude {self.lat} outside [-90, 90]")
         if not (-180.0 <= self.lon <= 180.0):
             raise ValueError(f"longitude {self.lon} outside [-180, 180]")
-
-
-@dataclass(frozen=True)
-class EarthModel:
-    """Spherical Earth of fixed radius (meters)."""
-
-    radius_m: float = 6_371_000.0
-
-
-#: Single shared Earth model; mean radius, used by losses, clustering and
-#: evaluation alike so they always agree.
-EARTH = EarthModel()
 
 
 @dataclass(frozen=True)
@@ -80,80 +65,19 @@ class StandardizationStats:
         return cls(float(mean_lat), float(mean_lon), float(std_lat), float(std_lon))
 
 
-def haversine_distance(x: GeoPoint, y: GeoPoint) -> float:
-    """Great-circle distance in meters between two points.
-
-    Symmetric, non-negative, and zero iff ``x == y`` up to floating point.
-    """
-    phi_x = x.lat * _DEG2RAD
-    phi_y = y.lat * _DEG2RAD
-    s_phi = math.sin(0.5 * (phi_y - phi_x))
-    s_lam = math.sin(0.5 * (y.lon - x.lon) * _DEG2RAD)
-    a = s_phi * s_phi + math.cos(phi_x) * math.cos(phi_y) * s_lam * s_lam
-    return 2.0 * EARTH.radius_m * math.atan2(math.sqrt(a), math.sqrt(max(0.0, 1.0 - a)))
-
-
 def haversine_distance_arrays(
     lat_x: np.ndarray,
     lon_x: np.ndarray,
     lat_y: np.ndarray,
     lon_y: np.ndarray,
 ) -> np.ndarray:
-    """Vectorized :func:`haversine_distance` over degree arrays, float64."""
+    """Great-circle meters between degree arrays, elementwise, float64.
+
+    Symmetric, non-negative, and zero where the points coincide.
+    """
     phi_x = np.asarray(lat_x, dtype=np.float64) * _DEG2RAD
     phi_y = np.asarray(lat_y, dtype=np.float64) * _DEG2RAD
     s_phi = np.sin(0.5 * (phi_y - phi_x))
     s_lam = np.sin(0.5 * (np.asarray(lon_y, np.float64) - np.asarray(lon_x, np.float64)) * _DEG2RAD)
     a = s_phi * s_phi + np.cos(phi_x) * np.cos(phi_y) * s_lam * s_lam
-    return 2.0 * EARTH.radius_m * np.arctan2(np.sqrt(a), np.sqrt(np.maximum(0.0, 1.0 - a)))
-
-
-def equirectangular_distance(x: GeoPoint, y: GeoPoint) -> float:
-    """Planar small-area approximation of the great-circle distance, meters.
-
-    Uses the mean latitude to scale longitude differences; very accurate at
-    city scale (relative error < 1e-3 within ~30 km at latitude 41).
-    """
-    phi_x = x.lat * _DEG2RAD
-    phi_y = y.lat * _DEG2RAD
-    d_phi = phi_y - phi_x
-    d_lam = (y.lon - x.lon) * _DEG2RAD
-    u = d_lam * math.cos(0.5 * (phi_x + phi_y))
-    return EARTH.radius_m * math.sqrt(u * u + d_phi * d_phi)
-
-
-def equirectangular_grad_y(x: GeoPoint, y: GeoPoint) -> tuple[float, float]:
-    """Analytic gradient of the equirectangular distance w.r.t. ``y``.
-
-    Returns (d/dlat_y, d/dlon_y) in meters per degree.  Undefined at ``x == y``.
-    """
-    phi_x = x.lat * _DEG2RAD
-    phi_y = y.lat * _DEG2RAD
-    d_phi = phi_y - phi_x
-    d_lam = (y.lon - x.lon) * _DEG2RAD
-    mean_phi = 0.5 * (phi_x + phi_y)
-    u = d_lam * math.cos(mean_phi)
-    d = math.sqrt(u * u + d_phi * d_phi)
-    if d == 0.0:
-        raise ZeroDivisionError("gradient undefined at coincident points")
-    r = EARTH.radius_m
-    # d depends on phi_y both through d_phi and through the mean latitude.
-    dd_dphi = r * (d_phi + u * d_lam * (-0.5) * math.sin(mean_phi)) / d
-    dd_dlam = r * u * math.cos(mean_phi) / d
-    return dd_dphi * _DEG2RAD, dd_dlam * _DEG2RAD
-
-
-def standardize(p: GeoPoint, stats: StandardizationStats) -> tuple[float, float]:
-    """Map a point to zero-mean, unit-variance coordinates: ((lat-m)/s, (lon-m)/s)."""
-    return (
-        (p.lat - stats.mean_lat) / stats.std_lat,
-        (p.lon - stats.mean_lon) / stats.std_lon,
-    )
-
-
-def unstandardize(s: tuple[float, float], stats: StandardizationStats) -> GeoPoint:
-    """Exact inverse of :func:`standardize`."""
-    return GeoPoint(
-        s[0] * stats.std_lat + stats.mean_lat,
-        s[1] * stats.std_lon + stats.mean_lon,
-    )
+    return 2.0 * EARTH_RADIUS_M * np.arctan2(np.sqrt(a), np.sqrt(np.maximum(0.0, 1.0 - a)))

@@ -21,4 +21,6 @@ def load_checkpoint(path) -> tuple[dict, dict[str, np.ndarray]]:
     """Returns (extras, {parameter name: value array}); a file that is
     not a whole version-1 checkpoint raises ValueError naming the path."""
     header, values = _container.read(path, _FORMAT)
+    if not isinstance(header.get("extras"), dict):
+        raise ValueError(f"{path}: the checkpoint header has no extras object")
     return header["extras"], values

@@ -21,7 +21,7 @@ from . import models, nncore
 from ._atomic import atomic_open
 from .data import DataError, PrefixExample, PrefixSampler, TrainRecord
 from .data import make_prefix_example  # noqa: F401  (perfbench/spans.py patches this name here)
-from .geo import EARTH, haversine_distance_arrays
+from .geo import EARTH_RADIUS_M, haversine_distance_arrays
 from .models import DestinationModel
 from .nncore import Tape, Tensor
 
@@ -138,7 +138,7 @@ def equirectangular_loss(tape: Tape, pred: Tensor, targets_deg: np.ndarray) -> T
     mean_lat = nncore.add_const(tape, nncore.scale(tape, lat, 0.5), 0.5 * t[:, :1])
     u = nncore.mul(tape, d_lon, nncore.cos(tape, mean_lat))
     s = nncore.add(tape, nncore.mul(tape, u, u), nncore.mul(tape, d_lat, d_lat))
-    d = nncore.scale(tape, nncore.sqrt(tape, nncore.add_const(tape, s, _LOSS_EPS)), EARTH.radius_m)
+    d = nncore.scale(tape, nncore.sqrt(tape, nncore.add_const(tape, s, _LOSS_EPS)), EARTH_RADIUS_M)
     return nncore.mean_all(tape, d)
 
 

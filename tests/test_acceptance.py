@@ -23,11 +23,12 @@ from conftest import (
     tiny_stats,
     tiny_vocab,
 )
+from geo_reference import equirectangular_distance, haversine_distance
 from taxidest import data, fixtures, models, nncore, training
 from taxidest.cli import main
 from taxidest.clustering import MeanShiftConfig, mean_shift
 from taxidest.data import PrefixSampler, make_prefix_example
-from taxidest.geo import EARTH, GeoPoint, equirectangular_distance, haversine_distance
+from taxidest.geo import EARTH_RADIUS_M, GeoPoint
 from taxidest.models import ModelConfig, build_model
 from taxidest.nncore import Tape
 
@@ -190,7 +191,7 @@ def test_prefix_distribution_chi_square():
 def test_mean_shift_mode_recovery():
     """Two 1000-point sigma=100m blobs 5 km apart -> exactly 2 centers within 30 m."""
     rng = np.random.default_rng(21)
-    deg_lat = EARTH.radius_m * math.pi / 180.0
+    deg_lat = EARTH_RADIUS_M * math.pi / 180.0
     deg_lon = deg_lat * math.cos(math.radians(41.15))
 
     def blob(center_east_m, n):

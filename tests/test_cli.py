@@ -5,6 +5,8 @@ import json
 import os
 import re
 import shutil
+import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,7 +14,10 @@ import pytest
 from conftest import older_layout_extras
 from taxidest import cli, fixtures, models, nncore, training
 from taxidest.cli import main
+from taxidest.clustering import ClusterSet, MeanShiftConfig
+from taxidest.models import ModelConfig
 from taxidest.nncore.checkpoint import save_checkpoint
+from taxidest.training import TrainConfig
 
 
 @pytest.fixture(scope="module")
@@ -157,6 +162,66 @@ def _small_train_args(data_dir, out):
     ]
 
 
+def _container_header(blob):
+    """(header, offset of the first array byte) of a container file's bytes."""
+    hlen = int.from_bytes(blob[12:20], "little")
+    return json.loads(blob[20 : 20 + hlen]), 20 + hlen
+
+
+def _rewrite_header(path, edit):
+    """Replace a container file's header by ``edit(header)``, arrays kept."""
+    blob = path.read_bytes()
+    header, body = _container_header(blob)
+    head = json.dumps(edit(header)).encode()
+    path.write_bytes(blob[:12] + struct.pack("<Q", len(head)) + head + blob[body:])
+
+
+def _entry_edit(**fields):
+    """A header edit setting fields of the first ``params`` entry; None drops one."""
+
+    def edit(header):
+        entry = header["params"][0]
+        for key, value in fields.items():
+            entry.pop(key) if value is None else entry.__setitem__(key, value)
+        return header
+
+    return edit
+
+
+_HEADER_DAMAGE = {
+    "not-an-object": lambda h: [h],
+    "no-params": lambda h: {k: v for k, v in h.items() if k != "params"},
+    "entry-not-an-object": lambda h: {**h, "params": ["x", *h["params"][1:]]},
+    "entry-without-nbytes": _entry_edit(nbytes=None),
+    "string-offset": _entry_edit(offset="0"),
+    "unknown-dtype": _entry_edit(dtype="<q9"),
+    "object-dtype": _entry_edit(dtype="|O"),
+    "negative-dimension": _entry_edit(shape=[-1]),
+    "negative-offset": _entry_edit(offset=-8),
+    "no-extras": lambda h: {k: v for k, v in h.items() if k != "extras"},  # a checkpoint's only
+}
+
+
+@pytest.mark.parametrize(
+    "kind, damage",
+    [(kind, name) for kind in ("cache", "checkpoint") for name in _HEADER_DAMAGE if (kind, name) != ("cache", "no-extras")],
+)
+def test_malformed_header_is_a_data_error(prepared_dir, trained_ckpt, tmp_path, capsys, kind, damage):
+    """A cache header through ``train``, a checkpoint header through
+    ``evaluate``: exit 2 and a message naming the file."""
+    if kind == "cache":
+        data_dir = shutil.copytree(prepared_dir, tmp_path / "data")
+        path = data_dir / "records.bin"
+        args = _small_train_args(data_dir, tmp_path / "m.ckpt")
+    else:
+        path = Path(shutil.copy(trained_ckpt, tmp_path / "model.ckpt"))
+        args = ["evaluate", "--model", str(path), "--data", str(prepared_dir)]
+    _rewrite_header(path, _HEADER_DAMAGE[damage])
+    assert main(args) == 2
+    err = capsys.readouterr().err
+    assert f": {path}: " in err and "internal error" not in err
+
+
 class TestPreparedDirectory:
     """A prepared directory is ``records.bin`` plus the split's seed and
     counts; rides are addressed by position, never by TRIP_ID."""
@@ -245,6 +310,19 @@ class TestPreparedDirectory:
         err = capsys.readouterr().err
         assert str(path) in err and "re-run `taxidest prepare`" in err
 
+    @pytest.mark.parametrize("value", [float("nan"), 1000.0])
+    def test_bad_point_in_the_cache_names_file_and_record(self, data_copy, tmp_path, capsys, value):
+        path = data_copy / "records.bin"
+        blob = bytearray(path.read_bytes())
+        header, body = _container_header(blob)
+        [points] = [e for e in header["params"] if e["name"] == "points"]
+        at = body + points["offset"] + 16 * 5  # the latitude of point 5
+        blob[at : at + 8] = struct.pack("<d", value)
+        path.write_bytes(bytes(blob))
+        assert main(_small_train_args(data_copy, tmp_path / "m.ckpt")) == 2
+        err = capsys.readouterr().err
+        assert re.search(rf"{re.escape(str(path))}: record \d+ \(trip T\d+\) has the point \({value!r}, ", err)
+
     def test_leftover_stats_and_vocab_are_ignored(self, data_copy, tmp_path):
         leftovers = {"stats.json": '{"mean_lat": "x"}', "vocab.json": "not json"}
         for name, text in leftovers.items():
@@ -282,11 +360,11 @@ class TestCluster:
         # synthetic two-destination corpus through the whole prepare+cluster path
         import math
 
-        from taxidest.geo import EARTH
+        from taxidest.geo import EARTH_RADIUS_M
 
         rows = ["TRIP_ID,CALL_TYPE,ORIGIN_CALL,ORIGIN_STAND,TAXI_ID,TIMESTAMP,DAY_TYPE,MISSING_DATA,POLYLINE"]
         rng = np.random.default_rng(0)
-        deg_m = EARTH.radius_m * math.pi / 180
+        deg_m = EARTH_RADIUS_M * math.pi / 180
         for i in range(30):
             which = i % 2
             lat = 41.15 + which * 5000 / deg_m + rng.normal(0, 50 / deg_m)
@@ -304,6 +382,17 @@ class TestCluster:
     def test_missing_data_dir(self, tmp_path):
         rc = main(["cluster", "--data", str(tmp_path / "missing"), "--out", str(tmp_path / "c.csv")])
         assert rc == 2
+
+    def test_defaults_come_from_the_config(self, tmp_path, prepared_dir, monkeypatch):
+        seen = []
+
+        def capture(points, cfg):
+            seen.append(cfg)
+            return ClusterSet(points[:1])
+
+        monkeypatch.setattr(cli, "mean_shift", capture)
+        assert main(["cluster", "--data", str(prepared_dir), "--out", str(tmp_path / "c.csv")]) == 0
+        assert seen == [MeanShiftConfig()]
 
     @pytest.mark.parametrize("option, value", [("--bandwidth", "nan"), ("--bandwidth", "inf"), ("--merge-radius", "nan")])
     def test_radius_not_finite_and_positive(self, tmp_path, prepared_dir, option, value, capsys):
@@ -370,6 +459,14 @@ class TestTrain:
         assert rc == 2
         assert str(bad) in capsys.readouterr().err
         assert not (tmp_path / "x.ckpt").exists()
+
+    @pytest.mark.parametrize("variant, batch", [(None, TrainConfig.batch_size), ("memory_net", 5000)])
+    def test_defaults_come_from_the_configs(self, variant, batch):
+        argv = ["train", "--data", "d", "--out", "o"] + (["--variant", variant] if variant else [])
+        args = cli._build_parser().parse_args(argv)
+        config = cli._model_config_from_args(args)
+        assert config == (ModelConfig(variant=variant) if variant else ModelConfig())
+        assert cli._train_config_from_args(args, config) == TrainConfig(batch_size=batch)
 
     @pytest.mark.parametrize("variant", ["memory_net", "mlp_direct"])
     def test_default_batch(self, tmp_path, prepared_dir, monkeypatch, variant):

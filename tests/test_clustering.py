@@ -8,6 +8,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from geo_reference import haversine_distance
 from taxidest import _kernels, clustering
 from taxidest.clustering import (
     ClusterSet,
@@ -16,9 +17,9 @@ from taxidest.clustering import (
     mean_shift,
     save_clusters,
 )
-from taxidest.geo import EARTH, GeoPoint, haversine_distance
+from taxidest.geo import EARTH_RADIUS_M, GeoPoint
 
-R = EARTH.radius_m
+R = EARTH_RADIUS_M
 
 
 def meters_to_latlon(east_m, north_m, lat0=41.15, lon0=-8.61):
@@ -220,11 +221,6 @@ class TestMeanShift:
         pts = meters_to_latlon(rng.uniform(0, 1000, 20_000), rng.uniform(0, 1000, 20_000))
         mean_shift(pts, MeanShiftConfig(bandwidth_m=500))
         assert len(seen[0]) <= (1000 // 250 + 2) ** 2
-
-    def test_geopoint_input(self):
-        pts = [GeoPoint(41.15, -8.61), GeoPoint(41.1501, -8.6101)]
-        cs = mean_shift(pts, MeanShiftConfig(bandwidth_m=500))
-        assert cs.count == 1
 
 
 class TestKernels:

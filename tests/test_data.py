@@ -10,6 +10,7 @@ import pytest
 from scipy import stats as scipy_stats
 
 from conftest import make_records
+from geo_reference import unstandardize
 from taxidest import models
 from taxidest.clustering import ClusterSet
 from taxidest.data import (
@@ -30,7 +31,7 @@ from taxidest.data import (
     split_dataset,
     time_features,
 )
-from taxidest.geo import StandardizationStats, unstandardize
+from taxidest.geo import StandardizationStats
 
 HEADER = "TRIP_ID,CALL_TYPE,ORIGIN_CALL,ORIGIN_STAND,TAXI_ID,TIMESTAMP,DAY_TYPE,MISSING_DATA,POLYLINE\n"
 
@@ -280,6 +281,12 @@ class TestMakePrefixExample:
         assert ex.target.lon == rec.polyline[-1, 1]
         assert ex.trip_id == rec.trip_id
         np.testing.assert_array_equal(models.destinations([ex]), rec.polyline[-1:])
+
+    def test_target_of_an_empty_polyline_names_the_trip(self):
+        rec = self._record(1)
+        rec.polyline = np.empty((0, 2))
+        with pytest.raises(DataError, match=f"trip {rec.trip_id} has an empty polyline"):
+            PrefixExample(rec, 0).target
 
     def test_cut_out_of_range(self):
         rec = self._record(4)
@@ -642,6 +649,30 @@ class TestRecordCache:
         with pytest.raises(DataError, match=message) as err:
             load_records(path)
         assert str(path) in str(err.value)
+
+    # Records [3, 1, 7] own point rows 0-2, 3 and 4-10.
+    @pytest.mark.parametrize(
+        "row, col, value, record",
+        [(0, 0, np.nan, 0), (3, 0, 1000.0, 1), (10, 1, -180.5, 2), (4, 1, np.inf, 2), (5, 0, -90.5, 2)],
+    )
+    def test_bad_point_names_path_record_and_trip(self, tmp_path, row, col, value, record):
+        path, blob = self._saved(tmp_path)
+        header, cols = self._columns(blob)
+        cols["points"][row, col] = value
+        path.write_bytes(self._pack(header, cols))
+        with pytest.raises(DataError, match=rf"cache\.bin: record {record} \(trip t{record}\) has the point") as err:
+            load_records(path)
+        assert repr(value) in str(err.value)
+
+    def test_points_at_the_limits_load(self, tmp_path):
+        """Longitudes past 90 fail the quick check on all coordinates; the
+        per-column search then clears them."""
+        path, blob = self._saved(tmp_path)
+        header, cols = self._columns(blob)
+        cols["points"][[0, 3, 10]] = [[90.0, 180.0], [-90.0, -180.0], [41.1, 120.0]]
+        path.write_bytes(self._pack(header, cols))
+        loaded = load_records(path)
+        np.testing.assert_array_equal(np.concatenate([r.polyline for r in loaded]), cols["points"])
 
     @pytest.mark.parametrize(
         "field, value",

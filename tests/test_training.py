@@ -9,10 +9,11 @@ import numpy as np
 import pytest
 
 from conftest import make_records, tiny_model, tiny_stats, tiny_vocab
+from geo_reference import equirectangular_distance, equirectangular_grad_y, haversine_distance
 from taxidest import models, training
 from taxidest.clustering import ClusterSet
 from taxidest.data import DataError, make_prefix_example
-from taxidest.geo import GeoPoint, equirectangular_distance, equirectangular_grad_y, haversine_distance
+from taxidest.geo import GeoPoint
 from taxidest.models import ModelConfig, build_model
 from taxidest.nncore import Tape, Tensor
 from taxidest.training import (
