@@ -1,23 +1,12 @@
-"""The binary container shared by the record cache and the model checkpoint.
+"""The binary container that the record cache (``data``) and the model
+checkpoint (``models``) use; each documents its own header keys and arrays
+beside its ``Format``.
 
 Layout, integers little-endian: an 8-byte magic, version u32, header length
 u64, the header as sorted-key UTF-8 JSON, then the arrays' raw little-endian
 bytes back to back.  The header's ``params`` list gives each array's name,
 shape, dtype string (e.g. "<f4"), and offset and nbytes after the header;
 it is named for the checkpoint, whose arrays are its parameters.
-
-Record cache ``TXDCACHE`` version 2 (``data.save_records``): header key
-``trip_ids``; int64 ``offsets`` (n + 1 rows, record i owns points
-[offsets[i]:offsets[i + 1]]); int64 columns of n rows ``call_type`` (0 phone,
-1 stand, 2 street), ``origin_call`` and ``origin_stand`` (-1 when absent),
-``taxi_id``, ``timestamp`` and ``missing`` (1 when MISSING_DATA); last,
-float64 ``points`` (P, 2) of (lat, lon).  Version 1, one packed record after
-another, is no longer read.  The cache is regenerable from the CSV
-(``taxidest prepare``) and never a source of truth.
-
-Checkpoint ``TXDMODEL`` version 1 (``nncore.checkpoint``): header key
-``extras`` holds what makes the model self-contained; the arrays are the
-parameters in order.
 """
 
 from __future__ import annotations

@@ -12,6 +12,8 @@ import math
 
 import numpy as np
 
+from .geo import EARTH_RADIUS_M
+
 _DEG2RAD = math.pi / 180.0
 
 
@@ -35,10 +37,11 @@ def scatter_add_rows(out: np.ndarray, idx: np.ndarray, rows: np.ndarray) -> None
 # ---------------------------------------------------------------------------
 #
 # Points and seeds are (lat, lon) in degrees, float64.  Distances are
-# equirectangular meters with the per-pair mean latitude, matching the
-# training loss metric.  The grid iterate_seeds searches has cells a
-# bandwidth wide in both axes, so the 3x3 neighborhood of a seed's cell is
-# a superset of its bandwidth ball; exact distances filter inside.
+# equirectangular meters on the sphere of ``geo.EARTH_RADIUS_M``, with the
+# per-pair mean latitude, matching the training loss metric.  The grid
+# iterate_seeds searches has cells a bandwidth wide in both axes, so the 3x3
+# neighborhood of a seed's cell is a superset of its bandwidth ball; exact
+# distances filter inside.
 
 #: Most (position, candidate point) pairs one chunk of a neighbour gather
 #: holds; bounds each chunk's temporaries at 512 KB per float64 array.  A
@@ -57,17 +60,17 @@ class GridIndex:
     """CSR-style spatial grid over points, cells at least ``cell_m`` wide;
     ``order`` lists them cell by cell, in input order inside a cell."""
 
-    def __init__(self, lat: np.ndarray, lon: np.ndarray, cell_m: float, radius_m: float):
+    def __init__(self, lat: np.ndarray, lon: np.ndarray, cell_m: float):
         self.lat = np.ascontiguousarray(lat, dtype=np.float64)
         self.lon = np.ascontiguousarray(lon, dtype=np.float64)
         self.lat0 = float(self.lat.min())
         self.lon0 = float(self.lon.min())
         # Degrees per cell; longitude scaled at the coarsest (widest)
         # latitude in range so no cell is narrower than cell_m.
-        self.cell_lat = cell_m / radius_m / _DEG2RAD
+        self.cell_lat = cell_m / EARTH_RADIUS_M / _DEG2RAD
         max_abs_lat = float(np.max(np.abs(self.lat)))
         cos_floor = max(math.cos(min(max_abs_lat * _DEG2RAD, math.radians(89.0))), 1e-3)
-        self.cell_lon = cell_m / (radius_m * cos_floor) / _DEG2RAD
+        self.cell_lon = cell_m / (EARTH_RADIUS_M * cos_floor) / _DEG2RAD
 
         row = np.floor((self.lat - self.lat0) / self.cell_lat).astype(np.int64)
         col = np.floor((self.lon - self.lon0) / self.cell_lon).astype(np.int64)
@@ -136,7 +139,6 @@ def iterate_seeds(
     seeds_lon: np.ndarray,
     bandwidth_m: float,
     max_iterations: int,
-    radius_m: float,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Move each seed to the flat-kernel mean of its bandwidth ball until the
     shift is exactly zero, the ball is empty, or ``max_iterations`` steps
@@ -152,7 +154,7 @@ def iterate_seeds(
     pos = np.column_stack([seeds_lat, seeds_lon]).astype(np.float64)
     iters = np.zeros(len(pos), dtype=np.int64)
     active = np.arange(len(pos))
-    bw2 = (bandwidth_m / radius_m) ** 2  # radians^2
+    bw2 = (bandwidth_m / EARTH_RADIUS_M) ** 2  # radians^2
     # Point coordinates in grid order: a neighbour cell is a contiguous run.
     lat_s = grid.lat[grid.order]
     lon_s = grid.lon[grid.order]

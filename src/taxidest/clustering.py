@@ -100,22 +100,15 @@ def mean_shift(
     if seeds is None:
         # Full-bandwidth cells lost a tenth of the centres on mlp-porto's
         # destinations.  The stable sort puts each cell's first point first.
-        cells = _kernels.GridIndex(pts[:, 0], pts[:, 1], cfg.bandwidth_m / 2, EARTH_RADIUS_M)
+        cells = _kernels.GridIndex(pts[:, 0], pts[:, 1], cfg.bandwidth_m / 2)
         seed_arr = pts[np.sort(cells.order[cells.cell_start])]
     else:
         seed_arr = _as_latlon_array(seeds)
         if len(seed_arr) == 0:
             raise ValueError("explicit seeds must be non-empty")
 
-    grid = _kernels.GridIndex(pts[:, 0], pts[:, 1], cfg.bandwidth_m, EARTH_RADIUS_M)
-    modes, _ = _kernels.iterate_seeds(
-        grid,
-        seed_arr[:, 0],
-        seed_arr[:, 1],
-        cfg.bandwidth_m,
-        cfg.max_iterations,
-        EARTH_RADIUS_M,
-    )
+    grid = _kernels.GridIndex(pts[:, 0], pts[:, 1], cfg.bandwidth_m)
+    modes, _ = _kernels.iterate_seeds(grid, seed_arr[:, 0], seed_arr[:, 1], cfg.bandwidth_m, cfg.max_iterations)
     return ClusterSet(_merge_modes(modes, cfg.merge_radius_m))
 
 
@@ -133,7 +126,7 @@ def _merge_modes(modes: np.ndarray, merge_radius_m: float) -> np.ndarray:
         modes, axis=0, return_index=True, return_inverse=False, return_counts=True
     )
     ranked = uniq[np.lexsort((first_idx, -counts))]
-    grid = _kernels.GridIndex(ranked[:, 0], ranked[:, 1], merge_radius_m, EARTH_RADIUS_M)
+    grid = _kernels.GridIndex(ranked[:, 0], ranked[:, 1], merge_radius_m)
     later, earlier = [], []
     for lo, hi, n_cand, slots in _kernels.neighbour_chunks(grid, ranked[:, 0], ranked[:, 1]):
         me = np.repeat(np.arange(lo, hi), n_cand)

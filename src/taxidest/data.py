@@ -1,4 +1,4 @@
-"""Competition CSV parsing, vocabularies, prefix generation and splits.
+"""Competition CSV reading and writing, vocabularies, prefix generation and splits.
 
 The source file stores POLYLINE as a JSON array of [longitude, latitude]
 pairs sampled every 15 seconds; the parser swaps them into (lat, lon) rows.
@@ -27,6 +27,7 @@ from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 import numpy as np
 
 from . import _container
+from ._atomic import atomic_open
 from .geo import GeoPoint, StandardizationStats
 
 __all__ = [
@@ -47,6 +48,7 @@ __all__ = [
     "save_records",
     "split_dataset",
     "time_features",
+    "write_csv",
 ]
 
 CALL_TYPES = ("phone", "stand", "street")
@@ -213,9 +215,7 @@ def parse_csv(stream) -> Iterator[TrainRecord]:
     |lat| <= 90, |lon| <= 180, raise :class:`CsvParseError` with line and
     column.
     """
-    if isinstance(stream, (bytes, bytearray)):
-        stream = io.StringIO(stream.decode("utf-8"))
-    elif hasattr(stream, "read") and isinstance(stream.read(0), bytes):
+    if hasattr(stream, "read") and isinstance(stream.read(0), bytes):
         stream = io.TextIOWrapper(stream, encoding="utf-8")
     reader = csv.reader(stream)
     try:
@@ -262,7 +262,7 @@ def parse_csv(stream) -> Iterator[TrainRecord]:
                 raise CsvParseError(
                     line,
                     "POLYLINE",
-                    f"point {j} is [{raw[j, 0]!r}, {raw[j, 1]!r}]; need finite [lon, lat] "
+                    f"point {j} is {raw[j].tolist()}; need finite [lon, lat] "
                     "with |lon| <= 180 and |lat| <= 90",
                 )
             arr = raw[:, ::-1].copy()  # lon,lat -> lat,lon
@@ -279,6 +279,21 @@ def parse_csv(stream) -> Iterator[TrainRecord]:
             missing_data=missing,
             polyline=arr,
         )
+
+
+def write_csv(records: Iterable[TrainRecord], path) -> None:
+    """Write ``records`` in the competition CSV schema that :func:`parse_csv`
+    reads: POLYLINE as [lon, lat] pairs rounded to six decimals, DAY_TYPE
+    ``A``, an absent id as an empty field.  The file is replaced whole or
+    not at all."""
+    code = {call_type: c for c, call_type in _CALL_TYPE_FROM_CODE.items()}
+    with atomic_open(path, "w", encoding="utf-8", newline="") as f:
+        writer = csv.writer(f, lineterminator="\n")
+        writer.writerow(_CSV_COLUMNS)
+        for r in records:
+            poly = json.dumps([[round(lon, 6), round(lat, 6)] for lat, lon in r.polyline], separators=(",", ":"))
+            writer.writerow([r.trip_id, code[r.call_type], r.origin_call, r.origin_stand, r.taxi_id, r.timestamp,
+                             "A", r.missing_data, poly])
 
 
 def build_vocab(records: Iterable[TrainRecord]) -> MetadataVocab:
@@ -417,8 +432,15 @@ def fit_standardization(records: Iterable[TrainRecord]) -> StandardizationStats:
 
 
 # ---------------------------------------------------------------------------
-# Binary record cache: columns in the container whose layout
-# ``taxidest._container`` documents.
+# Binary record cache: the package's binary container (``taxidest._container``)
+# with magic ``TXDCACHE``, version 2.  Header key ``trip_ids``; int64
+# ``offsets`` (n + 1 rows, record i owns points [offsets[i]:offsets[i + 1]]);
+# int64 columns of n rows ``call_type`` (0 phone, 1 stand, 2 street),
+# ``origin_call`` and ``origin_stand`` (-1 when absent), ``taxi_id``,
+# ``timestamp`` and ``missing`` (1 when MISSING_DATA); last, float64
+# ``points`` (P, 2) of (lat, lon).  Version 1, one packed record after
+# another, is no longer read.  The cache is regenerable from the CSV
+# (``taxidest prepare``) and never a source of truth.
 # ---------------------------------------------------------------------------
 
 _CACHE = _container.Format(

@@ -9,13 +9,11 @@ routes sampled roughly every 15 seconds of driving.
 
 from __future__ import annotations
 
-import json
 import math
 
 import numpy as np
 
-from ._atomic import atomic_open
-from .data import TrainRecord
+from .data import CALL_TYPES, TrainRecord, write_csv
 
 __all__ = ["generate_city_csv", "generate_city_records"]
 
@@ -67,7 +65,7 @@ def generate_city_records(n_trips: int, seed: int = 0) -> list[TrainRecord]:
         path_m = _route_m(rng, node, dest)
         poly = _to_latlon(path_m[:, 0], path_m[:, 1])
 
-        call_code = ("phone", "stand", "street")[int(rng.integers(3))]
+        call_code = CALL_TYPES[int(rng.integers(len(CALL_TYPES)))]
         origin_call = int(rng.integers(1, n_clients + 1)) * 7 if call_code == "phone" else None
         origin_stand = int(rng.integers(1, n_stands + 1)) if call_code == "stand" else None
         records.append(
@@ -87,29 +85,4 @@ def generate_city_records(n_trips: int, seed: int = 0) -> list[TrainRecord]:
 
 def generate_city_csv(path, n_trips: int, seed: int = 0) -> None:
     """Write the synthetic fixture in the competition CSV schema."""
-    code = {"phone": "A", "stand": "B", "street": "C"}
-    with atomic_open(path, "w", encoding="utf-8", newline="") as f:
-        f.write(
-            "TRIP_ID,CALL_TYPE,ORIGIN_CALL,ORIGIN_STAND,TAXI_ID,TIMESTAMP,DAY_TYPE,MISSING_DATA,POLYLINE\n"
-        )
-        for rec in generate_city_records(n_trips, seed):
-            poly = json.dumps(
-                [[round(lon, 6), round(lat, 6)] for lat, lon in rec.polyline],
-                separators=(",", ":"),
-            )
-            f.write(
-                ",".join(
-                    [
-                        rec.trip_id,
-                        code[rec.call_type],
-                        "" if rec.origin_call is None else str(rec.origin_call),
-                        "" if rec.origin_stand is None else str(rec.origin_stand),
-                        str(rec.taxi_id),
-                        str(rec.timestamp),
-                        "A",
-                        "False",
-                        '"' + poly.replace('"', '""') + '"',
-                    ]
-                )
-                + "\n"
-            )
+    write_csv(generate_city_records(n_trips, seed), path)

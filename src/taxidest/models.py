@@ -29,13 +29,12 @@ from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from . import nncore
+from . import _container, nncore
 from .clustering import ClusterSet
 from .data import EMBEDDING_FIELDS, MetadataVocab, PrefixExample, TrainRecord
 from .data import make_prefix_example  # noqa: F401  (perfbench/spans.py patches this name here)
 from .geo import StandardizationStats
 from .nncore import Parameter, Tape, Tensor
-from .nncore.checkpoint import load_checkpoint, save_checkpoint
 
 __all__ = [
     "EMBEDDING_FIELDS",
@@ -399,18 +398,25 @@ def predict(model: DestinationModel, batch, candidates=None) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Checkpoints
+# Checkpoints: the package's binary container (``taxidest._container``)
+# with magic ``TXDMODEL``, version 1.  The header key ``extras`` holds what
+# makes the model self-contained: ``model_config``, the standardization
+# ``stats``, the ``vocab`` maps and the ``clusters`` centres (or null); the
+# arrays are the parameters in ``_parameter_shapes`` order.
 # ---------------------------------------------------------------------------
+
+_CHECKPOINT = _container.Format(b"TXDMODEL", 1, "checkpoint", "parameter", ValueError)
 
 
 def save_model(model: DestinationModel, path) -> None:
+    """Write ``model``'s checkpoint; the file is replaced whole or not at all."""
     extras = {
         "model_config": asdict(model.config),
         "stats": asdict(model.stats),
         "vocab": model.vocab.to_json(),
         "clusters": None if model.clusters is None else model.clusters.centers.tolist(),
     }
-    save_checkpoint(path, model.parameters(), extras)
+    _container.write(path, _CHECKPOINT, {"extras": extras}, model.parameters())
 
 
 def _config_from_json(obj: dict) -> ModelConfig:
@@ -447,8 +453,12 @@ def load_model(path) -> DestinationModel:
     """The model saved at ``path``.  A checkpoint in the older config layout
     (see :func:`_config_from_json`) loads too; metadata that cannot be read,
     or parameters whose names, order, shapes or dtype do not fit the config,
-    raise ValueError naming the path."""
-    extras, values = load_checkpoint(path)
+    raise ValueError naming the path, as does a file that is not a whole
+    version-1 checkpoint."""
+    header, values = _container.read(path, _CHECKPOINT)
+    extras = header.get("extras")
+    if not isinstance(extras, dict):
+        raise ValueError(f"{path}: the checkpoint header has no extras object")
     try:
         config = _config_from_json(extras["model_config"])
         stats = StandardizationStats(**extras["stats"])

@@ -11,7 +11,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from taxidest import data, models, training
+from taxidest import _container, data, models, training
 from taxidest.clustering import ClusterSet
 from taxidest.geo import StandardizationStats
 from taxidest.nncore import Tape
@@ -66,6 +66,12 @@ def older_layout_extras(model) -> dict:
         "vocab": model.vocab.to_json(),
         "clusters": None if model.clusters is None else model.clusters.centers.tolist(),
     }
+
+
+def write_checkpoint(path, params, extras) -> None:
+    """A checkpoint of ``params`` whose header holds ``extras`` as given, in
+    ``models.save_model``'s format: for older layouts and damaged metadata."""
+    _container.write(path, models._CHECKPOINT, {"extras": extras}, params)
 
 
 def make_records(lengths, rng, spread=(0.02, 0.03)) -> list[data.TrainRecord]:

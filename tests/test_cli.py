@@ -11,12 +11,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import older_layout_extras
-from taxidest import cli, fixtures, models, nncore, training
+from conftest import older_layout_extras, write_checkpoint
+from taxidest import cli, data, fixtures, models, nncore, training
 from taxidest.cli import main
 from taxidest.clustering import ClusterSet, MeanShiftConfig
 from taxidest.models import ModelConfig
-from taxidest.nncore.checkpoint import save_checkpoint
 from taxidest.training import TrainConfig
 
 
@@ -555,7 +554,7 @@ class TestEvaluate:
     def test_older_checkpoint_layout_evaluates_alike(self, trained_ckpt, prepared_dir, tmp_path, capsys):
         model = models.load_model(trained_ckpt)
         older = tmp_path / "older.ckpt"
-        save_checkpoint(older, model.parameters(), older_layout_extras(model))
+        write_checkpoint(older, model.parameters(), older_layout_extras(model))
         runs = []
         for path in (trained_ckpt, older):
             assert main(["evaluate", "--model", str(path), "--data", str(prepared_dir)]) == 0
@@ -575,7 +574,7 @@ class TestEvaluate:
         extras = older_layout_extras(model)
         damage(extras)
         path = tmp_path / "damaged.ckpt"
-        save_checkpoint(path, model.parameters(), extras)
+        write_checkpoint(path, model.parameters(), extras)
         assert main(["evaluate", "--model", str(path), "--data", str(prepared_dir)]) == 2
         err = capsys.readouterr().err
         assert str(path) in err and "internal error" not in err
@@ -775,7 +774,7 @@ class TestFixtureCommand:
     def test_failed_write_keeps_old_file(self, tmp_path, monkeypatch):
         out = tmp_path / "city.csv"
         out.write_text("old\n")
-        monkeypatch.setattr(fixtures, "atomic_open", _failing_after_first_write(fixtures.atomic_open))
+        monkeypatch.setattr(data, "atomic_open", _failing_after_first_write(data.atomic_open))
         with pytest.raises(RuntimeError, match="disk gone"):
             fixtures.generate_city_csv(out, 10, seed=4)
         assert out.read_text() == "old\n"

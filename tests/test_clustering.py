@@ -229,9 +229,9 @@ class TestKernels:
         # the ball taken over all points rather than through the grid.
         pts = blobs_and_background()
         bandwidth = 500.0
-        grid = _kernels.GridIndex(pts[:, 0], pts[:, 1], bandwidth, R)
+        grid = _kernels.GridIndex(pts[:, 0], pts[:, 1], bandwidth)
         seeds = pts[::7]
-        modes, iters = _kernels.iterate_seeds(grid, seeds[:, 0], seeds[:, 1], bandwidth, 100, R)
+        modes, iters = _kernels.iterate_seeds(grid, seeds[:, 0], seeds[:, 1], bandwidth, 100)
         assert modes.shape == (len(seeds), 2) and iters.shape == (len(seeds),)
         assert (iters >= 1).all() and (iters < 100).all()
         deg = math.pi / 180
@@ -259,8 +259,8 @@ class TestBatchedIterateSeeds:
 
     @staticmethod
     def both(pts, seeds, bandwidth=500.0, max_iterations=100):
-        grid = _kernels.GridIndex(pts[:, 0], pts[:, 1], bandwidth, R)
-        got = _kernels.iterate_seeds(grid, seeds[:, 0], seeds[:, 1], bandwidth, max_iterations, R)
+        grid = _kernels.GridIndex(pts[:, 0], pts[:, 1], bandwidth)
+        got = _kernels.iterate_seeds(grid, seeds[:, 0], seeds[:, 1], bandwidth, max_iterations)
         want = reference_iterate_seeds(grid, seeds[:, 0], seeds[:, 1], bandwidth, max_iterations, R)
         return got, want
 
@@ -282,7 +282,7 @@ class TestBatchedIterateSeeds:
 
     def test_seeds_outside_grid(self):
         pts = blobs_and_background(seed=12)
-        grid = _kernels.GridIndex(pts[:, 0], pts[:, 1], 500.0, R)
+        grid = _kernels.GridIndex(pts[:, 0], pts[:, 1], 500.0)
         # The first four sit more than a cell outside the grid.  The fifth
         # is in the last ring of cells the lookup covers, beyond the
         # north-east corner of the points, with no point within 500 m.
@@ -307,7 +307,7 @@ class TestBatchedIterateSeeds:
         # blob position alone in a chunk above the cap.
         pts = blobs_and_background(seed=14, n_per_blob=120, n_background=60)
         monkeypatch.setattr(_kernels, "CHUNK_PAIRS", 60)
-        grid = _kernels.GridIndex(pts[:, 0], pts[:, 1], 500.0, R)
+        grid = _kernels.GridIndex(pts[:, 0], pts[:, 1], 500.0)
         chunks = [(lo, hi, counts.sum()) for lo, hi, counts, _ in
                   _kernels.neighbour_chunks(grid, pts[:, 0], pts[:, 1])]
         assert len(chunks) > 100
@@ -319,7 +319,7 @@ class TestBatchedIterateSeeds:
 
     def test_neighbour_chunks_list_each_block(self):
         pts = blobs_and_background(seed=15)
-        grid = _kernels.GridIndex(pts[:, 0], pts[:, 1], 500.0, R)
+        grid = _kernels.GridIndex(pts[:, 0], pts[:, 1], 500.0)
         lat_r, lon_r = grid.lat * math.pi / 180, grid.lon * math.pi / 180
         queries = np.concatenate([pts[::9], [[41.5, -8.61]]])
         for lo, hi, counts, slots in _kernels.neighbour_chunks(grid, queries[:, 0], queries[:, 1]):
@@ -364,7 +364,7 @@ class TestMergeModes:
     def test_mean_shift_output_matches_reference_merge(self):
         pts = blobs_and_background(seed=18, n_background=400)
         cfg = MeanShiftConfig(bandwidth_m=400, merge_radius_m=300)
-        grid = _kernels.GridIndex(pts[:, 0], pts[:, 1], cfg.bandwidth_m, R)
+        grid = _kernels.GridIndex(pts[:, 0], pts[:, 1], cfg.bandwidth_m)
         seeds = reference_cell_seeds(pts, cfg.bandwidth_m)
         modes, _ = reference_iterate_seeds(grid, seeds[:, 0], seeds[:, 1], cfg.bandwidth_m, cfg.max_iterations, R)
         assert_bit_identical(mean_shift(pts, cfg).centers, reference_merge_modes(modes, cfg.merge_radius_m))

@@ -30,6 +30,7 @@ from taxidest.data import (
     save_records,
     split_dataset,
     time_features,
+    write_csv,
 )
 from taxidest.geo import StandardizationStats
 
@@ -101,6 +102,18 @@ class TestParseCsv:
         assert e.value.line == 3
         assert e.value.column == "POLYLINE"
 
+    @pytest.mark.parametrize(
+        "polyline, point",
+        [("[[-8.61,41.14],[-8.6,141.0]]", "point 1 is [-8.6, 141.0]"), ("[[-8.61,NaN]]", "point 0 is [-8.61, nan]")],
+    )
+    def test_bad_coordinate_message_reads_plain_floats(self, polyline, point):
+        # One text whatever the numpy version: no np.float64(...) reprs.
+        with pytest.raises(CsvParseError) as e:
+            parse_rows(f'1,C,,,1,0,A,False,"{polyline}"\n')
+        assert str(e.value) == (
+            f"line 2, column POLYLINE: {point}; need finite [lon, lat] with |lon| <= 180 and |lat| <= 90"
+        )
+
     def test_coordinate_limits_accepted(self):
         recs = parse_rows('1,C,,,1,0,A,False,"[[-180.0,90.0],[180.0,-90.0]]"\n')
         np.testing.assert_array_equal(recs[0].polyline, [[90.0, -180.0], [-90.0, 180.0]])
@@ -151,6 +164,35 @@ class TestParseCsv:
         text = HEADER + '1,C,,,1,0,A,False,"[[-8.61,41.14]]"\n'
         recs = list(parse_csv(io.BytesIO(text.encode())))
         assert len(recs) == 1
+
+
+class TestWriteCsv:
+    def test_parse_reads_back_what_was_written(self, tmp_path):
+        recs = make_records([3, 1, 4, 2, 5, 0], np.random.default_rng(8))
+        # Every call type, each with its id present and absent, and
+        # MISSING_DATA records; a trip id that must be quoted.
+        recs[0].trip_id = 'T,"0"'
+        for rec, (call_type, origin_call, origin_stand, missing) in zip(recs, [
+            ("phone", 2002, None, False),
+            ("phone", None, None, True),
+            ("stand", None, 15, False),
+            ("stand", None, None, False),
+            ("street", None, None, True),
+            ("street", None, None, False),
+        ]):
+            rec.call_type, rec.origin_call, rec.origin_stand, rec.missing_data = (
+                call_type, origin_call, origin_stand, missing)
+        path = tmp_path / "trips.csv"
+        write_csv(recs, path)
+        with open(path, encoding="utf-8", newline="") as f:
+            assert f.readline() == HEADER
+            f.seek(0)
+            back = list(parse_csv(f))
+        assert len(back) == len(recs)
+        fields = ("trip_id", "call_type", "origin_call", "origin_stand", "taxi_id", "timestamp", "missing_data")
+        for got, want in zip(back, recs):
+            assert [getattr(got, a) for a in fields] == [getattr(want, a) for a in fields]
+            np.testing.assert_array_equal(got.polyline, np.round(want.polyline, 6))
 
 
 class TestVocab:
@@ -698,7 +740,7 @@ class TestRecordCache:
     def test_failed_write_keeps_old_cache(self, tmp_path):
         path, blob = self._saved(tmp_path)
         recs = make_records([3, 4], np.random.default_rng(3))
-        recs[1].call_type = "unknown"  # fails after the first record is written
+        recs[1].call_type = "unknown"  # fails before _container.write opens the file
         with pytest.raises(ValueError):
             save_records(recs, path)
         assert path.read_bytes() == blob

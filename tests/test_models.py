@@ -17,6 +17,7 @@ from conftest import (
     tiny_model,
     tiny_stats,
     tiny_vocab,
+    write_checkpoint,
 )
 from taxidest import data, models, nncore
 from taxidest.geo import StandardizationStats
@@ -31,7 +32,6 @@ from taxidest.models import (
     save_model,
 )
 from taxidest.nncore import Parameter, Tensor
-from taxidest.nncore.checkpoint import save_checkpoint
 
 
 class TestBuildModel:
@@ -415,7 +415,7 @@ class TestCheckpoint:
         batch = tiny_batch(model, rng, n=4, max_len=5)
         cands = tiny_batch(model, rng, n=3) if variant == "memory_net" else None
         path = tmp_path / "older.ckpt"
-        save_checkpoint(path, model.parameters(), older_layout_extras(model))
+        write_checkpoint(path, model.parameters(), older_layout_extras(model))
         loaded = load_model(path)
         assert loaded.config == model.config and loaded.vocab == model.vocab
         np.testing.assert_array_equal(predict(loaded, batch, cands), predict(model, batch, cands))
@@ -425,7 +425,7 @@ class TestCheckpoint:
         extras = older_layout_extras(model)
         extras["model_config"]["embedding_dims"]["taxi"] = 3
         path = tmp_path / "older.ckpt"
-        save_checkpoint(path, model.parameters(), extras)
+        write_checkpoint(path, model.parameters(), extras)
         with pytest.raises(ValueError, match=r"embedding_dims holds the widths \[2, 3\]") as err:
             load_model(path)
         assert str(err.value).startswith(f"{path}: ")
@@ -445,7 +445,7 @@ class TestCheckpoint:
         extras = older_layout_extras(model)
         damage(extras)
         path = tmp_path / "damaged.ckpt"
-        save_checkpoint(path, model.parameters(), extras)
+        write_checkpoint(path, model.parameters(), extras)
         with pytest.raises(ValueError, match=why) as err:
             load_model(path)
         assert str(err.value).startswith(f"{path}: ")
@@ -532,6 +532,6 @@ class TestCheckpoint:
 
         good = model.parameters()[0]
         with pytest.raises(RuntimeError):
-            save_checkpoint(path, [good, Failing()], {})
+            write_checkpoint(path, [good, Failing()], {})
         assert path.read_bytes() == raw
         assert os.listdir(tmp_path) == ["model.ckpt"]
