@@ -1,7 +1,10 @@
 """Command-line pipeline: prepare, cluster, train, evaluate, predict, export.
 
-Exit codes: 0 success, 1 usage error, 2 data error, 3 internal error.
-Every subcommand is deterministic given --seed and its inputs.
+Exit codes: 0 success, 1 usage error, 2 data error, 3 internal error,
+4 a `train` run that validated, or stopped on a non-finite value, without
+any finite validation score (it writes its report but no checkpoint).
+Every subcommand is deterministic given --seed and its inputs; `evaluate
+--split validation --seed S` repeats the best score of `train --seed S`.
 
 A prepared data directory holds:
     records.bin   binary cache of all usable parsed records (regenerable)
@@ -37,7 +40,7 @@ from .data import (
     split_dataset,
 )
 from .models import EMBEDDING_FIELDS, VARIANTS, ModelConfig, build_model, load_model
-from .training import TrainConfig, evaluate, fixed_prefix_examples, train, write_submission
+from .training import TrainConfig, evaluate, fixed_prefix_examples, memory_candidates, train, write_submission
 
 __all__ = ["main"]
 
@@ -82,9 +85,9 @@ def _build_parser() -> _Parser:
     sp.add_argument("--embedding-dim", type=int, default=ModelConfig.embedding_dim,
                     help="width of each of the six embedding tables")
     sp.add_argument("--memory-m", type=int, default=ModelConfig.memory_m)
-    sp.add_argument("--lr", type=float, default=TrainConfig.learning_rate)
+    sp.add_argument("--lr", dest="learning_rate", type=float, default=TrainConfig.learning_rate)
     sp.add_argument("--momentum", type=float, default=TrainConfig.momentum)
-    sp.add_argument("--batch", type=int, default=None,
+    sp.add_argument("--batch", dest="batch_size", type=int, default=None,
                     help=f"default {TrainConfig.batch_size} (memory_net: {MEMORY_NET_BATCH})")
     sp.add_argument("--max-batches", type=int, default=TrainConfig.max_batches)
     sp.add_argument("--validate-every", type=int, default=TrainConfig.validate_every)
@@ -99,7 +102,8 @@ def _build_parser() -> _Parser:
     sp.add_argument("--model", required=True)
     sp.add_argument("--data", required=True)
     sp.add_argument("--split", default="test", choices=("train", "validation", "test"))
-    sp.add_argument("--seed", type=int, default=0, help="cut seed for the train split")
+    sp.add_argument("--seed", type=int, default=0,
+                    help="seed of the train split's cuts and of memory_net's candidates")
 
     sp = sub.add_parser("predict", help="write a submission CSV for prefix trajectories")
     sp.add_argument("--model", required=True)
@@ -169,11 +173,6 @@ def _load_prepared(data_dir) -> _Prepared:
     return _derive_split(records, spec["seed"], spec["validation"], spec["test"])
 
 
-def _memory_candidates(model, train_records, seed):
-    sampler = training._CandidateSampler(train_records, model, model.config.memory_m)
-    return sampler.sample(np.random.default_rng(seed))
-
-
 # ---------------------------------------------------------------------------
 # Subcommands
 # ---------------------------------------------------------------------------
@@ -212,30 +211,19 @@ def _cmd_cluster(args) -> int:
     return 0
 
 
-def _model_config_from_args(args) -> ModelConfig:
-    """Every ``train`` option that sets a ModelConfig field has its name."""
-    return ModelConfig(**{f.name: getattr(args, f.name) for f in dataclasses.fields(ModelConfig)})
-
-
-def _train_config_from_args(args, config: ModelConfig) -> TrainConfig:
-    batch = args.batch
-    if batch is None:
-        batch = MEMORY_NET_BATCH if config.variant == "memory_net" else TrainConfig.batch_size
-    return TrainConfig(
-        learning_rate=args.lr,
-        momentum=args.momentum,
-        batch_size=batch,
-        max_batches=args.max_batches,
-        validate_every=args.validate_every,
-        patience=args.patience,
-        seed=args.seed,
-        clip_norm=args.clip_norm,
-    )
+def _config_from_args(cls, args, **given):
+    """A ``cls`` config from the ``train`` options named after its fields,
+    except the fields ``given``."""
+    fields = {f.name: getattr(args, f.name) for f in dataclasses.fields(cls) if f.name not in given}
+    return cls(**fields, **given)
 
 
 def _cmd_train(args) -> int:
-    config = _model_config_from_args(args)  # a bad option fails before the data loads
-    cfg = _train_config_from_args(args, config)
+    config = _config_from_args(ModelConfig, args)  # a bad option fails before the data loads
+    batch = args.batch_size
+    if batch is None:
+        batch = MEMORY_NET_BATCH if config.uses_memory else TrainConfig.batch_size
+    cfg = _config_from_args(TrainConfig, args, batch_size=batch)
     prepared = _load_prepared(args.data)
     stats = fit_standardization(prepared.train)
     vocab = build_vocab(prepared.train)
@@ -249,7 +237,9 @@ def _cmd_train(args) -> int:
         report = train(model, prepared.train, prepared.validation, cfg, checkpoint_path=args.out)
     except training._NoCandidates as e:
         raise DataError(f"{e}; lower --batch (now {cfg.batch_size}) or prepare more trips") from e
-    if not report.history:
+    if report.failed:
+        report.checkpoint_path = None
+    elif not report.history:
         models.save_model(model, args.out)  # no validation ever ran
     report_path = args.report if args.report else f"{args.out}.report.jsonl"
     report.to_jsonl(report_path)
@@ -257,6 +247,9 @@ def _cmd_train(args) -> int:
         f"stopped: {report.stop_reason}; best validation {report.best_val_km:.3f} km "
         f"at batch {report.best_batches}"
     )
+    if report.failed:
+        print("taxidest train: failed: no validation gave a finite score; no checkpoint written", file=sys.stderr)
+        return 4
     return 0
 
 
@@ -268,10 +261,7 @@ def _cmd_evaluate(args) -> int:
         examples = fixed_prefix_examples(prepared.train, rng)
     else:
         examples = getattr(prepared, args.split)
-    candidates = None
-    if model.config.variant == "memory_net":
-        candidates = _memory_candidates(model, prepared.train, args.seed)
-    km = evaluate(model, examples, candidates)
+    km = evaluate(model, examples, memory_candidates(model, prepared.train, args.seed))
     print(f"mean_haversine_km {km:.3f}")
     return 0
 
@@ -287,10 +277,10 @@ def _cmd_predict(args) -> int:
             raise DataError(f"{args.input}: trip {r.trip_id} has an empty POLYLINE; a prefix needs a point")
     examples = models.candidates_from_records(records)  # every row, whatever its MISSING_DATA flag
     candidates = None
-    if model.config.variant == "memory_net":
+    if model.config.uses_memory:
         if args.data is None:
-            raise DataError("memory_net prediction requires --data for candidates")
-        candidates = _memory_candidates(model, _load_prepared(args.data).train, args.seed)
+            raise DataError(f"variant {model.config.variant} needs --data to draw its candidates")
+        candidates = memory_candidates(model, _load_prepared(args.data).train, args.seed)
     write_submission(model, examples, args.out, candidates)
     print(f"wrote {len(examples)} predictions to {args.out}")
     return 0

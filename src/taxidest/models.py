@@ -23,7 +23,6 @@ shapes: ``build_model`` initializes them in that order, and
 
 from __future__ import annotations
 
-import functools
 from dataclasses import asdict, dataclass, field
 from typing import NamedTuple, Optional, Sequence
 
@@ -101,6 +100,10 @@ class ModelConfig:
     @property
     def uses_cluster_centroid(self) -> bool:
         return _LAYOUTS[self.variant].output == "centroid"
+
+    @property
+    def uses_memory(self) -> bool:
+        return _LAYOUTS[self.variant].output == "memory"
 
     def np_dtype(self):
         return np.dtype(self.dtype)
@@ -344,24 +347,26 @@ def forward(model: DestinationModel, batch, tape: Tape = None, candidates=None) 
 
     ``memory_net`` needs at least one candidate; callers sample candidates
     from the training set, excluding the query's own source trajectory.
+    The candidates are encoded after the query's input is on the tape, the
+    order in which backward sums the embedding gradients.
     """
-    return _head(model, tape, featurize(model, batch), lambda: _candidate_memory(model, tape, candidates))
+    x = _input(model, tape, featurize(model, batch))
+    memory = _candidate_memory(model, tape, candidates) if model.config.uses_memory else None
+    return _head(model, tape, x, memory)
 
 
-def _head(model: DestinationModel, tape: Tape, feats: Features, memory) -> Tensor:
-    """The variant's prediction from featurized inputs.
+def _head(model: DestinationModel, tape: Tape, x: Tensor, memory) -> Tensor:
+    """The variant's prediction from its input rows ``x``.
 
     The centroid output and memory_net both end in a softmax-weighted
     centroid: of the cluster centres, by the output layer over the hidden
     layer, or of the candidates' destinations, by the dot products of the
-    encoded query and candidates.  ``memory()`` gives memory_net's encoded
-    candidates; it runs after the query's input is on the tape, the order
-    in which backward sums the embedding gradients.
+    encoded query and candidates.  ``memory`` is memory_net's encoded
+    candidates and their destinations (:func:`_candidate_memory`), or None.
     """
     output = _LAYOUTS[model.config.variant].output
-    x = _input(model, tape, feats)
     if output == "memory":
-        encoded, values = memory()
+        encoded, values = memory
         logits = nncore.dot_similarity(tape, _relu_dense(model, tape, x, "enc_query"), encoded)
     else:
         h = _relu_dense(model, tape, x, "hidden")
@@ -387,13 +392,14 @@ def predict(model: DestinationModel, batch, candidates=None) -> np.ndarray:
     """Predicted (lat, lon) degrees as float64, no gradient recording.
 
     Runs ``PREDICT_CHUNK`` prefixes at a time; ``memory_net`` candidates
-    are encoded once per call.
+    are encoded once per call, before the first chunk.
     """
     out = np.empty((len(batch), 2), dtype=np.float64)
-    memory = functools.cache(lambda: _candidate_memory(model, None, candidates))
+    memory = _candidate_memory(model, None, candidates) if model.config.uses_memory else None
     for start in range(0, len(batch), PREDICT_CHUNK):
         chunk = batch[start : start + PREDICT_CHUNK]
-        out[start : start + len(chunk)] = _head(model, None, featurize(model, chunk), memory).data
+        x = _input(model, None, featurize(model, chunk))
+        out[start : start + len(chunk)] = _head(model, None, x, memory).data
     return out
 
 

@@ -10,6 +10,7 @@ same examples.
 
 from __future__ import annotations
 
+import csv
 import json
 import math
 from dataclasses import dataclass, field
@@ -33,6 +34,7 @@ __all__ = [
     "evaluate",
     "fixed_prefix_examples",
     "loss_batch",
+    "memory_candidates",
     "train",
     "write_submission",
 ]
@@ -82,6 +84,13 @@ class TrainReport:
     best_val_km: float = math.inf
     stop_reason: str = ""
     checkpoint_path: Optional[str] = None
+
+    @property
+    def failed(self) -> bool:
+        """True when the run validated or stopped on a non-finite value,
+        and no validation gave a finite km: no checkpoint holds a model
+        known to be usable."""
+        return (bool(self.history) or self.stop_reason == "non_finite") and not math.isfinite(self.best_val_km)
 
     def to_jsonl(self, path) -> None:
         """One line per validation, then the summary; the file is replaced
@@ -236,6 +245,17 @@ class _CandidateSampler:
         return models.candidates_from_records([self.records[i] for i in np.concatenate(chosen).tolist()])
 
 
+def memory_candidates(
+    model: DestinationModel, train_records: Sequence[TrainRecord], seed: int
+) -> Optional[list[PrefixExample]]:
+    """``memory_m`` training trajectories drawn by ``default_rng(seed)`` for
+    ``model`` to score a fixed prefix set against, or None if it reads none."""
+    if not model.config.uses_memory:
+        return None
+    sampler = _CandidateSampler(train_records, model, model.config.memory_m)
+    return sampler.sample(np.random.default_rng(seed))
+
+
 def train(
     model: DestinationModel,
     train_records: Sequence[TrainRecord],
@@ -256,77 +276,80 @@ def train(
     gradient norm (inside the step) stops training at once with
     ``stop_reason="non_finite"``: no value or velocity moves and the
     gradients are zero, so the parameters and the last checkpoint stay
-    finite.  Deterministic given the seed.
+    finite; numpy's floating-point warnings are silenced.  ``memory_net``
+    validates against :func:`memory_candidates` for ``cfg.seed``.
+    Deterministic given the seed.
     """
     if len(val_examples) == 0:
         raise DataError("train requires a non-empty validation prefix set")
     sampler = PrefixSampler(train_records)
     rng = np.random.default_rng(cfg.seed)
     params = model.parameters()
-    is_memory = model.config.variant == "memory_net"
     cand_sampler = None
-    eval_candidates = None
-    if is_memory:
+    if model.config.uses_memory:
         cand_sampler = _CandidateSampler(train_records, model, model.config.memory_m)
-        eval_candidates = cand_sampler.sample(np.random.default_rng(cfg.seed + 1))
+    eval_candidates = memory_candidates(model, train_records, cfg.seed)
 
     report = TrainReport(checkpoint_path=None if checkpoint_path is None else str(checkpoint_path))
     since_improvement = 0
     loss_accum = 0.0
     loss_count = 0
 
-    for batch_no in range(1, cfg.max_batches + 1):
-        batch = sampler.sample(rng, cfg.batch_size)
-        candidates = None
-        if is_memory:
-            batch_ids = frozenset(ex.trip_id for ex in batch)
-            candidates = cand_sampler.sample(rng, exclude_trip_ids=batch_ids)
+    # An overflow shows as a non-finite loss, gradient norm or validation
+    # score, which the loop reports; numpy's warnings would only repeat it.
+    with np.errstate(all="ignore"):
+        for batch_no in range(1, cfg.max_batches + 1):
+            batch = sampler.sample(rng, cfg.batch_size)
+            candidates = None
+            if cand_sampler is not None:
+                batch_ids = frozenset(ex.trip_id for ex in batch)
+                candidates = cand_sampler.sample(rng, exclude_trip_ids=batch_ids)
 
-        tape = Tape()
-        loss = loss_batch(model, batch, tape, candidates)
-        loss_m = float(loss.data)
-        if not math.isfinite(loss_m):
-            report.stop_reason = "non_finite"
-            return report
-        # Optimize in kilometers, the unit the fixed 0.01 learning rate is
-        # calibrated to; meter-scale gradients are 1000x larger and
-        # immediately saturate the softmax.
-        loss_km = nncore.scale(tape, loss, 1e-3)
-        tape.backward(loss_km)
-        norm = nncore.sgd_momentum_step(params, cfg.learning_rate, cfg.momentum, cfg.clip_norm)
-        if not math.isfinite(norm):  # the step zeroed the gradients and moved nothing
-            report.stop_reason = "non_finite"
-            return report
-        # The tape holds every activation and gradient of the batch; drop
-        # it before validation and the next batch allocate theirs.
-        del tape, loss, loss_km
-        loss_accum += loss_m
-        loss_count += 1
+            tape = Tape()
+            loss = loss_batch(model, batch, tape, candidates)
+            loss_m = float(loss.data)
+            if not math.isfinite(loss_m):
+                report.stop_reason = "non_finite"
+                return report
+            # Optimize in kilometers, the unit the fixed 0.01 learning rate is
+            # calibrated to; meter-scale gradients are 1000x larger and
+            # immediately saturate the softmax.
+            loss_km = nncore.scale(tape, loss, 1e-3)
+            tape.backward(loss_km)
+            norm = nncore.sgd_momentum_step(params, cfg.learning_rate, cfg.momentum, cfg.clip_norm)
+            if not math.isfinite(norm):  # the step zeroed the gradients and moved nothing
+                report.stop_reason = "non_finite"
+                return report
+            # The tape holds every activation and gradient of the batch; drop
+            # it before validation and the next batch allocate theirs.
+            del tape, loss, loss_km
+            loss_accum += loss_m
+            loss_count += 1
 
-        if batch_no % cfg.validate_every == 0:
-            val_km = evaluate(model, val_examples, eval_candidates)
-            improved = val_km < report.best_val_km
-            report.history.append(
-                ValidationPoint(
-                    batches_seen=batch_no,
-                    train_loss_km=loss_accum / loss_count / 1000.0,
-                    val_haversine_km=val_km,
-                    improved=improved,
+            if batch_no % cfg.validate_every == 0:
+                val_km = evaluate(model, val_examples, eval_candidates)
+                improved = val_km < report.best_val_km
+                report.history.append(
+                    ValidationPoint(
+                        batches_seen=batch_no,
+                        train_loss_km=loss_accum / loss_count / 1000.0,
+                        val_haversine_km=val_km,
+                        improved=improved,
+                    )
                 )
-            )
-            loss_accum = 0.0
-            loss_count = 0
-            if improved:
-                report.best_val_km = val_km
-                report.best_batches = batch_no
-                since_improvement = 0
-                if checkpoint_path is not None:
-                    models.save_model(model, checkpoint_path)
-            else:
-                since_improvement += 1
-                if since_improvement >= cfg.patience:
-                    report.stop_reason = "patience"
-                    return report
+                loss_accum = 0.0
+                loss_count = 0
+                if improved:
+                    report.best_val_km = val_km
+                    report.best_batches = batch_no
+                    since_improvement = 0
+                    if checkpoint_path is not None:
+                        models.save_model(model, checkpoint_path)
+                else:
+                    since_improvement += 1
+                    if since_improvement >= cfg.patience:
+                        report.stop_reason = "patience"
+                        return report
     report.stop_reason = "max_batches"
     return report
 
@@ -340,7 +363,8 @@ def write_submission(
     """Competition-format CSV: TRIP_ID,LATITUDE,LONGITUDE, one row per
     prefix; the file is replaced whole or not at all."""
     pred = models.predict(model, examples, candidates)
-    with atomic_open(path, "w", encoding="utf-8") as f:
-        f.write("TRIP_ID,LATITUDE,LONGITUDE\n")
+    with atomic_open(path, "w", encoding="utf-8", newline="") as f:
+        out = csv.writer(f, lineterminator="\n")  # quotes a trip id only where the CSV needs it
+        out.writerow(["TRIP_ID", "LATITUDE", "LONGITUDE"])
         for ex, (lat, lon) in zip(examples, pred):
-            f.write(f"{ex.trip_id},{lat:.6f},{lon:.6f}\n")
+            out.writerow([ex.trip_id, f"{lat:.6f}", f"{lon:.6f}"])

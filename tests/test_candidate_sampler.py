@@ -14,7 +14,7 @@ import pytest
 
 from conftest import make_records, tiny_model
 from taxidest.data import DataError
-from taxidest.training import _CandidateSampler
+from taxidest.training import _CandidateSampler, memory_candidates
 
 
 def reference_sample(records, m: int, rng, exclude_trip_ids=frozenset()):
@@ -112,3 +112,14 @@ def test_unusable_records_are_not_candidates():
     sampler = _CandidateSampler(records, tiny_model("memory_net"), 10)
     assert all(r is not records[3] for r in sampler.records)
     assert len(sampler.sample(np.random.default_rng(2))) == 9
+
+
+@pytest.mark.parametrize("seed", [0, 5])
+def test_memory_candidates_are_one_seeded_draw(seed):
+    records = pool(30)
+    assert memory_candidates(tiny_model("mlp_clusters"), records, seed) is None
+    model = tiny_model("memory_net", memory_m=8)
+    got = memory_candidates(model, records, seed)
+    want = _CandidateSampler(records, model, 8).sample(np.random.default_rng(seed))
+    assert [(id(ex.record), ex.cut) for ex in got] == [(id(ex.record), ex.cut) for ex in want]
+    assert len(got) == 8

@@ -460,12 +460,19 @@ class TestTrain:
         assert not (tmp_path / "x.ckpt").exists()
 
     @pytest.mark.parametrize("variant, batch", [(None, TrainConfig.batch_size), ("memory_net", 5000)])
-    def test_defaults_come_from_the_configs(self, variant, batch):
-        argv = ["train", "--data", "d", "--out", "o"] + (["--variant", variant] if variant else [])
-        args = cli._build_parser().parse_args(argv)
-        config = cli._model_config_from_args(args)
+    def test_defaults_come_from_the_configs(self, tmp_path, prepared_dir, cluster_csv, monkeypatch, variant, batch):
+        seen = []
+
+        def capture(model, train_records, val_examples, cfg, checkpoint_path=None):
+            seen.append((model.config, cfg))
+            return training.TrainReport(stop_reason="max_batches")
+
+        monkeypatch.setattr(cli, "train", capture)
+        argv = ["train", "--data", str(prepared_dir), "--clusters", str(cluster_csv), "--out", str(tmp_path / "o")]
+        assert main(argv + (["--variant", variant] if variant else [])) == 0
+        [(config, cfg)] = seen
         assert config == (ModelConfig(variant=variant) if variant else ModelConfig())
-        assert cli._train_config_from_args(args, config) == TrainConfig(batch_size=batch)
+        assert cfg == TrainConfig(batch_size=batch)
 
     @pytest.mark.parametrize("variant", ["memory_net", "mlp_direct"])
     def test_default_batch(self, tmp_path, prepared_dir, monkeypatch, variant):
@@ -504,6 +511,54 @@ class TestTrain:
         err = capsys.readouterr().err
         assert re.search(rf"\b{re.escape(field)}\b", err) and "internal error" not in err
         assert not (tmp_path / "m.ckpt").exists()
+
+    def _diverging(self, prepared_dir, out, *options):
+        """mlp_direct at learning rate 1e3: validation improves after batches
+        1 and 2, to thousands of km, and batch 3's loss is not finite."""
+        args = _small_train_args(prepared_dir, out) + ["--batch", "20", "--lr", "1e3", "--max-batches", "20"]
+        return main(args + list(options))
+
+    def test_run_without_a_finite_validation_fails(self, tmp_path, prepared_dir, capsys):
+        def strict(name):
+            raise ValueError(f"not strict JSON: {name}")
+
+        ckpt = tmp_path / "m.ckpt"
+        assert self._diverging(prepared_dir, ckpt, "--validate-every", "5") == 4
+        out, err = capsys.readouterr()
+        assert out == "stopped: non_finite; best validation inf km at batch 0\n"
+        assert "no validation gave a finite score" in err and "Warning" not in err
+        assert not ckpt.exists()
+        text = (tmp_path / "m.ckpt.report.jsonl").read_text()
+        assert [json.loads(line, parse_constant=strict) for line in text.splitlines()] == [
+            {"stop_reason": "non_finite", "best_batches": 0, "best_val_km": None, "checkpoint": None}
+        ]
+
+    def test_non_finite_stop_after_a_finite_best_keeps_it(self, tmp_path, prepared_dir, capsys):
+        ckpt, two = tmp_path / "m.ckpt", tmp_path / "two.ckpt"
+        assert self._diverging(prepared_dir, ckpt, "--validate-every", "1") == 0
+        out, err = capsys.readouterr()
+        assert re.fullmatch(r"stopped: non_finite; best validation \d+\.\d{3} km at batch 2\n", out) and err == ""
+        # The kept checkpoint is the model after batch 2.
+        assert self._diverging(prepared_dir, two, "--validate-every", "1", "--max-batches", "2") == 0
+        assert ckpt.read_bytes() == two.read_bytes()
+
+    @pytest.mark.parametrize("variant", ["mlp_clusters", "brnn", "memory_net"])
+    def test_evaluate_repeats_the_best_validation(self, tmp_path, prepared_dir, cluster_csv, capsys, variant):
+        """``evaluate --split validation --seed S`` prints the best score of
+        ``train --seed S``: memory_net draws its candidates alike."""
+        ckpt = tmp_path / "m.ckpt"
+        assert main(
+            [
+                "train", "--data", str(prepared_dir), "--clusters", str(cluster_csv), "--variant", variant,
+                "--k", "2", "--hidden", "6", "--rnn-hidden", "4", "--embedding-dim", "2", "--memory-m", "10",
+                "--batch", "6", "--max-batches", "6", "--validate-every", "3", "--seed", "4",
+                "--out", str(ckpt),
+            ]
+        ) == 0
+        best = re.fullmatch(r"stopped: \w+; best validation (\S+) km at batch \d+\n", capsys.readouterr().out)[1]
+        assert main(["evaluate", "--model", str(ckpt), "--data", str(prepared_dir),
+                     "--split", "validation", "--seed", "4"]) == 0
+        assert capsys.readouterr().out == f"mean_haversine_km {best}\n"
 
     def test_unknown_variant_usage_error(self, tmp_path, prepared_dir, capsys):
         with pytest.raises(SystemExit) as e:

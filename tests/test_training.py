@@ -1,5 +1,7 @@
 """Loss, training loop, early stopping, evaluation, submissions."""
 
+import csv
+import dataclasses
 import json
 import math
 import os
@@ -269,15 +271,16 @@ class TestTrainLoop:
         assert clipped.history != free.history
 
     def _diverging(self, tmp_path, **cfg):
-        """mlp_direct at learning rate 1e4: the loss is NaN by the third batch."""
+        """mlp_direct at learning rate 1e4: the loss is NaN by the third
+        batch.  No numpy warning escapes ``train``; the suite makes one an
+        error."""
         _, recs, _ = self._setup()
         model = tiny_model("mlp_direct")
         val = fixed_prefix_examples(recs[:5], np.random.default_rng(1))
         path = tmp_path / "model.ckpt"
         base = dict(learning_rate=1e4, batch_size=4, max_batches=8, validate_every=1, patience=99)
         base.update(cfg)
-        with np.errstate(all="ignore"):
-            report = train(model, recs, val, TrainConfig(**base), checkpoint_path=path)
+        report = train(model, recs, val, TrainConfig(**base), checkpoint_path=path)
         return model, report, path
 
     def test_non_finite_loss_stops_before_the_step(self, tmp_path):
@@ -395,6 +398,20 @@ class TestStepMatchesReference:
 
 
 class TestTrainReport:
+    @pytest.mark.parametrize(
+        "scores, best, stop_reason, failed",
+        [
+            ([], math.inf, "max_batches", False),  # never validated: the final model is kept
+            ([], math.inf, "non_finite", True),
+            ([math.inf, math.nan], math.inf, "patience", True),
+            ([3.1, math.nan], 3.1, "non_finite", False),  # the finite best is kept
+            ([3.1], 3.1, "max_batches", False),
+        ],
+    )
+    def test_failed_when_no_validation_was_finite(self, scores, best, stop_reason, failed):
+        history = [training.ValidationPoint(i + 1, 2.0, km, km == best) for i, km in enumerate(scores)]
+        assert TrainReport(history, len(scores), best, stop_reason).failed is failed
+
     def test_jsonl_round_trip(self, tmp_path):
         def strict(name):
             raise ValueError(f"not strict JSON: {name}")
@@ -438,6 +455,18 @@ class TestWriteSubmission:
         lines = path.read_text().splitlines()
         assert len(lines) == 2
         assert lines[0] == "TRIP_ID,LATITUDE,LONGITUDE"
+
+    def test_trip_ids_that_need_quotes_read_back_whole(self, tmp_path):
+        model = single_center_model()
+        recs = make_records([3, 4], np.random.default_rng(39))
+        recs = [dataclasses.replace(r, trip_id=t) for r, t in zip(recs, ["T,1", 'T"2'])]
+        path = tmp_path / "sub.csv"
+        write_submission(model, models.candidates_from_records(recs), path)
+        with open(path, encoding="utf-8", newline="") as f:
+            rows = list(csv.reader(f))
+        assert [len(row) for row in rows] == [3, 3, 3]
+        assert [row[0] for row in rows] == ["TRIP_ID", "T,1", 'T"2']
+        assert rows[1][1:] == ["41.150000", "-8.610000"]
 
     def test_failed_write_keeps_old_file(self, tmp_path, monkeypatch):
         model = single_center_model()
