@@ -12,9 +12,7 @@ import math
 
 import numpy as np
 
-from .geo import EARTH_RADIUS_M
-
-_DEG2RAD = math.pi / 180.0
+from .geo import DEG2RAD, EARTH_RADIUS_M
 
 
 def backend() -> str:
@@ -67,10 +65,10 @@ class GridIndex:
         self.lon0 = float(self.lon.min())
         # Degrees per cell; longitude scaled at the coarsest (widest)
         # latitude in range so no cell is narrower than cell_m.
-        self.cell_lat = cell_m / EARTH_RADIUS_M / _DEG2RAD
+        self.cell_lat = cell_m / EARTH_RADIUS_M / DEG2RAD
         max_abs_lat = float(np.max(np.abs(self.lat)))
-        cos_floor = max(math.cos(min(max_abs_lat * _DEG2RAD, math.radians(89.0))), 1e-3)
-        self.cell_lon = cell_m / (EARTH_RADIUS_M * cos_floor) / _DEG2RAD
+        cos_floor = max(math.cos(min(max_abs_lat * DEG2RAD, math.radians(89.0))), 1e-3)
+        self.cell_lon = cell_m / (EARTH_RADIUS_M * cos_floor) / DEG2RAD
 
         row = np.floor((self.lat - self.lat0) / self.cell_lat).astype(np.int64)
         col = np.floor((self.lon - self.lon0) / self.cell_lon).astype(np.int64)
@@ -158,7 +156,7 @@ def iterate_seeds(
     # Point coordinates in grid order: a neighbour cell is a contiguous run.
     lat_s = grid.lat[grid.order]
     lon_s = grid.lon[grid.order]
-    sorted_points = (lat_s, lon_s, lat_s * _DEG2RAD, lon_s * _DEG2RAD)
+    sorted_points = (lat_s, lon_s, lat_s * DEG2RAD, lon_s * DEG2RAD)
     for step in range(1, max_iterations + 1):
         if active.size == 0:
             break
@@ -181,8 +179,8 @@ def _ball_means(grid, sorted_points, here, bw2):
     lat_s, lon_s, phi_s, lam_s = sorted_points
     means = np.empty_like(here)
     found = np.zeros(len(here), dtype=bool)
-    y_phi = here[:, 0] * _DEG2RAD
-    y_lam = here[:, 1] * _DEG2RAD
+    y_phi = here[:, 0] * DEG2RAD
+    y_lam = here[:, 1] * DEG2RAD
     for lo, hi, counts, slots in neighbour_chunks(grid, here[:, 0], here[:, 1]):
         # The per-seed expression, element by element:
         # d_lam = (lam - y_lam) * cos(0.5 * (phi + y_phi)).

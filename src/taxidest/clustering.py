@@ -18,7 +18,7 @@ import numpy as np
 
 from . import _kernels
 from ._atomic import atomic_open
-from .geo import EARTH_RADIUS_M
+from .geo import DEG2RAD, EARTH_RADIUS_M, first_off_earth
 
 __all__ = [
     "ClusterSet",
@@ -28,12 +28,11 @@ __all__ = [
     "save_clusters",
 ]
 
-_DEG2RAD = math.pi / 180.0
-
 
 @dataclass
 class ClusterSet:
-    """Ordered destination cluster centers, float64 (C, 2) in degrees."""
+    """Ordered destination cluster centers, float64 (C, 2) in degrees, each
+    a point on the Earth."""
 
     centers: np.ndarray
 
@@ -41,6 +40,10 @@ class ClusterSet:
         self.centers = np.asarray(self.centers, dtype=np.float64).reshape(-1, 2)
         if len(self.centers) < 1:
             raise ValueError("a ClusterSet needs at least one center")
+        j = first_off_earth(self.centers)
+        if j is not None:
+            raise ValueError(f"centre {j} is {tuple(self.centers[j].tolist())}; "
+                             "need finite (lat, lon) with |lat| <= 90 and |lon| <= 180")
 
     @property
     def count(self) -> int:
@@ -65,50 +68,32 @@ class MeanShiftConfig:
             raise ValueError("merge radius must not exceed the bandwidth")
 
 
-def _as_latlon_array(points) -> np.ndarray:
-    arr = np.asarray(points, dtype=np.float64)
-    if arr.ndim != 2 or arr.shape[1] != 2:
-        raise ValueError(f"expected an (N, 2) array, got shape {arr.shape}")
-    return arr
-
-
 def _equirect_m(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Equirectangular meters between (lat, lon) rows of a and b, broadcast."""
-    d_phi = (b[..., 0] - a[..., 0]) * _DEG2RAD
-    d_lam = (b[..., 1] - a[..., 1]) * _DEG2RAD * np.cos(0.5 * (b[..., 0] + a[..., 0]) * _DEG2RAD)
+    d_phi = (b[..., 0] - a[..., 0]) * DEG2RAD
+    d_lam = (b[..., 1] - a[..., 1]) * DEG2RAD * np.cos(0.5 * (b[..., 0] + a[..., 0]) * DEG2RAD)
     return EARTH_RADIUS_M * np.hypot(d_phi, d_lam)
 
 
-def mean_shift(
-    points,
-    cfg: MeanShiftConfig = MeanShiftConfig(),
-    seeds=None,
-) -> ClusterSet:
+def mean_shift(points, cfg: MeanShiftConfig = MeanShiftConfig()) -> ClusterSet:
     """Cluster (lat, lon) points; returns the merged density modes.
 
-    ``points`` is an (N, 2) array of (lat, lon) rows.  ``seeds``
-    defaults to the first point, in input order, of each occupied cell of
-    a grid with cells half the bandwidth wide, listed in input order.
-    Seeds iterate to the flat-kernel mean of their bandwidth ball until the
-    shift is exactly zero (at most ``cfg.max_iterations`` steps), so all
-    seeds of one basin land on the same mode bit-for-bit.
+    ``points`` is an (N, 2) array of (lat, lon) rows.  The seeds are the
+    first point, in input order, of each occupied cell of a grid with
+    cells half the bandwidth wide, listed in input order.  Seeds iterate
+    to the flat-kernel mean of their bandwidth ball until the shift is
+    exactly zero (at most ``cfg.max_iterations`` steps), so all seeds of
+    one basin land on the same mode bit-for-bit.
     """
-    pts = _as_latlon_array(points)
+    pts = np.asarray(points, dtype=np.float64)
     if len(pts) == 0:
         raise ValueError("mean_shift requires at least one point")
-
-    if seeds is None:
-        # Full-bandwidth cells lost a tenth of the centres on mlp-porto's
-        # destinations.  The stable sort puts each cell's first point first.
-        cells = _kernels.GridIndex(pts[:, 0], pts[:, 1], cfg.bandwidth_m / 2)
-        seed_arr = pts[np.sort(cells.order[cells.cell_start])]
-    else:
-        seed_arr = _as_latlon_array(seeds)
-        if len(seed_arr) == 0:
-            raise ValueError("explicit seeds must be non-empty")
-
+    # Full-bandwidth cells lost a tenth of the centres on mlp-porto's
+    # destinations.  The stable sort puts each cell's first point first.
+    cells = _kernels.GridIndex(pts[:, 0], pts[:, 1], cfg.bandwidth_m / 2)
+    seeds = pts[np.sort(cells.order[cells.cell_start])]
     grid = _kernels.GridIndex(pts[:, 0], pts[:, 1], cfg.bandwidth_m)
-    modes, _ = _kernels.iterate_seeds(grid, seed_arr[:, 0], seed_arr[:, 1], cfg.bandwidth_m, cfg.max_iterations)
+    modes, _ = _kernels.iterate_seeds(grid, seeds[:, 0], seeds[:, 1], cfg.bandwidth_m, cfg.max_iterations)
     return ClusterSet(_merge_modes(modes, cfg.merge_radius_m))
 
 

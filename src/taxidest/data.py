@@ -17,7 +17,6 @@ proportional to its length.
 from __future__ import annotations
 
 import csv
-import io
 import json
 from dataclasses import dataclass, field
 from itertools import repeat
@@ -28,7 +27,7 @@ import numpy as np
 
 from . import _container
 from ._atomic import atomic_open
-from .geo import GeoPoint, StandardizationStats
+from .geo import GeoPoint, StandardizationStats, first_off_earth
 
 __all__ = [
     "CALL_TYPES",
@@ -67,8 +66,6 @@ _CSV_COLUMNS = (
 )
 
 
-#: Largest |longitude| and |latitude|, in the file's [lon, lat] order.
-_LON_LAT_LIMITS = np.array([180.0, 90.0])
 _NOT_PAIRS = "expected a JSON array of [lon, lat] number pairs"
 
 
@@ -208,15 +205,13 @@ def _parse_int(text: str, line: int, column: str, optional: bool) -> Optional[in
 def parse_csv(stream) -> Iterator[TrainRecord]:
     """Stream TrainRecords from a competition-format CSV.
 
-    ``stream`` may be a text file object, a binary file object, or an
-    iterable of text lines.  Records are yielded in file order, including
-    ones with ``missing_data`` or empty polylines (filter on ``.usable``).
+    ``stream`` may be a text file object or an iterable of text lines.
+    Records are yielded in file order, including ones with
+    ``missing_data`` or empty polylines (filter on ``.usable``).
     Malformed rows, and coordinates that are not finite or lie outside
     |lat| <= 90, |lon| <= 180, raise :class:`CsvParseError` with line and
     column.
     """
-    if hasattr(stream, "read") and isinstance(stream.read(0), bytes):
-        stream = io.TextIOWrapper(stream, encoding="utf-8")
     reader = csv.reader(stream)
     try:
         header = next(reader)
@@ -256,16 +251,15 @@ def parse_csv(stream) -> Iterator[TrainRecord]:
                 raise CsvParseError(line, "POLYLINE", _NOT_PAIRS)
             if raw.ndim != 2 or raw.shape[1] != 2:
                 raise CsvParseError(line, "POLYLINE", _NOT_PAIRS)
-            ok = np.abs(raw) <= _LON_LAT_LIMITS  # False for NaN and inf too
-            if not ok.all():
-                j = int(np.flatnonzero(~ok.all(axis=1))[0])
+            arr = raw[:, ::-1].copy()  # lon,lat -> lat,lon
+            j = first_off_earth(arr)
+            if j is not None:
                 raise CsvParseError(
                     line,
                     "POLYLINE",
                     f"point {j} is {raw[j].tolist()}; need finite [lon, lat] "
                     "with |lon| <= 180 and |lat| <= 90",
                 )
-            arr = raw[:, ::-1].copy()  # lon,lat -> lat,lon
         else:
             arr = np.empty((0, 2), dtype=np.float64)
 
@@ -506,15 +500,11 @@ def load_records(path) -> list[TrainRecord]:
         raise DataError(f"{path}: the offsets do not start at 0 and never fall")
     if (cols["call_type"] >= len(CALL_TYPES)).any():
         raise DataError(f"{path}: a call type code is not below {len(CALL_TYPES)}")
-    # One min and max over all coordinates clears any city within |lon| <= 90;
-    # only otherwise are the columns searched against their own limits.
-    if len(points) and not -90.0 <= points.min() <= points.max() <= 90.0:  # false for NaN too
-        bad = ~(np.abs(points) <= _LON_LAT_LIMITS[::-1]).all(axis=1)
-        if bad.any():
-            j = int(np.flatnonzero(bad)[0])
-            i = int(np.searchsorted(offsets[1:], j, side="right"))
-            raise DataError(f"{path}: record {i} (trip {trip_ids[i]}) has the point {tuple(points[j].tolist())}; "
-                            "need finite (lat, lon) with |lat| <= 90 and |lon| <= 180")
+    j = first_off_earth(points)
+    if j is not None:
+        i = int(np.searchsorted(offsets[1:], j, side="right"))
+        raise DataError(f"{path}: record {i} (trip {trip_ids[i]}) has the point {tuple(points[j].tolist())}; "
+                        "need finite (lat, lon) with |lat| <= 90 and |lon| <= 180")
     records = []
     for lo in range(0, n, _LOAD_BLOCK):  # no whole-column lists alive at once
         hi = min(lo + _LOAD_BLOCK, n)

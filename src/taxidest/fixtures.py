@@ -14,11 +14,12 @@ import math
 import numpy as np
 
 from .data import CALL_TYPES, TrainRecord, write_csv
+from .geo import EARTH_RADIUS_M
 
 __all__ = ["generate_city_csv", "generate_city_records"]
 
 CITY_CENTER = (41.15, -8.61)
-_M_PER_DEG_LAT = 6_371_000.0 * math.pi / 180.0
+_M_PER_DEG_LAT = EARTH_RADIUS_M * math.pi / 180.0
 _M_PER_DEG_LON = _M_PER_DEG_LAT * math.cos(math.radians(CITY_CENTER[0]))
 
 # Hotspot offsets from the center in meters (east, north), sigma 150 m.

@@ -2,27 +2,36 @@
 
 Coordinates are in decimal degrees and distances in meters, computed in
 double precision on arrays; the training loss, clustering and the
-evaluation metric all use the one radius ``EARTH_RADIUS_M``.
+evaluation metric all use the one radius ``EARTH_RADIUS_M``.  A point is
+on the Earth when it is finite with |lat| <= 90 and |lon| <= 180
+(:func:`first_off_earth`).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
 __all__ = [
+    "DEG2RAD",
     "EARTH_RADIUS_M",
     "GeoPoint",
     "StandardizationStats",
+    "first_off_earth",
     "haversine_distance_arrays",
 ]
 
 #: Mean radius of the spherical Earth, meters.
 EARTH_RADIUS_M = 6_371_000.0
 
-_DEG2RAD = math.pi / 180.0
+#: Radians per degree.
+DEG2RAD = math.pi / 180.0
+
+#: Largest |latitude| and |longitude| of a point on the Earth.
+_LAT_LON_LIMITS = np.array([90.0, 180.0])
 
 # Guard against division blow-up when a fitting set is degenerate.
 _MIN_STD = 1e-12
@@ -52,8 +61,10 @@ class StandardizationStats:
     std_lon: float
 
     def __post_init__(self):
-        if not (self.std_lat > 0.0 and self.std_lon > 0.0):
-            raise ValueError("standard deviations must be strictly positive")
+        if not (math.isfinite(self.mean_lat) and math.isfinite(self.mean_lon)):
+            raise ValueError(f"means must be finite, got {self.mean_lat} and {self.mean_lon}")
+        if not (0.0 < self.std_lat < math.inf and 0.0 < self.std_lon < math.inf):
+            raise ValueError("standard deviations must be finite and strictly positive")
 
     @classmethod
     def from_moments(cls, mean_lat, mean_lon, std_lat, std_lon):
@@ -63,6 +74,18 @@ class StandardizationStats:
         if std_lon < _MIN_STD:
             std_lon = 1.0
         return cls(float(mean_lat), float(mean_lon), float(std_lat), float(std_lon))
+
+
+def first_off_earth(points) -> Optional[int]:
+    """Row of the first (lat, lon) of the (N, 2) ``points`` that is not
+    finite within |lat| <= 90 and |lon| <= 180, or None if every row is."""
+    points = np.asarray(points)
+    # One min and max over all coordinates clears any city within |lon| <= 90;
+    # only otherwise are the columns searched against their own limits.
+    if len(points) == 0 or -90.0 <= points.min() <= points.max() <= 90.0:  # false for NaN too
+        return None
+    bad = ~(np.abs(points) <= _LAT_LON_LIMITS).all(axis=1)
+    return int(np.flatnonzero(bad)[0]) if bad.any() else None
 
 
 def haversine_distance_arrays(
@@ -75,9 +98,9 @@ def haversine_distance_arrays(
 
     Symmetric, non-negative, and zero where the points coincide.
     """
-    phi_x = np.asarray(lat_x, dtype=np.float64) * _DEG2RAD
-    phi_y = np.asarray(lat_y, dtype=np.float64) * _DEG2RAD
+    phi_x = np.asarray(lat_x, dtype=np.float64) * DEG2RAD
+    phi_y = np.asarray(lat_y, dtype=np.float64) * DEG2RAD
     s_phi = np.sin(0.5 * (phi_y - phi_x))
-    s_lam = np.sin(0.5 * (np.asarray(lon_y, np.float64) - np.asarray(lon_x, np.float64)) * _DEG2RAD)
+    s_lam = np.sin(0.5 * (np.asarray(lon_y, np.float64) - np.asarray(lon_x, np.float64)) * DEG2RAD)
     a = s_phi * s_phi + np.cos(phi_x) * np.cos(phi_y) * s_lam * s_lam
     return 2.0 * EARTH_RADIUS_M * np.arctan2(np.sqrt(a), np.sqrt(np.maximum(0.0, 1.0 - a)))

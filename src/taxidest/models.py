@@ -121,7 +121,7 @@ class DestinationModel:
         return list(self.params.values())
 
     def parameter_count(self) -> int:
-        return sum(p.size for p in self.parameters())
+        return sum(p.data.size for p in self.parameters())
 
 
 def _parameter_shapes(
@@ -276,9 +276,9 @@ def _run_lstm(model, tape, name, inputs_per_step: list[np.ndarray], order: np.nd
     gathers those states.
     """
     cfg = model.config
-    wx = model.params[f"{name}_wx"].tensor
-    wh = model.params[f"{name}_wh"].tensor
-    b = model.params[f"{name}_b"].tensor
+    wx = model.params[f"{name}_wx"]
+    wh = model.params[f"{name}_wh"]
+    b = model.params[f"{name}_b"]
     dtype = cfg.np_dtype()
     h = Tensor(np.zeros((len(order), cfg.rnn_hidden), dtype=dtype))
     c = Tensor(np.zeros((len(order), cfg.rnn_hidden), dtype=dtype))
@@ -319,12 +319,12 @@ def _input(model: DestinationModel, tape: Tape, feats: Features) -> Tensor:
     if feats.fwd:
         pieces.append(_recurrent_states(model, tape, feats))
     for f, rows in feats.index.items():
-        pieces.append(nncore.embedding_lookup(tape, model.params[f"emb_{f}"].tensor, rows))
+        pieces.append(nncore.embedding_lookup(tape, model.params[f"emb_{f}"], rows))
     return nncore.concat(tape, pieces)
 
 
 def _relu_dense(model: DestinationModel, tape: Tape, x: Tensor, name: str) -> Tensor:
-    w, b = model.params[f"{name}_w"].tensor, model.params[f"{name}_b"].tensor
+    w, b = model.params[f"{name}_w"], model.params[f"{name}_b"]
     return nncore.relu(tape, nncore.dense(tape, x, w, b))
 
 
@@ -370,7 +370,7 @@ def _head(model: DestinationModel, tape: Tape, x: Tensor, memory) -> Tensor:
         logits = nncore.dot_similarity(tape, _relu_dense(model, tape, x, "enc_query"), encoded)
     else:
         h = _relu_dense(model, tape, x, "hidden")
-        logits = nncore.dense(tape, h, model.params["out_w"].tensor, model.params["out_b"].tensor)
+        logits = nncore.dense(tape, h, model.params["out_w"], model.params["out_b"])
         if output == "direct":  # the two outputs are standardized coordinates
             stats = model.stats
             return nncore.affine_const(

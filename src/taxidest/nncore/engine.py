@@ -29,8 +29,8 @@ class Tensor:
 
     __slots__ = ("data", "grad")
 
-    def __init__(self, data, dtype=None):
-        self.data = np.asarray(data, dtype=dtype)
+    def __init__(self, data):
+        self.data = np.asarray(data)
         self.grad = None
 
     @property
@@ -70,35 +70,24 @@ class Tensor:
         return f"Tensor(shape={self.data.shape}, dtype={self.data.dtype})"
 
 
-class Parameter:
-    """A named, trainable tensor with matching gradient and velocity buffers."""
+class Parameter(Tensor):
+    """A named, trainable tensor with a preallocated zero gradient and a
+    velocity buffer of the same shape."""
 
-    __slots__ = ("name", "tensor", "velocity")
+    __slots__ = ("name", "velocity")
 
     def __init__(self, name: str, value: np.ndarray):
+        super().__init__(np.array(value, copy=True))
         self.name = name
-        self.tensor = Tensor(np.array(value, copy=True))
-        self.tensor.grad = np.zeros_like(self.tensor.data)
-        self.velocity = np.zeros_like(self.tensor.data)
+        self.grad = np.zeros_like(self.data)
+        self.velocity = np.zeros_like(self.data)
 
     @property
     def value(self) -> np.ndarray:
-        return self.tensor.data
-
-    @property
-    def grad(self) -> np.ndarray:
-        return self.tensor.grad
-
-    @property
-    def shape(self):
-        return self.tensor.data.shape
-
-    @property
-    def size(self) -> int:
-        return self.tensor.data.size
+        return self.data
 
     def __repr__(self):
-        return f"Parameter({self.name!r}, shape={self.tensor.data.shape})"
+        return f"Parameter({self.name!r}, shape={self.data.shape})"
 
 
 class _Node:

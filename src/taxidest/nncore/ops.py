@@ -168,19 +168,14 @@ def slice_cols(tape: Tape, x: Tensor, start: int, stop: int) -> Tensor:
     return out
 
 
-def concat_rows(
-    tape: Tape, parts: list[Tensor], row_indices: list[np.ndarray], part_rows: list | None = None
-) -> Tensor:
+def concat_rows(tape: Tape, parts: list[Tensor], row_indices: list[np.ndarray], part_rows: list[slice]) -> Tensor:
     """Scatter row blocks back into one batch-ordered tensor.
 
-    ``parts[i]`` supplies the rows listed in ``row_indices[i]``; the index
-    lists must partition the output rows.  ``part_rows[i]``, a slice, takes
-    only those rows of ``parts[i]`` (default: all of them).  The recurrent
-    models gather each packed sequence's final state this way, from the
-    step after which it stops, in batch order.
+    ``parts[i][part_rows[i]]`` supplies the rows listed in
+    ``row_indices[i]``; the index lists must partition the output rows.
+    The recurrent models gather each packed sequence's final state this
+    way, from the step after which it stops, in batch order.
     """
-    if part_rows is None:
-        part_rows = [slice(None)] * len(parts)
     total = sum(len(ix) for ix in row_indices)
     width = parts[0].data.shape[1]
     out_data = np.empty((total, width), dtype=parts[0].data.dtype)
@@ -190,10 +185,7 @@ def concat_rows(
     if tape is not None:
         def bwd(g):
             for part, ix, take in zip(parts, row_indices, part_rows):
-                if take == slice(None):
-                    part.accumulate_owned(g[ix])
-                else:
-                    part.ensure_grad()[take] += g[ix]
+                part.ensure_grad()[take] += g[ix]
         tape.record(out, bwd)
     return out
 

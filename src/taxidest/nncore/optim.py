@@ -41,6 +41,6 @@ def sgd_momentum_step(
             g *= lr  # bit-equal to forming lr * grad, without the temporary
             p.velocity *= mu
             p.velocity -= g
-            p.tensor.data += p.velocity
+            p.data += p.velocity
         g[...] = 0
     return norm

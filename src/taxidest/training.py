@@ -22,7 +22,7 @@ from . import models, nncore
 from ._atomic import atomic_open
 from .data import DataError, PrefixExample, PrefixSampler, TrainRecord
 from .data import make_prefix_example  # noqa: F401  (perfbench/spans.py patches this name here)
-from .geo import EARTH_RADIUS_M, haversine_distance_arrays
+from .geo import DEG2RAD, EARTH_RADIUS_M, first_off_earth, haversine_distance_arrays
 from .models import DestinationModel
 from .nncore import Tape, Tensor
 
@@ -38,8 +38,6 @@ __all__ = [
     "train",
     "write_submission",
 ]
-
-_DEG2RAD = math.pi / 180.0
 
 # Keeps the sqrt gradient finite if a prediction coincides with its target;
 # adds at most R*1e-12 ~ 6.4e-6 m to any distance.
@@ -138,8 +136,8 @@ def _number(x: Optional[float]) -> float:
 
 def equirectangular_loss(tape: Tape, pred: Tensor, targets_deg: np.ndarray) -> Tensor:
     """Mean equirectangular distance (meters) between predictions and targets."""
-    t = np.asarray(targets_deg, dtype=np.float64) * _DEG2RAD
-    pr = nncore.scale(tape, pred, _DEG2RAD)
+    t = np.asarray(targets_deg, dtype=np.float64) * DEG2RAD
+    pr = nncore.scale(tape, pred, DEG2RAD)
     lat = nncore.slice_cols(tape, pr, 0, 1)
     lon = nncore.slice_cols(tape, pr, 1, 2)
     d_lat = nncore.add_const(tape, lat, -t[:, :1])
@@ -180,10 +178,13 @@ def evaluate(
     examples: Sequence[PrefixExample],
     candidates: Sequence[PrefixExample] = None,
 ) -> float:
-    """Mean Haversine distance in km over a prefix set, float64 accumulation."""
+    """Mean Haversine distance in km over a prefix set, float64
+    accumulation; inf if any prediction is not a point on the Earth."""
     if len(examples) == 0:
         raise DataError("evaluate requires a non-empty prefix set")
     pred = models.predict(model, examples, candidates)
+    if first_off_earth(pred) is not None:
+        return math.inf
     targets = models.destinations(examples)
     d = haversine_distance_arrays(pred[:, 0], pred[:, 1], targets[:, 0], targets[:, 1])
     step = models.PREDICT_CHUNK  # summed per forward chunk, in order
@@ -361,8 +362,14 @@ def write_submission(
     candidates: Sequence[PrefixExample] = None,
 ) -> None:
     """Competition-format CSV: TRIP_ID,LATITUDE,LONGITUDE, one row per
-    prefix; the file is replaced whole or not at all."""
+    prefix; the file is replaced whole or not at all.  A prediction that is
+    not a point on the Earth raises :class:`DataError` naming its trip,
+    before anything is written."""
     pred = models.predict(model, examples, candidates)
+    j = first_off_earth(pred)
+    if j is not None:
+        raise DataError(f"the prediction for trip {examples[j].trip_id} is {tuple(pred[j].tolist())}; "
+                        "it is not finite within |lat| <= 90 and |lon| <= 180")
     with atomic_open(path, "w", encoding="utf-8", newline="") as f:
         out = csv.writer(f, lineterminator="\n")  # quotes a trip id only where the CSV needs it
         out.writerow(["TRIP_ID", "LATITUDE", "LONGITUDE"])

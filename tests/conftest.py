@@ -122,13 +122,13 @@ def fd_param_gradients(loss_fn, params, h=1e-5) -> dict[str, np.ndarray]:
     Parameter buffers are temporarily swapped to longdouble; ``loss_fn``
     must recompute the loss from the live parameter tensors.
     """
-    saved = {p.name: p.tensor.data for p in params}
+    saved = {p.name: p.data for p in params}
     for p in params:
-        p.tensor.data = p.tensor.data.astype(np.longdouble)
+        p.data = p.data.astype(np.longdouble)
     try:
         grads = {}
         for p in params:
-            flat = p.tensor.data.reshape(-1)
+            flat = p.data.reshape(-1)
             fd = np.zeros(flat.size, dtype=np.float64)
             for i in range(flat.size):
                 orig = flat[i]
@@ -141,7 +141,7 @@ def fd_param_gradients(loss_fn, params, h=1e-5) -> dict[str, np.ndarray]:
             grads[p.name] = fd.reshape(p.shape)
     finally:
         for p in params:
-            p.tensor.data = saved[p.name]
+            p.data = saved[p.name]
     return grads
 
 

@@ -2,6 +2,7 @@
 
 import contextlib
 import json
+import math
 import os
 import re
 import shutil
@@ -513,8 +514,9 @@ class TestTrain:
         assert not (tmp_path / "m.ckpt").exists()
 
     def _diverging(self, prepared_dir, out, *options):
-        """mlp_direct at learning rate 1e3: validation improves after batches
-        1 and 2, to thousands of km, and batch 3's loss is not finite."""
+        """mlp_direct at learning rate 1e3: every validation is off the
+        Earth, and training stops on a non-finite value within a few
+        batches; at learning rate 100 the first validation is finite."""
         args = _small_train_args(prepared_dir, out) + ["--batch", "20", "--lr", "1e3", "--max-batches", "20"]
         return main(args + list(options))
 
@@ -534,13 +536,27 @@ class TestTrain:
         ]
 
     def test_non_finite_stop_after_a_finite_best_keeps_it(self, tmp_path, prepared_dir, capsys):
-        ckpt, two = tmp_path / "m.ckpt", tmp_path / "two.ckpt"
-        assert self._diverging(prepared_dir, ckpt, "--validate-every", "1") == 0
+        ckpt, one = tmp_path / "m.ckpt", tmp_path / "one.ckpt"
+        assert self._diverging(prepared_dir, ckpt, "--validate-every", "1", "--lr", "100") == 0
         out, err = capsys.readouterr()
-        assert re.fullmatch(r"stopped: non_finite; best validation \d+\.\d{3} km at batch 2\n", out) and err == ""
-        # The kept checkpoint is the model after batch 2.
-        assert self._diverging(prepared_dir, two, "--validate-every", "1", "--max-batches", "2") == 0
-        assert ckpt.read_bytes() == two.read_bytes()
+        assert re.fullmatch(r"stopped: non_finite; best validation \d+\.\d{3} km at batch 1\n", out) and err == ""
+        # The kept checkpoint is the model after batch 1.
+        assert self._diverging(prepared_dir, one, "--validate-every", "1", "--lr", "100", "--max-batches", "1") == 0
+        assert ckpt.read_bytes() == one.read_bytes()
+
+    def test_predictions_off_the_earth_score_no_validation(self, tmp_path, prepared_dir, capsys):
+        """The diverging mlp_direct's validations predict latitudes in the
+        thousands and beyond; none scores, so the run fails."""
+        ckpt = tmp_path / "m.ckpt"
+        args = ["train", "--data", str(prepared_dir), "--variant", "mlp_direct", "--k", "2", "--hidden", "8",
+                "--embedding-dim", "2", "--batch", "20", "--lr", "1e3", "--validate-every", "1", "--out", str(ckpt)]
+        assert main(args) == 4
+        out, err = capsys.readouterr()
+        assert out == "stopped: non_finite; best validation inf km at batch 0\n"
+        assert "no validation gave a finite score" in err and not ckpt.exists()
+        report = training.TrainReport.from_jsonl(tmp_path / "m.ckpt.report.jsonl")
+        assert len(report.history) == 3
+        assert all(pt.val_haversine_km == math.inf and not pt.improved for pt in report.history)
 
     @pytest.mark.parametrize("variant", ["mlp_clusters", "brnn", "memory_net"])
     def test_evaluate_repeats_the_best_validation(self, tmp_path, prepared_dir, cluster_csv, capsys, variant):
@@ -666,6 +682,24 @@ class TestEvaluate:
 
 
 class TestPredict:
+    @pytest.mark.parametrize(
+        "damage, why",
+        [(lambda e: e["stats"].update(mean_lat=math.nan), "means must be finite, got nan"),
+         (lambda e: e["clusters"][0].__setitem__(0, 95.0), "centre 0 is (95.0, ")],
+        ids=["nan-mean", "centre-at-lat-95"],
+    )
+    def test_checkpoint_metadata_off_the_earth_is_a_data_error(
+        self, trained_ckpt, city_csv, tmp_path, capsys, damage, why
+    ):
+        extras = _container_header(trained_ckpt.read_bytes())[0]["extras"]
+        damage(extras)
+        path, out = tmp_path / "forged.ckpt", tmp_path / "sub.csv"
+        write_checkpoint(path, models.load_model(trained_ckpt).parameters(), extras)
+        assert main(["predict", "--model", str(path), "--input", str(city_csv), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"taxidest predict: {path}: ") and why in err
+        assert not out.exists()
+
     def test_submission_format(self, trained_ckpt, tmp_path, city_csv):
         out = tmp_path / "submission.csv"
         rc = main(["predict", "--model", str(trained_ckpt), "--input", str(city_csv), "--out", str(out)])

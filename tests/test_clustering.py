@@ -194,9 +194,10 @@ class TestMeanShift:
         pts = np.concatenate([b1, b2])
         cfg = MeanShiftConfig(bandwidth_m=500)
         cs = mean_shift(pts, cfg)
-        again = mean_shift(pts, cfg, seeds=cs.centers)
-        for c in cs.centers:
-            assert min(dist_m(c, d) for d in again.centers) < 1.0
+        grid = _kernels.GridIndex(pts[:, 0], pts[:, 1], cfg.bandwidth_m)
+        again, _ = _kernels.iterate_seeds(grid, cs.centers[:, 0], cs.centers[:, 1], cfg.bandwidth_m, cfg.max_iterations)
+        for c, d in zip(cs.centers, again):
+            assert dist_m(c, d) < 1.0
 
     def test_deterministic(self):
         rng = np.random.default_rng(6)
@@ -448,3 +449,8 @@ class TestClusterIO:
     def test_needs_a_center(self):
         with pytest.raises(ValueError):
             ClusterSet(np.empty((0, 2)))
+
+    @pytest.mark.parametrize("centre", [(95.0, -8.6), (41.1, -181.0), (np.nan, -8.6), (41.1, np.inf)])
+    def test_centre_off_the_earth_rejected(self, centre):
+        with pytest.raises(ValueError, match=r"centre 1 is .*need finite"):
+            ClusterSet(np.array([[41.1, -8.6], centre]))

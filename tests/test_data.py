@@ -160,11 +160,6 @@ class TestParseCsv:
         loaded = load_records(tmp_path / "cache.bin")
         assert [(r.origin_call, r.origin_stand, r.taxi_id, r.timestamp) for r in loaded] == got
 
-    def test_bytes_stream(self):
-        text = HEADER + '1,C,,,1,0,A,False,"[[-8.61,41.14]]"\n'
-        recs = list(parse_csv(io.BytesIO(text.encode())))
-        assert len(recs) == 1
-
 
 class TestWriteCsv:
     def test_parse_reads_back_what_was_written(self, tmp_path):

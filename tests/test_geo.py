@@ -17,7 +17,13 @@ from geo_reference import (
     standardize,
     unstandardize,
 )
-from taxidest.geo import EARTH_RADIUS_M, GeoPoint, StandardizationStats, haversine_distance_arrays
+from taxidest.geo import (
+    EARTH_RADIUS_M,
+    GeoPoint,
+    StandardizationStats,
+    first_off_earth,
+    haversine_distance_arrays,
+)
 
 PORTO = GeoPoint(41.15, -8.61)
 # 30 km box half-widths at the Porto latitude.
@@ -173,6 +179,29 @@ class TestStandardization:
     def test_positive_std_enforced(self):
         with pytest.raises(ValueError):
             StandardizationStats(41.0, -8.0, 0.0, 1.0)
+
+    @pytest.mark.parametrize(
+        "moments",
+        [(math.nan, -8.0, 1.0, 1.0), (41.0, math.inf, 1.0, 1.0), (41.0, -8.0, math.inf, 1.0), (41.0, -8.0, 1.0, math.nan)],
+    )
+    def test_finite_moments_enforced(self, moments):
+        with pytest.raises(ValueError, match="finite"):
+            StandardizationStats(*moments)
+
+
+class TestFirstOffEarth:
+    @pytest.mark.parametrize(
+        "bad", [(90.5, 0.0), (-91.0, 0.0), (0.0, 180.5), (0.0, -181.0), (math.nan, 0.0), (0.0, math.inf), (-math.inf, 0.0)]
+    )
+    def test_names_the_first_bad_row(self, bad):
+        points = np.array([[41.15, -8.61], [90.0, -180.0], bad, [95.0, 0.0]])
+        assert first_off_earth(points) == 2
+
+    @pytest.mark.parametrize(
+        "points", [np.empty((0, 2)), [[41.15, -8.61]], [[0.0, 120.0], [-45.0, -170.0]], [[90.0, 180.0], [-90.0, -180.0]]]
+    )
+    def test_points_on_the_earth(self, points):
+        assert first_off_earth(points) is None
 
 
 class TestGeoPoint:

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import math
 import os
 
 import numpy as np
@@ -31,7 +32,8 @@ from taxidest.models import (
     predict,
     save_model,
 )
-from taxidest.nncore import Parameter, Tensor
+from taxidest.nncore import Parameter, Tape, Tensor
+from taxidest.training import loss_batch
 
 
 class TestBuildModel:
@@ -207,14 +209,14 @@ class TestRecurrentDetails:
         brnn = tiny_model("brnn", seed=3)
         windowed = tiny_model("brnn_window", seed=99, window=1)
         for name, p in brnn.params.items():
-            windowed.params[name].tensor.data = p.value.copy()
+            windowed.params[name].data = p.value.copy()
         batch = tiny_batch(brnn, rng, n=5, max_len=6)
         np.testing.assert_allclose(predict(brnn, batch), predict(windowed, batch), atol=1e-12)
 
     def test_palindrome_with_tied_weights(self):
         model = tiny_model("brnn", seed=4)
         for suffix in ("wx", "wh", "b"):
-            model.params[f"lstm_bwd_{suffix}"].tensor.data = model.params[
+            model.params[f"lstm_bwd_{suffix}"].data = model.params[
                 f"lstm_fwd_{suffix}"
             ].value.copy()
         pts = np.array(
@@ -408,6 +410,27 @@ class TestCheckpoint:
         else:
             np.testing.assert_array_equal(loaded.clusters.centers, model.clusters.centers)
 
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    @pytest.mark.parametrize("variant", models.VARIANTS)
+    def test_save_load_save_is_byte_identical_after_training(self, tmp_path, variant, dtype):
+        rng = np.random.default_rng(26)
+        model = tiny_model(variant, dtype=dtype)
+        for _ in range(3):
+            batch = tiny_batch(model, rng, n=4, max_len=5)
+            cands = tiny_batch(model, rng, n=3) if model.config.uses_memory else None
+            tape = Tape()
+            tape.backward(loss_batch(model, batch, tape, cands))
+            nncore.sgd_momentum_step(model.parameters(), 0.01, 0.9)
+        first, second = tmp_path / "first.ckpt", tmp_path / "second.ckpt"
+        save_model(model, first)
+        loaded = load_model(first)
+        save_model(loaded, second)
+        assert first.read_bytes() == second.read_bytes()
+        assert list(loaded.params) == list(model.params)
+        for name, p in model.params.items():
+            q = loaded.params[name].value
+            assert q.dtype == p.value.dtype and q.shape == p.value.shape and q.tobytes() == p.value.tobytes(), name
+
     @pytest.mark.parametrize("variant", ["mlp_clusters", "memory_net"])
     def test_older_layout_loads_and_predicts_identically(self, tmp_path, variant):
         rng = np.random.default_rng(25)
@@ -438,7 +461,11 @@ class TestCheckpoint:
          (lambda e: e.pop("stats"), "no 'stats' entry"),
          (lambda e: e["vocab"].pop("stand"), "no 'stand' entry"),
          (lambda e: e.update(clusters="none"), "not readable"),
-         (lambda e: e.update(clusters=None), "variant mlp_clusters requires a ClusterSet")],
+         (lambda e: e.update(clusters=None), "variant mlp_clusters requires a ClusterSet"),
+         (lambda e: e["stats"].update(mean_lat=math.nan), "means must be finite"),
+         (lambda e: e["stats"].update(std_lon=math.inf), "finite and strictly positive"),
+         (lambda e: e["clusters"][1].__setitem__(0, 95.0), r"centre 1 is \(95\.0, "),
+         (lambda e: e["clusters"][2].__setitem__(1, math.nan), r"centre 2 is .*need finite")],
     )
     def test_unreadable_metadata_names_path(self, tmp_path, damage, why):
         model = tiny_model("mlp_clusters")

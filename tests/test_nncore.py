@@ -86,7 +86,7 @@ class TestDense:
         x = rng.normal(size=(5, 4))
         wt = rng.normal(size=(5, 3))
         check_grads(
-            lambda tape: sum_of(tape, mul(tape, dense(tape, Tensor(x), w.tensor, b.tensor), Tensor(wt))),
+            lambda tape: sum_of(tape, mul(tape, dense(tape, Tensor(x), w, b), Tensor(wt))),
             [w, b],
         )
 
@@ -112,7 +112,7 @@ class TestRelu:
         p = Parameter("p", vals)
         wt = rng.normal(size=(4, 5))
         check_grads(
-            lambda tape: sum_of(tape, mul(tape, relu(tape, p.tensor), Tensor(wt))), [p]
+            lambda tape: sum_of(tape, mul(tape, relu(tape, p), Tensor(wt))), [p]
         )
 
 
@@ -145,20 +145,20 @@ class TestSoftmax:
         p = Parameter("p", rng.normal(size=(3, 5)))
         wt = rng.normal(size=(3, 5))
         check_grads(
-            lambda tape: sum_of(tape, mul(tape, softmax(tape, p.tensor), Tensor(wt))), [p]
+            lambda tape: sum_of(tape, mul(tape, softmax(tape, p), Tensor(wt))), [p]
         )
 
 
 class TestEmbeddingLookup:
     def test_unk_row(self):
         table = Parameter("t", np.arange(12.0).reshape(4, 3))
-        out = embedding_lookup(None, table.tensor, np.array([0]))
+        out = embedding_lookup(None, table, np.array([0]))
         np.testing.assert_array_equal(out.data, [[0.0, 1.0, 2.0]])
 
     def test_repeated_index_accumulates(self):
         table = Parameter("t", np.zeros((4, 2)))
         tape = Tape()
-        out = embedding_lookup(tape, table.tensor, np.array([2, 2]))
+        out = embedding_lookup(tape, table, np.array([2, 2]))
         loss = sum_of(tape, mul(tape, out, Tensor(np.array([[1.0, 2.0], [10.0, 20.0]]))))
         tape.backward(loss)
         np.testing.assert_allclose(table.grad[2], [11.0, 22.0])
@@ -167,7 +167,7 @@ class TestEmbeddingLookup:
     def test_out_of_range_reports_index(self):
         table = Parameter("t", np.zeros((4, 2)))
         with pytest.raises(IndexError, match="7"):
-            embedding_lookup(None, table.tensor, np.array([1, 7]))
+            embedding_lookup(None, table, np.array([1, 7]))
 
     def test_gradients_through_lookup_and_dense(self):
         rng = np.random.default_rng(5)
@@ -181,7 +181,7 @@ class TestEmbeddingLookup:
                 tape,
                 mul(
                     tape,
-                    dense(tape, embedding_lookup(tape, table.tensor, idx), w.tensor, b.tensor),
+                    dense(tape, embedding_lookup(tape, table, idx), w, b),
                     Tensor(wt),
                 ),
             ),
@@ -250,7 +250,7 @@ class TestWeightedCentroid:
     def test_centers_get_no_gradient_p_does(self):
         p = Parameter("p", np.array([[0.25, 0.75]]))
         tape = Tape()
-        out = weighted_centroid(tape, p.tensor, self.CENTERS)
+        out = weighted_centroid(tape, p, self.CENTERS)
         loss = sum_of(tape, out)
         tape.backward(loss)
         np.testing.assert_allclose(p.grad, [[41.0 - 8.0, 43.0 - 6.0]])
@@ -306,7 +306,7 @@ class TestLstmCell:
             h = Tensor(np.zeros((2, 3)))
             c = Tensor(np.zeros((2, 3)))
             for x in xs:
-                h, c = lstm_cell(tape, Tensor(x), h, c, wx.tensor, wh.tensor, b.tensor)
+                h, c = lstm_cell(tape, Tensor(x), h, c, wx, wh, b)
             return sum_of(tape, mul(tape, h, Tensor(wt)))
 
         check_grads(build, [wx, wh, b], tol=1e-3)
@@ -327,7 +327,7 @@ class TestPackedLstmCell:
         wx, wh, b = self._weights(rng)
         z = Tensor(np.zeros((2, 3)))
         tape = Tape()
-        lstm_cell(tape, Tensor(rng.normal(size=(2, 2))), z, z, wx.tensor, wh.tensor, b.tensor)
+        lstm_cell(tape, Tensor(rng.normal(size=(2, 2))), z, z, wx, wh, b)
         assert len(tape.nodes) == 1
 
     def test_gradients_through_cell_state_only(self):
@@ -340,7 +340,7 @@ class TestPackedLstmCell:
             h = Tensor(np.zeros((2, 3)))
             c = Tensor(np.zeros((2, 3)))
             for x in xs:
-                h, c = lstm_cell(tape, Tensor(x), h, c, wx.tensor, wh.tensor, b.tensor)
+                h, c = lstm_cell(tape, Tensor(x), h, c, wx, wh, b)
             return sum_of(tape, mul(tape, c, Tensor(wt)))
 
         check_grads(build, [wx, wh, b], tol=1e-3)
@@ -350,7 +350,7 @@ class TestPackedLstmCell:
         wx, wh, b = self._weights(rng)
         x = rng.normal(size=(2, 2))
         hp, cp = rng.normal(size=(4, 3)), rng.normal(size=(4, 3))
-        weights = (wx.tensor, wh.tensor, b.tensor)
+        weights = (wx, wh, b)
         h, c = lstm_cell(None, Tensor(x), Tensor(hp), Tensor(cp), *weights)
         h2, c2 = lstm_cell(None, Tensor(x), Tensor(hp[:2]), Tensor(cp[:2]), *weights)
         assert h.data.shape == c.data.shape == (2, 3)
@@ -366,7 +366,7 @@ class TestPackedLstmCell:
         wt_h, wt_c = rng.normal(size=(2, 3)), rng.normal(size=(2, 3))
 
         def build(tape):
-            h, c = lstm_cell(tape, Tensor(x), h_prev.tensor, c_prev.tensor, wx.tensor, wh.tensor, b.tensor)
+            h, c = lstm_cell(tape, Tensor(x), h_prev, c_prev, wx, wh, b)
             return add(tape, sum_of(tape, mul(tape, h, Tensor(wt_h))), sum_of(tape, mul(tape, c, Tensor(wt_c))))
 
         tape = Tape()
@@ -385,7 +385,7 @@ class TestPackedLstmCell:
         wx, wh, b = self._weights(rng)
         seqs = [rng.normal(size=(n, 2)) for n in (3, 2, 1)]
         wt = rng.normal(size=(3, 3))
-        weights = (wx.tensor, wh.tensor, b.tensor)
+        weights = (wx, wh, b)
 
         def packed(tape):
             h = c = Tensor(np.zeros((3, 3)))
@@ -446,8 +446,8 @@ class TestElementwiseOps:
         bb = Parameter("bb", rng.uniform(0.5, 2.0, size=(3, 4)))
 
         def build(tape):
-            s = add(tape, mul(tape, a.tensor, bb.tensor), a.tensor)
-            d = add(tape, s, scale(tape, bb.tensor, -1))
+            s = add(tape, mul(tape, a, bb), a)
+            d = add(tape, s, scale(tape, bb, -1))
             q = sqrt(tape, nncore.add_const(tape, mul(tape, d, d), 0.1))
             w = nncore.cos(tape, scale(tape, q, 0.3))
             return mean_all(tape, w)
@@ -461,7 +461,7 @@ class TestElementwiseOps:
         wt = rng.normal(size=(2, 3))
         check_grads(
             lambda tape: sum_of(
-                tape, mul(tape, dot_similarity(tape, a.tensor, bb.tensor), Tensor(wt))
+                tape, mul(tape, dot_similarity(tape, a, bb), Tensor(wt))
             ),
             [a, bb],
         )
@@ -470,7 +470,7 @@ class TestElementwiseOps:
         p1 = Tensor(np.array([[1.0, 2.0], [3.0, 4.0]]))
         p2 = Tensor(np.array([[5.0, 6.0]]))
         tape = Tape()
-        out = concat_rows(tape, [p1, p2], [np.array([2, 0]), np.array([1])])
+        out = concat_rows(tape, [p1, p2], [np.array([2, 0]), np.array([1])], [slice(None)] * 2)
         np.testing.assert_array_equal(out.data, [[3.0, 4.0], [5.0, 6.0], [1.0, 2.0]])
         g = np.arange(6.0).reshape(3, 2)
         loss = sum_of(tape, mul(tape, out, Tensor(g)))
@@ -484,10 +484,10 @@ class TestElementwiseOps:
         wt = np.random.default_rng(12).normal(size=(3, 2))
 
         def build(tape):
-            out = concat_rows(tape, [p1.tensor, p2.tensor], [np.array([2, 0]), np.array([1])], [slice(1, 3), slice(None)])
+            out = concat_rows(tape, [p1, p2], [np.array([2, 0]), np.array([1])], [slice(1, 3), slice(None)])
             return sum_of(tape, mul(tape, out, Tensor(wt)))
 
-        out = concat_rows(None, [p1.tensor, p2.tensor], [np.array([2, 0]), np.array([1])], [slice(1, 3), slice(None)])
+        out = concat_rows(None, [p1, p2], [np.array([2, 0]), np.array([1])], [slice(1, 3), slice(None)])
         np.testing.assert_array_equal(out.data, [[4.0, 5.0], [7.0, 8.0], [2.0, 3.0]])
         tape = Tape()
         tape.backward(build(tape))
@@ -498,7 +498,7 @@ class TestElementwiseOps:
         p = Parameter("p", np.random.default_rng(10).normal(size=(3, 5)))
         wt = np.random.default_rng(11).normal(size=(3, 2))
         check_grads(
-            lambda tape: sum_of(tape, mul(tape, slice_cols(tape, p.tensor, 1, 3), Tensor(wt))),
+            lambda tape: sum_of(tape, mul(tape, slice_cols(tape, p, 1, 3), Tensor(wt))),
             [p],
         )
 
@@ -588,7 +588,7 @@ class TestTapeBackward:
     def test_sum_of_parameter_gives_ones(self):
         p = Parameter("p", np.random.default_rng(12).normal(size=(2, 3)))
         tape = Tape()
-        loss = sum_of(tape, p.tensor)
+        loss = sum_of(tape, p)
         tape.backward(loss)
         np.testing.assert_allclose(p.grad, np.ones((2, 3)))
 
@@ -609,7 +609,7 @@ class TestTapeBackward:
         rng = np.random.default_rng(13)
         p = Parameter("p", rng.normal(size=(2, 3)))
         tape = Tape()
-        x = relu(tape, p.tensor)
+        x = relu(tape, p)
         y = mul(tape, x, x)
         z = add(tape, y, x)
         loss = mean_all(tape, z)
@@ -693,7 +693,7 @@ class TestGradientHandover:
     def test_parameter_keeps_its_gradient_buffer(self):
         p = Parameter("p", np.zeros((2, 3)))
         buf = p.grad
-        p.tensor.accumulate_owned(np.ones((2, 3)))
+        p.accumulate_owned(np.ones((2, 3)))
         assert p.grad is buf
         np.testing.assert_array_equal(buf, 1.0)
 
@@ -737,7 +737,7 @@ class TestGradientHandover:
         w = Parameter("w", rng.normal(size=(5, 4)).astype(dtype))
         g = rng.normal(size=(9, 4)).astype(dtype)
         tape = Tape()
-        backward_from(tape, matmul(tape, a, w.tensor), g.copy())
+        backward_from(tape, matmul(tape, a, w), g.copy())
         np.testing.assert_array_equal(a.grad, g @ w.value.T)
         np.testing.assert_array_equal(w.grad, a.data.T @ g)
 
@@ -749,13 +749,13 @@ class TestGradientHandover:
         s = softmax(tape, x)
         r = relu(tape, x)
         sr = add(tape, s, r)
-        m = matmul(tape, sr, w.tensor)
+        m = matmul(tape, sr, w)
         loss = mean_all(tape, mul(tape, m, m))
         upstream = capture_upstream(tape, [s, r])
         tape.backward(loss)
         assert tape.backward_visits == len(tape.nodes)
         assert all(n.output.grad is None for n in tape.nodes)
-        assert_no_shared_gradients([x, w.tensor])
+        assert_no_shared_gradients([x, w])
         gs, gr = upstream
         np.testing.assert_array_equal(gs, gr)  # add passes one gradient to both
         y = reference_softmax(x.data)
@@ -775,7 +775,7 @@ class TestGradientHandover:
         tape.backward(loss)
         assert tape.backward_visits == len(tape.nodes)
         assert all(n.output.grad is None for n in tape.nodes)
-        assert_no_shared_gradients([p.tensor for p in model.parameters()])
+        assert_no_shared_gradients(model.parameters())
         ref_model, ref_tape, ref_loss = build()
         copying_backward(ref_tape, ref_loss, monkeypatch)
         assert all(n.output.grad is not None for n in ref_tape.nodes)  # every node is on the loss path
@@ -791,7 +791,7 @@ class TestGradientHandover:
         tape = Tape()
         h, c, states = h0, c0, []
         for _ in range(3):
-            h, c = lstm_cell(tape, Tensor(rng.normal(size=(2, 2))), h, c, wx.tensor, wh.tensor, b.tensor)
+            h, c = lstm_cell(tape, Tensor(rng.normal(size=(2, 2))), h, c, wx, wh, b)
             states += [h, c]
         tape.backward(add(tape, sum_of(tape, h), sum_of(tape, c)))
         assert all(t.grad is None for t in states)
@@ -839,7 +839,7 @@ class TestGradientHandover:
             h = Tensor(np.zeros((2, 3)))
             c = Tensor(np.zeros((2, 3)))
             for x in xs:
-                h, c = lstm_cell(tape, Tensor(x), h, c, wx.tensor, wh.tensor, b.tensor)
+                h, c = lstm_cell(tape, Tensor(x), h, c, wx, wh, b)
             # softmax hands its input gradient to the last c; h is unused.
             return sum_of(tape, weighted_centroid(tape, softmax(tape, c), centers))
 

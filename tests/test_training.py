@@ -43,6 +43,19 @@ def single_center_model(center=(41.15, -8.61), dtype="float64"):
     return build_model(cfg, clusters, tiny_stats(), tiny_vocab(), seed=0)
 
 
+def direct_model_predicting(lat, lon):
+    """mlp_direct whose every prediction is (lat, lon): its output weights
+    are zero and its output bias is (lat, lon) standardized."""
+    model = tiny_model("mlp_direct")
+    stats = model.stats
+    model.params["out_w"].data[...] = 0.0
+    model.params["out_b"].data[:] = ((lat - stats.mean_lat) / stats.std_lat, (lon - stats.mean_lon) / stats.std_lon)
+    return model
+
+
+OFF_THE_EARTH = [(95.0, -8.61), (41.15, 200.0), (math.nan, -8.61), (41.15, math.inf)]
+
+
 class TestEquirectangularLoss:
     def test_zero_when_prediction_equals_target(self):
         targets = np.array([[41.15, -8.61], [41.2, -8.58]])
@@ -106,6 +119,12 @@ class TestEvaluate:
     def test_empty_set_rejected(self):
         with pytest.raises(DataError):
             evaluate(single_center_model(), [])
+
+    @pytest.mark.parametrize("lat, lon", OFF_THE_EARTH)
+    def test_prediction_off_the_earth_scores_inf(self, lat, lon):
+        examples = models.candidates_from_records(make_records([3, 4], np.random.default_rng(32)))
+        assert math.isfinite(evaluate(direct_model_predicting(41.2, -8.6), examples))
+        assert evaluate(direct_model_predicting(lat, lon), examples) == math.inf
 
 
 class TestFixedPrefixExamples:
@@ -271,14 +290,15 @@ class TestTrainLoop:
         assert clipped.history != free.history
 
     def _diverging(self, tmp_path, **cfg):
-        """mlp_direct at learning rate 1e4: the loss is NaN by the third
-        batch.  No numpy warning escapes ``train``; the suite makes one an
-        error."""
+        """mlp_direct at learning rate 100: only the first validation is on
+        the Earth, so only it is saved, and training stops on a non-finite
+        value by the fifth batch.  No numpy warning escapes ``train``; the
+        suite makes one an error."""
         _, recs, _ = self._setup()
         model = tiny_model("mlp_direct")
         val = fixed_prefix_examples(recs[:5], np.random.default_rng(1))
         path = tmp_path / "model.ckpt"
-        base = dict(learning_rate=1e4, batch_size=4, max_batches=8, validate_every=1, patience=99)
+        base = dict(learning_rate=100.0, batch_size=4, max_batches=8, validate_every=1, patience=99)
         base.update(cfg)
         report = train(model, recs, val, TrainConfig(**base), checkpoint_path=path)
         return model, report, path
@@ -362,7 +382,7 @@ def reference_sgd_momentum_step(params, lr, mu) -> None:
     for p in params:
         p.velocity *= mu
         p.velocity -= lr * p.grad
-        p.tensor.data += p.velocity
+        p.data += p.velocity
         p.grad[...] = 0
 
 
@@ -467,6 +487,15 @@ class TestWriteSubmission:
         assert [len(row) for row in rows] == [3, 3, 3]
         assert [row[0] for row in rows] == ["TRIP_ID", "T,1", 'T"2']
         assert rows[1][1:] == ["41.150000", "-8.610000"]
+
+    @pytest.mark.parametrize("lat, lon", OFF_THE_EARTH)
+    def test_prediction_off_the_earth_writes_nothing(self, tmp_path, lat, lon):
+        examples = models.candidates_from_records(make_records([3, 4], np.random.default_rng(40)))
+        path = tmp_path / "sub.csv"
+        path.write_text("old\n")
+        with pytest.raises(DataError, match=r"prediction for trip t0 is .* not finite within"):
+            write_submission(direct_model_predicting(lat, lon), examples, path)
+        assert path.read_text() == "old\n"
 
     def test_failed_write_keeps_old_file(self, tmp_path, monkeypatch):
         model = single_center_model()
