@@ -203,8 +203,6 @@ def _cmd_cluster(args) -> int:
     )
     train_records = _load_prepared(args.data).train
     dests = np.array([r.polyline[-1] for r in train_records], dtype=np.float64)
-    if len(dests) == 0:
-        raise DataError("training split has no destinations to cluster")
     cs = mean_shift(dests, cfg)
     save_clusters(cs, args.out)
     print(f"C={cs.count}")

@@ -146,7 +146,7 @@ def load_clusters(path) -> ClusterSet:
     without a line end (a file cut short).  A cut at a line boundary cannot
     be detected: the format has no row count, so that hand-written files
     stay valid."""
-    rows = []
+    rows, numbered = [], []
     with open(path, "r", encoding="utf-8") as f:
         header = f.readline().strip()
         if header != "lat,lon":
@@ -164,9 +164,13 @@ def load_clusters(path) -> ClusterSet:
                 lat, lon = float(parts[0]), float(parts[1])
             except ValueError:
                 raise ValueError(f"{path}:{lineno}: not a coordinate pair: {line!r}")
-            if not (abs(lat) <= 90.0 and abs(lon) <= 180.0):  # false for NaN too
-                raise ValueError(f"{path}:{lineno}: centre {line!r} is not finite within |lat| <= 90, |lon| <= 180")
             rows.append((lat, lon))
+            numbered.append((lineno, line))
     if not rows:
         raise ValueError(f"{path}: no cluster centers found")
-    return ClusterSet(np.array(rows, dtype=np.float64))
+    centers = np.array(rows, dtype=np.float64)
+    j = first_off_earth(centers)
+    if j is not None:
+        lineno, line = numbered[j]
+        raise ValueError(f"{path}:{lineno}: centre {line!r} is not finite within |lat| <= 90, |lon| <= 180")
+    return ClusterSet(centers)

@@ -67,6 +67,7 @@ _CSV_COLUMNS = (
 
 
 _NOT_PAIRS = "expected a JSON array of [lon, lat] number pairs"
+_MISSING_DATA = {"true": True, "false": False}
 
 
 class DataError(Exception):
@@ -208,9 +209,10 @@ def parse_csv(stream) -> Iterator[TrainRecord]:
     ``stream`` may be a text file object or an iterable of text lines.
     Records are yielded in file order, including ones with
     ``missing_data`` or empty polylines (filter on ``.usable``).
-    Malformed rows, and coordinates that are not finite or lie outside
-    |lat| <= 90, |lon| <= 180, raise :class:`CsvParseError` with line and
-    column.
+    Malformed rows, POLYLINE coordinates that are not JSON numbers, are
+    not finite or lie outside |lat| <= 90, |lon| <= 180, and a
+    MISSING_DATA other than True or False (any case) raise
+    :class:`CsvParseError` with line and column.
     """
     reader = csv.reader(stream)
     try:
@@ -235,14 +237,18 @@ def parse_csv(stream) -> Iterator[TrainRecord]:
         origin_stand = _parse_int(row[pos["ORIGIN_STAND"]], line, "ORIGIN_STAND", optional=True)
         taxi_id = _parse_int(row[pos["TAXI_ID"]], line, "TAXI_ID", optional=False)
         timestamp = _parse_int(row[pos["TIMESTAMP"]], line, "TIMESTAMP", optional=False)
-        missing = row[pos["MISSING_DATA"]].strip().lower() == "true"
+        missing_text = row[pos["MISSING_DATA"]]
+        missing = _MISSING_DATA.get(missing_text.strip().lower())
+        if missing is None:
+            raise CsvParseError(line, "MISSING_DATA", f"expected True or False, got {missing_text!r}")
 
         poly_text = row[pos["POLYLINE"]]
         try:
             pairs = json.loads(poly_text)
         except json.JSONDecodeError as e:
             raise CsvParseError(line, "POLYLINE", f"bad JSON: {e.msg}")
-        if not isinstance(pairs, list):
+        # numpy would read a JSON string or boolean as a number ("41.1", true)
+        if not isinstance(pairs, list) or '"' in poly_text or "true" in poly_text or "false" in poly_text:
             raise CsvParseError(line, "POLYLINE", _NOT_PAIRS)
         if pairs:
             try:

@@ -175,7 +175,9 @@ def build_model(
         if name.startswith("emb_"):
             value = rng.uniform(-0.1, 0.1, size=shape).astype(dtype)
         elif len(shape) == 2:
-            value = nncore.glorot_uniform(rng, *shape, dtype)
+            fan_in, fan_out = shape
+            limit = np.sqrt(6.0 / (fan_in + fan_out))
+            value = rng.uniform(-limit, limit, size=shape).astype(dtype)
         else:
             value = np.zeros(shape, dtype=dtype)
             if name.startswith("lstm_"):

@@ -1,58 +1,7 @@
 """Reverse-mode autodiff tape and the neural building blocks of the models."""
 
-from .engine import Parameter, Tape, Tensor, glorot_uniform
-from .ops import (
-    add,
-    add_bias,
-    add_const,
-    affine_const,
-    concat,
-    concat_rows,
-    cos,
-    dense,
-    dot_similarity,
-    embedding_lookup,
-    lstm_cell,
-    matmul,
-    mean_all,
-    mul,
-    relu,
-    scale,
-    sigmoid,
-    slice_cols,
-    softmax,
-    sqrt,
-    tanh,
-    weighted_centroid,
-)
-from .optim import sgd_momentum_step
+from . import ops
+from .engine import Parameter, Tape, Tensor, sgd_momentum_step
+from .ops import *  # noqa: F403
 
-__all__ = [
-    "Parameter",
-    "Tape",
-    "Tensor",
-    "add",
-    "add_bias",
-    "add_const",
-    "affine_const",
-    "concat",
-    "concat_rows",
-    "cos",
-    "dense",
-    "dot_similarity",
-    "embedding_lookup",
-    "glorot_uniform",
-    "lstm_cell",
-    "matmul",
-    "mean_all",
-    "mul",
-    "relu",
-    "scale",
-    "sgd_momentum_step",
-    "sigmoid",
-    "slice_cols",
-    "softmax",
-    "sqrt",
-    "tanh",
-    "weighted_centroid",
-]
+__all__ = ["Parameter", "Tape", "Tensor", "sgd_momentum_step", *ops.__all__]

@@ -888,3 +888,69 @@ def _failing_after_first_write(atomic_open):
             yield f
 
     return failing
+
+
+_SMALL_TRAIN = " ".join(_small_train_args("{data}", "{tmp}/m.ckpt"))
+
+
+@pytest.mark.parametrize(
+    "status, argv, raises_at",
+    [
+        pytest.param(0, "prepare --input {csv} --out {tmp}/d --val 5 --test 5", None, id="prepare-0"),
+        pytest.param(1, "prepare --input {csv}", None, id="prepare-1"),
+        pytest.param(2, "prepare --input {tmp}/nope.csv --out {tmp}/d", None, id="prepare-2"),
+        pytest.param(3, "prepare --input {csv} --out {tmp}/d", "taxidest.cli.parse_csv", id="prepare-3"),
+        pytest.param(0, "cluster --data {data} --out {tmp}/c.csv", None, id="cluster-0"),
+        pytest.param(1, "cluster --out {tmp}/c.csv", None, id="cluster-1"),
+        pytest.param(2, "cluster --data {tmp}/nope --out {tmp}/c.csv", None, id="cluster-2-missing"),
+        pytest.param(2, "cluster --data {damaged} --out {tmp}/c.csv", None, id="cluster-2-damaged"),
+        pytest.param(3, "cluster --data {data} --out {tmp}/c.csv", "taxidest.cli.load_records", id="cluster-3"),
+        pytest.param(0, _SMALL_TRAIN, None, id="train-0"),
+        pytest.param(1, "train --data {data}", None, id="train-1"),
+        pytest.param(2, " ".join(_small_train_args("{damaged}", "{tmp}/m.ckpt")), None, id="train-2-damaged"),
+        pytest.param(3, _SMALL_TRAIN, "taxidest.cli.load_records", id="train-3"),
+        pytest.param(4, _SMALL_TRAIN + " --batch 20 --lr 1e3 --max-batches 20 --validate-every 5", None, id="train-4"),
+        pytest.param(0, "evaluate --model {ckpt} --data {data}", None, id="evaluate-0"),
+        pytest.param(1, "evaluate --data {data}", None, id="evaluate-1"),
+        pytest.param(2, "evaluate --model {tmp}/nope.ckpt --data {data}", None, id="evaluate-2-missing"),
+        pytest.param(2, "evaluate --model {cut_ckpt} --data {data}", None, id="evaluate-2-damaged"),
+        pytest.param(3, "evaluate --model {ckpt} --data {data}", "taxidest.cli.load_model", id="evaluate-3"),
+        pytest.param(0, "predict --model {ckpt} --input {csv} --out {tmp}/s.csv", None, id="predict-0"),
+        pytest.param(1, "predict --model {ckpt} --out {tmp}/s.csv", None, id="predict-1"),
+        pytest.param(2, "predict --model {ckpt} --input {tmp}/nope.csv --out {tmp}/s.csv", None, id="predict-2"),
+        pytest.param(3, "predict --model {ckpt} --input {csv} --out {tmp}/s.csv", "taxidest.cli.load_model",
+                     id="predict-3"),
+        pytest.param(0, "export-embeddings --model {ckpt} --table taxi --out {tmp}/e.csv", None, id="export-0"),
+        pytest.param(1, "export-embeddings --model {ckpt} --out {tmp}/e.csv", None, id="export-1"),
+        pytest.param(2, "export-embeddings --model {cut_ckpt} --table taxi --out {tmp}/e.csv", None, id="export-2"),
+        pytest.param(3, "export-embeddings --model {ckpt} --table taxi --out {tmp}/e.csv", "taxidest.cli.load_model",
+                     id="export-3"),
+        pytest.param(0, "fixture --out {tmp}/f.csv --trips 5", None, id="fixture-0"),
+        pytest.param(1, "fixture --trips 5", None, id="fixture-1"),
+        pytest.param(2, "fixture --out {tmp}/nope/f.csv --trips 5", None, id="fixture-2"),
+        pytest.param(3, "fixture --out {tmp}/f.csv --trips 5", "taxidest.fixtures.generate_city_csv", id="fixture-3"),
+    ],
+)
+def test_exit_status(status, argv, raises_at, tmp_path, city_csv, prepared_dir, trained_ckpt, monkeypatch, capsys):
+    """The exit codes of the module docstring, for every subcommand: 0
+    success, 1 usage, 2 bad data, 3 internal error (a library call on the
+    input raises), 4 a failed ``train``."""
+    damaged = shutil.copytree(prepared_dir, tmp_path / "damaged")
+    (damaged / "splits.json").write_text("{")
+    cut_ckpt = tmp_path / "cut.ckpt"
+    cut_ckpt.write_bytes(trained_ckpt.read_bytes()[:-4])
+    paths = {"csv": city_csv, "data": prepared_dir, "damaged": damaged, "ckpt": trained_ckpt,
+             "cut_ckpt": cut_ckpt, "tmp": tmp_path}
+    if raises_at is not None:
+
+        def boom(*args, **kwargs):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(raises_at, boom)
+    try:
+        rc = main([arg.format(**paths) for arg in argv.split()])
+    except SystemExit as e:  # argparse's usage error
+        rc = e.code
+    assert rc == status
+    err = capsys.readouterr().err
+    assert ("internal error: boom" in err) == (status == 3)

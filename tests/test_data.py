@@ -118,10 +118,26 @@ class TestParseCsv:
         recs = parse_rows('1,C,,,1,0,A,False,"[[-180.0,90.0],[180.0,-90.0]]"\n')
         np.testing.assert_array_equal(recs[0].polyline, [[90.0, -180.0], [-90.0, 180.0]])
 
-    def test_non_numeric_coordinate(self):
+    @pytest.mark.parametrize(
+        "polyline",
+        ['[[-8.61,""north""]]', '[[""-8.6"",""41.1""]]', "[[-8.6,41.1],[-8.6,true]]", "[[false,41.1]]"],
+    )
+    def test_non_numeric_coordinate(self, polyline):
+        # A JSON string or boolean is no number, even where numpy reads one.
         with pytest.raises(CsvParseError) as e:
-            parse_rows('1,C,,,1,0,A,False,"[[-8.61,""north""]]"\n')
-        assert e.value.column == "POLYLINE"
+            parse_rows('1,C,,,1,0,A,False,"[[-8.61,41.14]]"\n' f'2,C,,,1,0,A,False,"{polyline}"\n')
+        assert (e.value.line, e.value.column) == (3, "POLYLINE")
+        assert str(e.value).endswith("expected a JSON array of [lon, lat] number pairs")
+
+    @pytest.mark.parametrize("value, missing", [("True", True), ("False", False), (" true ", True), ("FALSE", False)])
+    def test_missing_data_any_case(self, value, missing):
+        assert parse_rows(f'1,C,,,1,0,A,{value},"[[-8.61,41.14]]"\n')[0].missing_data is missing
+
+    @pytest.mark.parametrize("value", ["", "yes", "1", "0", "Ture", "NA"])
+    def test_missing_data_neither_true_nor_false_rejected(self, value):
+        with pytest.raises(CsvParseError) as e:
+            parse_rows('1,C,,,1,0,A,False,"[[-8.61,41.14]]"\n' f'2,C,,,1,0,A,{value},"[[-8.61,41.14]]"\n')
+        assert str(e.value) == f"line 3, column MISSING_DATA: expected True or False, got {value!r}"
 
     @pytest.mark.parametrize(
         "column, value",

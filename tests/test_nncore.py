@@ -22,6 +22,7 @@ from taxidest.nncore import (
     matmul,
     mean_all,
     mul,
+    ops,
     relu,
     scale,
     sgd_momentum_step,
@@ -615,6 +616,12 @@ class TestTapeBackward:
         loss = mean_all(tape, z)
         tape.backward(loss)
         assert tape.backward_visits == len(tape.nodes)
+
+
+def test_package_exports_the_engine_then_every_op():
+    assert nncore.__all__ == ["Parameter", "Tape", "Tensor", "sgd_momentum_step", *ops.__all__]
+    for name in ops.__all__:
+        assert getattr(nncore, name) is getattr(ops, name)
 
 
 def reference_softmax(x):
