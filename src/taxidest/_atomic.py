@@ -15,7 +15,11 @@ def atomic_open(path, mode: str = "w", **kwargs):
     path = os.fspath(path)
     tmp = f"{path}.{os.getpid()}.{secrets.token_hex(4)}.tmp"
     try:
-        with open(tmp, mode.replace("w", "x"), **kwargs) as f:
+        f = open(tmp, mode.replace("w", "x"), **kwargs)
+    except OSError as e:  # name the file asked for, not its temp file
+        raise OSError(e.errno, e.strerror, path) from e
+    try:
+        with f:
             yield f
         os.replace(tmp, path)
     except BaseException:

@@ -179,6 +179,9 @@ def _load_prepared(data_dir) -> _Prepared:
 
 
 def _cmd_prepare(args) -> int:
+    if args.val < 1:
+        raise DataError(f"--val={args.val}: a prepared directory needs at least 1 validation trip, "
+                        "since `train` early-stops on the validation rides")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     with open(args.input, "r", encoding="utf-8", newline="") as f:
@@ -235,10 +238,6 @@ def _cmd_train(args) -> int:
         report = train(model, prepared.train, prepared.validation, cfg, checkpoint_path=args.out)
     except training._NoCandidates as e:
         raise DataError(f"{e}; lower --batch (now {cfg.batch_size}) or prepare more trips") from e
-    if report.failed:
-        report.checkpoint_path = None
-    elif not report.history:
-        models.save_model(model, args.out)  # no validation ever ran
     report_path = args.report if args.report else f"{args.out}.report.jsonl"
     report.to_jsonl(report_path)
     print(
@@ -319,10 +318,21 @@ _COMMANDS = {
 }
 
 
+def _check_output_dirs(args) -> None:
+    """Refuse, before any data loads, an output file whose directory does
+    not exist; ``prepare``'s ``--out`` is a directory that it creates."""
+    if args.command == "prepare":
+        return
+    for path in (getattr(args, "out", None), getattr(args, "report", None)):
+        if path is not None and not Path(path).parent.is_dir():
+            raise DataError(f"{path}: the directory {Path(path).parent} does not exist")
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_output_dirs(args)
         return _COMMANDS[args.command](args)
     except (DataError, OSError, ValueError) as e:
         print(f"taxidest {args.command}: {e}", file=sys.stderr)

@@ -208,9 +208,6 @@ class _CandidateSampler:
         if not self.records:
             raise DataError("memory network needs usable candidate records")
         self.m = min(m, len(self.records))
-        self._positions: dict[str, list[int]] = {}
-        for i, r in enumerate(self.records):
-            self._positions.setdefault(r.trip_id, []).append(i)
 
     def sample(self, rng: np.random.Generator, exclude_trip_ids=frozenset()) -> list[PrefixExample]:
         """Up to ``m`` distinct records whose trip ids are not excluded,
@@ -224,9 +221,7 @@ class _CandidateSampler:
         final state are those of one scalar draw at a time until ``m`` are
         chosen.
         """
-        blocked = np.zeros(len(self.records), dtype=bool)
-        for trip_id in exclude_trip_ids:
-            blocked[self._positions.get(trip_id, [])] = True
+        seen = np.zeros(len(self.records), dtype=bool)
         chosen = []
         count, budget = 0, 20 * self.m
         while count < self.m and budget > 0:
@@ -234,14 +229,17 @@ class _CandidateSampler:
             budget -= len(draws)
             _, first = np.unique(draws, return_index=True)
             new = draws[np.sort(first)]
-            new = new[~blocked[new]]
-            blocked[new] = True
+            new = new[~seen[new]]
+            seen[new] = True
+            if exclude_trip_ids:  # a ride drawn again stays excluded, since it stays seen
+                new = new[[self.records[i].trip_id not in exclude_trip_ids for i in new.tolist()]]
             chosen.append(new)
             count += len(new)
-        if count == 0:  # nothing was chosen, so ``blocked`` marks the excluded trips alone
+        if count == 0:
+            excluded = sum(r.trip_id in exclude_trip_ids for r in self.records)
             raise _NoCandidates(
                 f"could not sample memory-network candidates: the batch's own trips are left out, "
-                f"and they are {int(blocked.sum())} of the {len(self.records)} training trips"
+                f"and they are {excluded} of the {len(self.records)} training trips"
             )
         return models.candidates_from_records([self.records[i] for i in np.concatenate(chosen).tolist()])
 
@@ -277,21 +275,22 @@ def train(
     gradient norm (inside the step) stops training at once with
     ``stop_reason="non_finite"``: no value or velocity moves and the
     gradients are zero, so the parameters and the last checkpoint stay
-    finite; numpy's floating-point warnings are silenced.  ``memory_net``
-    validates against :func:`memory_candidates` for ``cfg.seed``.
-    Deterministic given the seed.
+    finite; numpy's floating-point warnings are silenced.  A run that never
+    validates leaves its final model at ``checkpoint_path``, a failed one
+    none.  ``memory_net`` validates against :func:`memory_candidates` for
+    ``cfg.seed``.  Deterministic given the seed.
     """
     if len(val_examples) == 0:
         raise DataError("train requires a non-empty validation prefix set")
     sampler = PrefixSampler(train_records)
     rng = np.random.default_rng(cfg.seed)
     params = model.parameters()
-    cand_sampler = None
+    cand_sampler = eval_candidates = None
     if model.config.uses_memory:
         cand_sampler = _CandidateSampler(train_records, model, model.config.memory_m)
-    eval_candidates = memory_candidates(model, train_records, cfg.seed)
+        eval_candidates = cand_sampler.sample(np.random.default_rng(cfg.seed))
 
-    report = TrainReport(checkpoint_path=None if checkpoint_path is None else str(checkpoint_path))
+    report = TrainReport(stop_reason="max_batches")
     since_improvement = 0
     loss_accum = 0.0
     loss_count = 0
@@ -311,7 +310,7 @@ def train(
             loss_m = float(loss.data)
             if not math.isfinite(loss_m):
                 report.stop_reason = "non_finite"
-                return report
+                break
             # Optimize in kilometers, the unit the fixed 0.01 learning rate is
             # calibrated to; meter-scale gradients are 1000x larger and
             # immediately saturate the softmax.
@@ -320,7 +319,7 @@ def train(
             norm = nncore.sgd_momentum_step(params, cfg.learning_rate, cfg.momentum, cfg.clip_norm)
             if not math.isfinite(norm):  # the step zeroed the gradients and moved nothing
                 report.stop_reason = "non_finite"
-                return report
+                break
             # The tape holds every activation and gradient of the batch; drop
             # it before validation and the next batch allocate theirs.
             del tape, loss, loss_km
@@ -350,8 +349,11 @@ def train(
                     since_improvement += 1
                     if since_improvement >= cfg.patience:
                         report.stop_reason = "patience"
-                        return report
-    report.stop_reason = "max_batches"
+                        break
+    if checkpoint_path is not None and not report.failed:
+        report.checkpoint_path = str(checkpoint_path)
+        if not report.history:
+            models.save_model(model, checkpoint_path)  # no validation ever ran
     return report
 
 

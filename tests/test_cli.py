@@ -14,6 +14,7 @@ import pytest
 
 from conftest import older_layout_extras, write_checkpoint
 from taxidest import cli, data, fixtures, models, nncore, training
+from taxidest._atomic import atomic_open
 from taxidest.cli import main
 from taxidest.clustering import ClusterSet, MeanShiftConfig
 from taxidest.models import ModelConfig
@@ -147,7 +148,7 @@ class TestPrepare:
             'B,A,{ORIGIN_CALL},,{TAXI_ID},1372636858,A,False,"[[-8.62,41.15]]"\n'.format(**fields)
         )
         out = tmp_path / "data"
-        assert main(["prepare", "--input", str(csv_path), "--out", str(out), "--val", "0", "--test", "0"]) == 2
+        assert main(["prepare", "--input", str(csv_path), "--out", str(out), "--val", "1", "--test", "0"]) == 2
         err = capsys.readouterr().err
         assert f"line 3, column {column}" in err and "internal error" not in err
         assert not (out / "records.bin").exists()
@@ -374,7 +375,7 @@ class TestCluster:
         csv_path = tmp_path / "blobs.csv"
         csv_path.write_text("\n".join(rows) + "\n")
         data_dir = tmp_path / "data"
-        assert main(["prepare", "--input", str(csv_path), "--out", str(data_dir), "--val", "0", "--test", "0"]) == 0
+        assert main(["prepare", "--input", str(csv_path), "--out", str(data_dir), "--val", "1", "--test", "0"]) == 0
         out_csv = tmp_path / "c.csv"
         assert main(["cluster", "--data", str(data_dir), "--out", str(out_csv)]) == 0
         assert capsys.readouterr().out.strip().splitlines()[-1] == "C=2"
@@ -890,6 +891,15 @@ def _failing_after_first_write(atomic_open):
     return failing
 
 
+def test_atomic_open_names_the_target_not_its_temp_file(tmp_path):
+    target = tmp_path / "nope" / "m.ckpt"
+    with pytest.raises(FileNotFoundError) as e:
+        with atomic_open(target, "wb"):
+            pass
+    assert e.value.filename == str(target)
+    assert os.listdir(tmp_path) == []
+
+
 _SMALL_TRAIN = " ".join(_small_train_args("{data}", "{tmp}/m.ckpt"))
 
 
@@ -900,16 +910,24 @@ _SMALL_TRAIN = " ".join(_small_train_args("{data}", "{tmp}/m.ckpt"))
         pytest.param(1, "prepare --input {csv}", None, id="prepare-1"),
         pytest.param(2, "prepare --input {tmp}/nope.csv --out {tmp}/d", None, id="prepare-2"),
         pytest.param(3, "prepare --input {csv} --out {tmp}/d", "taxidest.cli.parse_csv", id="prepare-3"),
+        pytest.param(2, "prepare --input {csv} --out {tmp}/d --val 0 --test 5", "taxidest.cli.parse_csv",
+                     id="prepare-2-no-validation"),
         pytest.param(0, "cluster --data {data} --out {tmp}/c.csv", None, id="cluster-0"),
         pytest.param(1, "cluster --out {tmp}/c.csv", None, id="cluster-1"),
         pytest.param(2, "cluster --data {tmp}/nope --out {tmp}/c.csv", None, id="cluster-2-missing"),
         pytest.param(2, "cluster --data {damaged} --out {tmp}/c.csv", None, id="cluster-2-damaged"),
         pytest.param(3, "cluster --data {data} --out {tmp}/c.csv", "taxidest.cli.load_records", id="cluster-3"),
+        pytest.param(2, "cluster --data {data} --out {tmp}/nope/c.csv", "taxidest.cli.load_records",
+                     id="cluster-2-no-out-dir"),
         pytest.param(0, _SMALL_TRAIN, None, id="train-0"),
         pytest.param(1, "train --data {data}", None, id="train-1"),
         pytest.param(2, " ".join(_small_train_args("{damaged}", "{tmp}/m.ckpt")), None, id="train-2-damaged"),
         pytest.param(3, _SMALL_TRAIN, "taxidest.cli.load_records", id="train-3"),
         pytest.param(4, _SMALL_TRAIN + " --batch 20 --lr 1e3 --max-batches 20 --validate-every 5", None, id="train-4"),
+        pytest.param(2, " ".join(_small_train_args("{data}", "{tmp}/nope/m.ckpt")), "taxidest.cli.load_records",
+                     id="train-2-no-out-dir"),
+        pytest.param(2, _SMALL_TRAIN + " --report {tmp}/nope/r.jsonl", "taxidest.cli.load_records",
+                     id="train-2-no-report-dir"),
         pytest.param(0, "evaluate --model {ckpt} --data {data}", None, id="evaluate-0"),
         pytest.param(1, "evaluate --data {data}", None, id="evaluate-1"),
         pytest.param(2, "evaluate --model {tmp}/nope.ckpt --data {data}", None, id="evaluate-2-missing"),
@@ -920,6 +938,8 @@ _SMALL_TRAIN = " ".join(_small_train_args("{data}", "{tmp}/m.ckpt"))
         pytest.param(2, "predict --model {ckpt} --input {tmp}/nope.csv --out {tmp}/s.csv", None, id="predict-2"),
         pytest.param(3, "predict --model {ckpt} --input {csv} --out {tmp}/s.csv", "taxidest.cli.load_model",
                      id="predict-3"),
+        pytest.param(2, "predict --model {ckpt} --input {csv} --out {tmp}/nope/s.csv", "taxidest.cli.load_model",
+                     id="predict-2-no-out-dir"),
         pytest.param(0, "export-embeddings --model {ckpt} --table taxi --out {tmp}/e.csv", None, id="export-0"),
         pytest.param(1, "export-embeddings --model {ckpt} --out {tmp}/e.csv", None, id="export-1"),
         pytest.param(2, "export-embeddings --model {cut_ckpt} --table taxi --out {tmp}/e.csv", None, id="export-2"),
@@ -934,7 +954,8 @@ _SMALL_TRAIN = " ".join(_small_train_args("{data}", "{tmp}/m.ckpt"))
 def test_exit_status(status, argv, raises_at, tmp_path, city_csv, prepared_dir, trained_ckpt, monkeypatch, capsys):
     """The exit codes of the module docstring, for every subcommand: 0
     success, 1 usage, 2 bad data, 3 internal error (a library call on the
-    input raises), 4 a failed ``train``."""
+    input raises), 4 a failed ``train``.  A row that expects 2 although a
+    loader raises shows that its refusal comes before any data loads."""
     damaged = shutil.copytree(prepared_dir, tmp_path / "damaged")
     (damaged / "splits.json").write_text("{")
     cut_ckpt = tmp_path / "cut.ckpt"

@@ -25,6 +25,7 @@ from taxidest.training import (
     evaluate,
     fixed_prefix_examples,
     loss_batch,
+    memory_candidates,
     train,
     write_submission,
 )
@@ -365,6 +366,55 @@ class TestTrainLoop:
         moved = {n: p.value.astype(np.float64) - before[n] for n, p in model.params.items()}
         assert np.sqrt(sum(np.sum(d**2) for d in moved.values())) == pytest.approx(step, rel=1e-3)
         assert moved["hidden_w"][1, 2] == pytest.approx(-step, rel=1e-3)
+
+    def test_run_without_validation_saves_the_final_model(self, tmp_path):
+        model, recs, val = self._setup()
+        path = tmp_path / "final.ckpt"
+        cfg = TrainConfig(batch_size=4, max_batches=3, validate_every=10, patience=99)
+        report = train(model, recs, val, cfg, checkpoint_path=path)
+        assert report.history == [] and report.stop_reason == "max_batches"
+        assert report.checkpoint_path == str(path)
+        saved = models.load_model(path)
+        for name, p in model.params.items():
+            np.testing.assert_array_equal(saved.params[name].value, p.value)
+
+    @pytest.mark.parametrize("how", ["never_finite", "non_finite_before_validating"])
+    def test_failed_run_leaves_no_checkpoint(self, tmp_path, monkeypatch, how):
+        model, recs, val = self._setup()
+        if how == "never_finite":
+            monkeypatch.setattr(training, "evaluate", lambda *args: math.inf)
+            cfg = TrainConfig(batch_size=4, max_batches=8, validate_every=1, patience=2)
+        else:  # no validation ran, yet the final model is not saved
+            self._planting(monkeypatch, model.params, np.nan)
+            cfg = TrainConfig(batch_size=4, max_batches=8, validate_every=10, patience=99)
+        path = tmp_path / "model.ckpt"
+        report = train(model, recs, val, cfg, checkpoint_path=path)
+        assert report.failed
+        assert report.checkpoint_path is None
+        assert os.listdir(tmp_path) == []
+
+    def test_memory_net_builds_one_candidate_sampler(self, monkeypatch):
+        model, recs, val = self._memory_setup()
+        built, validated_against = [], []
+
+        class Counting(training._CandidateSampler):
+            def __init__(self, *args):
+                built.append(args)
+                super().__init__(*args)
+
+        def spy_evaluate(model, examples, candidates=None):
+            validated_against.append(candidates)
+            return 1.0
+
+        monkeypatch.setattr(training, "_CandidateSampler", Counting)
+        monkeypatch.setattr(training, "evaluate", spy_evaluate)
+        cfg = TrainConfig(batch_size=3, max_batches=4, validate_every=2, patience=99, seed=3)
+        train(model, recs, val, cfg)
+        assert len(built) == 1
+        want = memory_candidates(model, recs, cfg.seed)
+        assert len(validated_against) == 2
+        for got in validated_against:
+            assert [(id(ex.record), ex.cut) for ex in got] == [(id(ex.record), ex.cut) for ex in want]
 
 
 def reference_gradients_finite(params) -> bool:
