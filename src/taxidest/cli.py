@@ -182,12 +182,11 @@ def _cmd_prepare(args) -> int:
     if args.val < 1:
         raise DataError(f"--val={args.val}: a prepared directory needs at least 1 validation trip, "
                         "since `train` early-stops on the validation rides")
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     with open(args.input, "r", encoding="utf-8", newline="") as f:
         usable = [r for r in parse_csv(f) if r.usable]
     split = _derive_split(usable, args.seed, args.val, args.test)
-
+    out = Path(args.out)  # created only once the input has parsed and split
+    out.mkdir(parents=True, exist_ok=True)
     save_records(usable, out / "records.bin")
     with atomic_open(out / "splits.json", "w", encoding="utf-8") as f:
         json.dump({"seed": args.seed, "validation": args.val, "test": args.test}, f, sort_keys=True)

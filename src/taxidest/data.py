@@ -448,6 +448,13 @@ _CACHE = _container.Format(
 )
 #: Integer columns, one row per record, all int64; then the points.
 _META_COLUMNS = ("call_type", "origin_call", "origin_stand", "taxi_id", "timestamp", "missing")
+#: The inclusive range of each coded column's values.
+_CODE_RANGES = {
+    "call_type": (0, len(CALL_TYPES) - 1),
+    "missing": (0, 1),
+    "origin_call": (-1, np.iinfo(np.int64).max),
+    "origin_stand": (-1, np.iinfo(np.int64).max),
+}
 _Column = NamedTuple("_Column", [("name", str), ("value", np.ndarray)])
 #: Records that :func:`load_records` converts to Python values at a time.
 _LOAD_BLOCK = 4096
@@ -481,9 +488,11 @@ def save_records(records: Sequence[TrainRecord], path) -> None:
 def load_records(path) -> list[TrainRecord]:
     """Read a record cache; each polyline is a slice of one points array.
     A cache of another version, a truncated file, bytes after the last
-    column, columns that disagree, or a point that is not finite within
-    |lat| <= 90, |lon| <= 180 raise :class:`DataError` naming the path; a
-    cut inside the points or a bad point also names its record."""
+    column, columns that disagree, a coded value out of its range (call
+    type 0-2, missing 0 or 1, origin call and stand -1 or more) or a point
+    that is not finite within |lat| <= 90, |lon| <= 180 raise
+    :class:`DataError` naming the path; a cut inside the points, a bad code
+    or a bad point also names its record."""
 
     def where(name, cols, present):
         if name == "points" and "offsets" in cols:  # 16 bytes a point
@@ -504,8 +513,12 @@ def load_records(path) -> list[TrainRecord]:
     offsets, points = cols["offsets"], cols["points"]
     if offsets[0] != 0 or (np.diff(offsets) < 0).any():
         raise DataError(f"{path}: the offsets do not start at 0 and never fall")
-    if (cols["call_type"] >= len(CALL_TYPES)).any():
-        raise DataError(f"{path}: a call type code is not below {len(CALL_TYPES)}")
+    for name, (low, high) in _CODE_RANGES.items():
+        bad = (cols[name] < low) | (cols[name] > high)
+        if bad.any():
+            i = int(bad.argmax())
+            raise DataError(f"{path}: record {i} (trip {trip_ids[i]}) has {name} {int(cols[name][i])}; "
+                            f"need {low} <= {name} <= {high}")
     j = first_off_earth(points)
     if j is not None:
         i = int(np.searchsorted(offsets[1:], j, side="right"))

@@ -360,10 +360,11 @@ def forward(model: DestinationModel, batch, tape: Tape = None, candidates=None) 
 def _head(model: DestinationModel, tape: Tape, x: Tensor, memory) -> Tensor:
     """The variant's prediction from its input rows ``x``.
 
-    The centroid output and memory_net both end in a softmax-weighted
-    centroid: of the cluster centres, by the output layer over the hidden
-    layer, or of the candidates' destinations, by the dot products of the
-    encoded query and candidates.  ``memory`` is memory_net's encoded
+    The centroid output and memory_net both end in one softmax-weighted
+    centroid node (``nncore.weighted_centroid``) over their logits: of the
+    cluster centres, by the output layer over the hidden layer, or of the
+    candidates' destinations, by the dot products of the encoded query and
+    candidates.  ``memory`` is memory_net's encoded
     candidates and their destinations (:func:`_candidate_memory`), or None.
     """
     output = _LAYOUTS[model.config.variant].output
@@ -382,7 +383,7 @@ def _head(model: DestinationModel, tape: Tape, x: Tensor, memory) -> Tensor:
                 np.array([stats.mean_lat, stats.mean_lon]),
             )
         values = model.clusters.centers
-    return nncore.weighted_centroid(tape, nncore.softmax(tape, logits), values)
+    return nncore.weighted_centroid(tape, logits, values)
 
 
 #: Prefixes per forward pass in :func:`predict`; bounds the rows x C and

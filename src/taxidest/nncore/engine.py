@@ -12,8 +12,9 @@ on first write becomes the input's gradient without a copy; an array it
 still reads, or a view of one, is added with ``Tensor.accumulate``, which
 copies on first write.  So no two tensors ever share a gradient buffer.
 Graphs are rebuilt per batch and nothing is cached between batches.  Most
-ops are single primitives; ``lstm_cell`` is one fused node per step with a
-hand-written backward.  Single precision is the training default, double
+ops are single primitives; ``lstm_cell`` (one node per step) and
+``weighted_centroid`` (softmax and centroid in one node) are fused nodes
+with hand-written backwards.  Single precision is the training default, double
 precision exists for gradient-check tests.  ``sgd_momentum_step`` updates
 the parameters from their gradients: stochastic gradient descent with
 classical momentum and optional global-norm gradient clipping (Pascanu et

@@ -9,13 +9,13 @@ on first write it becomes that input's gradient without a copy; an array
 built for one input is handed over the same way.  Only a view of ``g``, or
 ``g`` when the rule still reads it afterwards, goes through
 ``Tensor.accumulate``, which copies on first write.  Every value is the
-plain formula's bit for bit; only the buffers differ.  Constants never
+plain formula's bit for bit; only the buffers differ, except that softmax
+weights and their gradients below the dtype's smallest normal number are 0
+(in both :func:`softmax` and :func:`weighted_centroid`).  Constants never
 receive gradients.
 """
 
 from __future__ import annotations
-
-import math
 
 import numpy as np
 
@@ -96,29 +96,83 @@ def relu(tape: Tape, x: Tensor) -> Tensor:
     return out
 
 
-#: Elements of ``g * y`` that softmax's backward forms at a time.
-_SOFTMAX_BLOCK = 1 << 15
+#: Elements of a row block in softmax's forward and backward: a block's
+#: scratch buffers are this size, and the Python loop makes one pass a block.
+_ROW_BLOCK = 1 << 16
+
+
+def _row_blocks(shape: tuple[int, int], dtype, floats: int):
+    """Yields ``(rows, scratch)`` for each block of rows of a 2-D array of
+    ``shape``: ``rows`` a slice, ``scratch`` that many (rows, width) views of
+    block-sized ``dtype`` buffers and then one bool view, the same buffers
+    for every block.  A block has about ``_ROW_BLOCK`` elements and at least
+    two rows, unless the array has one: a one-row product goes through
+    BLAS's matrix-vector path, whose sums round differently from the
+    matrix-matrix one, so a lone last row joins the block before it."""
+    n_rows, width = shape
+    step = max(2, _ROW_BLOCK // max(width, 1))
+    starts = list(range(0, n_rows, step))
+    if len(starts) > 1 and n_rows - starts[-1] == 1:
+        starts.pop()
+    stops = starts[1:] + [n_rows]
+    size = max((b - a for a, b in zip(starts, stops)), default=0) * width
+    bufs = [np.empty(size, dtype) for _ in range(floats)] + [np.empty(size, bool)]
+    for a, b in zip(starts, stops):
+        yield slice(a, b), [buf[: (b - a) * width].reshape(b - a, width) for buf in bufs]
+
+
+def _flush_subnormals(v: np.ndarray, magnitude: np.ndarray, mask: np.ndarray) -> None:
+    """Zero the entries of ``v`` whose ``magnitude`` (``|v|``, or ``v``
+    itself where it cannot be negative) is below the dtype's smallest normal
+    number: a float32 GEMM that reads subnormal numbers runs many times
+    slower.  Multiplying by the mask costs the same however many there are,
+    and is skipped when there are none."""
+    np.greater_equal(magnitude, np.finfo(v.dtype).tiny, out=mask)
+    if not mask.all():
+        np.multiply(v, mask, out=v)
+
+
+def _softmax_rows(x: np.ndarray, y: np.ndarray) -> None:
+    """``y`` <- the softmax of each row of the 2-D ``x``, a block of rows at a
+    time: max subtraction, exp, division by the row sum, then subnormal
+    weights set to 0."""
+    for rows, (mask,) in _row_blocks(x.shape, y.dtype, 0):
+        xb, yb = x[rows], y[rows]
+        np.subtract(xb, xb.max(axis=-1, keepdims=True), out=yb)
+        np.exp(yb, out=yb)
+        yb /= yb.sum(axis=-1, keepdims=True)
+        _flush_subnormals(yb, yb, mask)
+
+
+def _softmax_grad_rows(y: np.ndarray, upstream, out: np.ndarray) -> None:
+    """Softmax's backward rule, ``y * (g - sum(g * y))`` per row, a block of
+    rows at a time into ``out`` (which may be ``y``), then subnormal entries
+    set to 0.  ``upstream(rows, buf)`` returns the rows' ``g``: formed in the
+    block-sized ``buf``, or a view of an array that the rule may overwrite."""
+    for rows, (gbuf, t, mask) in _row_blocks(y.shape, y.dtype, 2):
+        yb, ob = y[rows], out[rows]
+        gb = upstream(rows, gbuf)
+        np.multiply(gb, yb, out=t)
+        np.subtract(gb, t.sum(axis=-1, keepdims=True), out=gb)
+        np.multiply(gb, yb, out=ob)
+        _flush_subnormals(ob, np.abs(ob, out=t), mask)
 
 
 def softmax(tape: Tape, x: Tensor) -> Tensor:
-    """Row-wise softmax, stabilized by max subtraction."""
-    y = x.data - x.data.max(axis=-1, keepdims=True)
-    np.exp(y, out=y)
-    y /= y.sum(axis=-1, keepdims=True)
+    """Softmax along the last axis, stabilized by max subtraction: the
+    weights that :func:`weighted_centroid` computes, as a node of its own.
+    Weights and gradient entries below the smallest normal number are 0."""
+    width = x.data.shape[-1]
+    y = np.empty(x.data.shape, x.data.dtype)
+    y2 = y.reshape(-1, width)
+    _softmax_rows(x.data.reshape(-1, width), y2)
     out = Tensor(y)
     if tape is not None:
         def bwd(g):
-            # y * (g - sum(g * y)) in g's own buffer, bit for bit; the row
-            # sums are taken a block of rows at a time, in one small buffer.
-            gs, ys = (g[None], y[None]) if g.ndim == 1 else (g, y)
-            step = max(1, _SOFTMAX_BLOCK // math.prod(gs.shape[1:]))
-            t = np.empty_like(gs[:step])
-            for i in range(0, len(gs), step):
-                gb, yb = gs[i : i + step], ys[i : i + step]
-                tb = np.multiply(gb, yb, out=t[: len(gb)])
-                np.subtract(gb, tb.sum(axis=-1, keepdims=True), out=gb)
-                gb *= yb
-            x.accumulate_owned(g)
+            # The rule runs in g's own buffer, which becomes x's gradient.
+            g2 = g.reshape(-1, width)
+            _softmax_grad_rows(y2, lambda rows, buf: g2[rows], g2)
+            x.accumulate_owned(g2.reshape(x.data.shape))
         tape.record(out, bwd)
     return out
 
@@ -190,22 +244,33 @@ def concat_rows(tape: Tape, parts: list[Tensor], row_indices: list[np.ndarray], 
     return out
 
 
-def weighted_centroid(tape: Tape, p: Tensor, centers: np.ndarray) -> Tensor:
-    """Probability-weighted average of fixed centers: p @ centers.
+def weighted_centroid(tape: Tape, logits: Tensor, values: np.ndarray) -> Tensor:
+    """The softmax-weighted average of constant rows: softmax(logits) @ values.
 
-    ``centers`` is a constant (C, 2) array and receives no gradient, so the
-    output always lies in the convex hull of the centers.
+    ``logits`` is (rows, C) and ``values`` a constant (C, k) array that
+    receives no gradient, so each output row lies in the convex hull of the
+    values.  One node for the whole head: the forward computes the weights
+    as :func:`softmax` does into one buffer that the node owns, then one
+    GEMM.  The backward forms ``g @ values.T`` a block of rows at a time in
+    block-sized scratch, applies softmax's rule there and writes the result
+    over the weights' rows; that buffer becomes the logits' gradient.  So
+    backward allocates no (rows, C) array.
     """
-    centers = np.asarray(centers)
-    if p.data.shape[-1] != centers.shape[0]:
-        raise ValueError(
-            f"weighted_centroid: {p.data.shape[-1]} probabilities vs {centers.shape[0]} centers"
-        )
-    c = centers.astype(p.data.dtype, copy=False)
-    out = Tensor(p.data @ c)
+    x, values = logits.data, np.asarray(values)
+    if x.ndim != 2 or values.ndim != 2 or x.shape[1] != values.shape[0]:
+        raise ValueError(f"weighted_centroid: logits {x.shape} vs values {values.shape}")
+    c = values.astype(x.dtype, copy=False)
+    weights = np.empty(x.shape, x.dtype)
+    _softmax_rows(x, weights)
+    out = Tensor(weights @ c)
     if tape is not None:
         def bwd(g):
-            p.accumulate_owned(g @ c.T)
+            # The buffer becomes the logits' gradient; the closure lets go
+            # of it, so it is freed once the logits' rule has run.
+            nonlocal weights
+            w, weights = weights, None
+            _softmax_grad_rows(w, lambda rows, buf: np.matmul(g[rows], c.T, out=buf), w)
+            logits.accumulate_owned(w)
         tape.record(out, bwd)
     return out
 

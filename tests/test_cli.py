@@ -134,6 +134,17 @@ class TestPrepare:
         assert rc == 2
         assert "val=-5" in capsys.readouterr().err
 
+    def test_unparsable_csv_creates_no_directory(self, tmp_path, capsys):
+        csv_path = tmp_path / "bad.csv"
+        csv_path.write_text(
+            "TRIP_ID,CALL_TYPE,ORIGIN_CALL,ORIGIN_STAND,TAXI_ID,TIMESTAMP,DAY_TYPE,MISSING_DATA,POLYLINE\n"
+            'A,A,,,20000001,1372636858,A,False,"[[-8.61,41.14],[x,41.15]]"\n'
+        )
+        out = tmp_path / "new" / "data"
+        assert main(["prepare", "--input", str(csv_path), "--out", str(out), "--val", "1", "--test", "0"]) == 2
+        assert "internal error" not in capsys.readouterr().err
+        assert not (tmp_path / "new").exists()
+
     @pytest.mark.parametrize(
         "column, value",
         [("ORIGIN_CALL", "inf"), ("ORIGIN_CALL", "-1"), ("ORIGIN_CALL", "1e30"), ("TAXI_ID", str(2**70))],
@@ -197,6 +208,7 @@ _HEADER_DAMAGE = {
     "string-offset": _entry_edit(offset="0"),
     "unknown-dtype": _entry_edit(dtype="<q9"),
     "object-dtype": _entry_edit(dtype="|O"),
+    "flipped-bit-dtype": _entry_edit(dtype=",i8"),  # "<i8" with one bit flipped
     "negative-dimension": _entry_edit(shape=[-1]),
     "negative-offset": _entry_edit(offset=-8),
     "no-extras": lambda h: {k: v for k, v in h.items() if k != "extras"},  # a checkpoint's only

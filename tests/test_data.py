@@ -686,7 +686,7 @@ class TestRecordCache:
             (lambda h, c: c.pop("timestamp"), "column 'timestamp'"),
             (lambda h, c: c.__setitem__("points", c["points"].astype("<f4")), "column 'points'"),
             (lambda h, c: c.__setitem__("points", c["points"].reshape(-1)), "column 'points'"),
-            (lambda h, c: c["call_type"].__setitem__(1, 3), "call type code"),
+            (lambda h, c: c["call_type"].__setitem__(1, 3), r"record 1 \(trip t1\) has call_type 3; need 0 <= call_type <= 2"),
             (lambda h, c: h.pop("trip_ids"), "no trip_ids"),
         ],
         ids=[
@@ -702,6 +702,19 @@ class TestRecordCache:
         with pytest.raises(DataError, match=message) as err:
             load_records(path)
         assert str(path) in str(err.value)
+
+    @pytest.mark.parametrize(
+        "name, value",
+        [("call_type", -1), ("call_type", -(2**62)), ("missing", 2), ("missing", -1),
+         ("origin_call", -2), ("origin_stand", -(2**63))],
+    )
+    def test_coded_value_out_of_range_names_path_and_record(self, tmp_path, name, value):
+        path, blob = self._saved(tmp_path)
+        header, cols = self._columns(blob)
+        cols[name][2] = value
+        path.write_bytes(self._pack(header, cols))
+        with pytest.raises(DataError, match=rf"cache\.bin: record 2 \(trip t2\) has {name} {value}; need -?\d+ <= {name}"):
+            load_records(path)
 
     # Records [3, 1, 7] own point rows 0-2, 3 and 4-10.
     @pytest.mark.parametrize(

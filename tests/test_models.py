@@ -308,14 +308,13 @@ class TestMemoryNetwork:
         np.testing.assert_allclose(pred[0], mid, atol=1e-12)
 
     def test_hand_built_similarities(self):
-        # s = [ln 3, ln 1] -> p = [0.75, 0.25]; dests (41,-8), (43,-6) -> (41.5, -7.5)
+        # s = [ln 3, ln 1] -> weights [0.75, 0.25]; dests (41,-8), (43,-6) -> (41.5, -7.5),
+        # and on two candidates the centroid pins the weights down
         r_q = Tensor(np.array([[1.0, 0.0]]))
         r_c = Tensor(np.array([[np.log(3.0), 5.0], [0.0, 7.0]]))
         sims = nncore.dot_similarity(None, r_q, r_c)
-        p = nncore.softmax(None, sims)
         dests = np.array([[41.0, -8.0], [43.0, -6.0]])
-        out = nncore.weighted_centroid(None, p, dests)
-        np.testing.assert_allclose(p.data, [[0.75, 0.25]], atol=1e-12)
+        out = nncore.weighted_centroid(None, sims, dests)
         np.testing.assert_allclose(out.data, [[41.5, -7.5]], atol=1e-12)
 
     def test_candidate_permutation_invariant(self):
