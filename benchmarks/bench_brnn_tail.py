@@ -9,11 +9,14 @@ then several times its mean, which is what packed sequences must handle.
 Usage (from the repository root, one BLAS thread as perfbench uses):
     OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python3 benchmarks/bench_brnn_tail.py [SEED] [BATCHES]
 
-Prints train seconds per batch, peak RSS before and after training, and
-each batch's (longest, mean, total) prefix length.
+Prints train seconds per batch, peak RSS before and after training, the
+SHA-1 of the trained parameters and their velocities (equal SHA-1s mean
+bit-identical training), and each batch's (longest, mean, total) prefix
+length.
 """
 
 import dataclasses
+import hashlib
 import resource
 import statistics
 import sys
@@ -64,6 +67,11 @@ def main(seed: int = 1, batches: int = 3) -> None:
 
     print(f"seed {seed}: {dt / batches:.2f} s/batch over {batches} batches (validation included)")
     print(f"peak RSS: {rss0:.0f} MB before training, {rss1:.0f} MB after")
+    digest = hashlib.sha1()
+    for p in s.model.parameters():
+        digest.update(p.value.tobytes())
+        digest.update(p.velocity.tobytes())
+    print(f"sha1 of the parameters and velocities: {digest.hexdigest()}")
     print("prefix lengths per batch (longest, mean, total):",
           [(max(x), round(statistics.mean(x), 1), sum(x)) for x in lengths])
 

@@ -21,7 +21,7 @@ import dataclasses
 import json
 import sys
 from pathlib import Path
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -29,6 +29,7 @@ from . import fixtures, models, training
 from ._atomic import atomic_open
 from .clustering import MeanShiftConfig, load_clusters, mean_shift, save_clusters
 from .data import (
+    CsvParseError,
     DataError,
     PrefixExample,
     TrainRecord,
@@ -125,8 +126,34 @@ def _build_parser() -> _Parser:
 
 
 # ---------------------------------------------------------------------------
-# Prepared-directory helpers
+# Input helpers: the competition CSV and the prepared directory
 # ---------------------------------------------------------------------------
+
+
+def _first_non_utf8_line(path) -> int:
+    """The 1-based line of ``path`` that holds its first byte that is not
+    UTF-8.  No UTF-8 sequence holds a newline, so lines decode alone."""
+    with open(path, "rb") as f:
+        for n, line in enumerate(f, 1):
+            try:
+                line.decode("utf-8")
+            except UnicodeDecodeError:
+                return n
+    raise DataError(f"{path}: changed while it was read")
+
+
+def _read_csv(path) -> Iterator[TrainRecord]:
+    """The records of the competition CSV at ``path``, in file order.  A
+    malformed row or a byte that is not UTF-8 raises :class:`DataError`
+    naming the path and the line."""
+    try:
+        with open(path, "r", encoding="utf-8", newline="") as f:
+            yield from parse_csv(f)
+    except CsvParseError as e:
+        raise DataError(f"{path}: {e}") from e
+    except UnicodeDecodeError as e:
+        line = _first_non_utf8_line(path)
+        raise DataError(f"{path}: line {line}: byte {e.object[e.start]:#04x} is not UTF-8 ({e.reason})") from e
 
 
 class _Prepared(NamedTuple):
@@ -182,8 +209,7 @@ def _cmd_prepare(args) -> int:
     if args.val < 1:
         raise DataError(f"--val={args.val}: a prepared directory needs at least 1 validation trip, "
                         "since `train` early-stops on the validation rides")
-    with open(args.input, "r", encoding="utf-8", newline="") as f:
-        usable = [r for r in parse_csv(f) if r.usable]
+    usable = [r for r in _read_csv(args.input) if r.usable]
     split = _derive_split(usable, args.seed, args.val, args.test)
     out = Path(args.out)  # created only once the input has parsed and split
     out.mkdir(parents=True, exist_ok=True)
@@ -264,8 +290,7 @@ def _cmd_evaluate(args) -> int:
 
 def _cmd_predict(args) -> int:
     model = load_model(args.model)
-    with open(args.input, "r", encoding="utf-8", newline="") as f:
-        records = list(parse_csv(f))
+    records = list(_read_csv(args.input))
     if not records:
         raise DataError(f"{args.input}: no prefix trajectories")
     for r in records:
@@ -301,6 +326,8 @@ def _cmd_export_embeddings(args) -> int:
 
 
 def _cmd_fixture(args) -> int:
+    if args.trips < 1:
+        raise DataError(f"--trips={args.trips}: a fixture needs at least 1 trip")
     fixtures.generate_city_csv(args.out, args.trips, args.seed)
     print(f"wrote {args.trips} synthetic trips to {args.out}")
     return 0

@@ -273,28 +273,26 @@ def _run_lstm(model, tape, name, inputs_per_step: list[np.ndarray], order: np.nd
 
     ``inputs_per_step[t]`` holds the inputs of the rows still running at
     step t, the first ones of the length-sorted batch; sorted row j is batch
-    row ``order[j]``.  The state shrinks with the running rows, so a row's
-    final state is the one it had when it stopped, and one ``concat_rows``
-    gathers those states.
+    row ``order[j]``.  The ``[h | c]`` state shrinks with the running rows,
+    so a row's final state is the one it had when it stopped, and one
+    ``concat_rows`` gathers the ``h`` columns of those states.
     """
     cfg = model.config
     wx = model.params[f"{name}_wx"]
     wh = model.params[f"{name}_wh"]
     b = model.params[f"{name}_b"]
-    dtype = cfg.np_dtype()
-    h = Tensor(np.zeros((len(order), cfg.rnn_hidden), dtype=dtype))
-    c = Tensor(np.zeros((len(order), cfg.rnn_hidden), dtype=dtype))
+    state = Tensor(np.zeros((len(order), 2 * cfg.rnn_hidden), dtype=cfg.np_dtype()))
     finals: list[tuple[Tensor, int]] = []  # (state, rows before its finished rows)
     for x_t in inputs_per_step:
-        if len(x_t) < h.data.shape[0]:
-            finals.append((h, len(x_t)))
-        h, c = nncore.lstm_cell(tape, Tensor(x_t), h, c, wx, wh, b)
-    finals.append((h, 0))
+        if len(x_t) < state.data.shape[0]:
+            finals.append((state, len(x_t)))
+        state = nncore.lstm_cell(tape, x_t, state, wx, wh, b)
+    finals.append((state, 0))
     return nncore.concat_rows(
         tape,
-        [state for state, _ in finals],
-        [order[n : state.data.shape[0]] for state, n in finals],
-        [slice(n, state.data.shape[0]) for state, n in finals],
+        [s for s, _ in finals],
+        [order[n : s.data.shape[0]] for s, n in finals],
+        [(slice(n, s.data.shape[0]), slice(cfg.rnn_hidden)) for s, n in finals],
     )
 
 

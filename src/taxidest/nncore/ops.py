@@ -6,13 +6,14 @@ constants.  A backward rule receives its output's gradient ``g`` and owns
 it: the tape has already taken it off the output.  So a rule may compute
 in ``g`` and hand it to one input with ``Tensor.accumulate_owned``, where
 on first write it becomes that input's gradient without a copy; an array
-built for one input is handed over the same way.  Only a view of ``g``, or
-``g`` when the rule still reads it afterwards, goes through
-``Tensor.accumulate``, which copies on first write.  Every value is the
-plain formula's bit for bit; only the buffers differ, except that softmax
-weights and their gradients below the dtype's smallest normal number are 0
-(in both :func:`softmax` and :func:`weighted_centroid`).  Constants never
-receive gradients.
+built for one input is handed over the same way, and :func:`lstm_cell`
+writes its previous state's gradient over its ``g`` and hands ``g`` on.
+Only a view of ``g``, or ``g`` when the rule still reads it afterwards,
+goes through ``Tensor.accumulate``, which copies on first write.  Every
+value is the plain formula's bit for bit; only the buffers differ, except
+that softmax weights and their gradients below the dtype's smallest normal
+number are 0 (in both :func:`softmax` and :func:`weighted_centroid`).
+Constants never receive gradients.
 """
 
 from __future__ import annotations
@@ -222,16 +223,19 @@ def slice_cols(tape: Tape, x: Tensor, start: int, stop: int) -> Tensor:
     return out
 
 
-def concat_rows(tape: Tape, parts: list[Tensor], row_indices: list[np.ndarray], part_rows: list[slice]) -> Tensor:
+def concat_rows(tape: Tape, parts: list[Tensor], row_indices: list[np.ndarray], part_rows: list) -> Tensor:
     """Scatter row blocks back into one batch-ordered tensor.
 
     ``parts[i][part_rows[i]]`` supplies the rows listed in
     ``row_indices[i]``; the index lists must partition the output rows.
-    The recurrent models gather each packed sequence's final state this
-    way, from the step after which it stops, in batch order.
+    ``part_rows[i]`` is any 2-D numpy selection: a row slice, or a (rows,
+    columns) pair that also picks each part's columns, as wide as the
+    first part's.  The recurrent models gather the ``h`` columns of each
+    packed sequence's final ``[h | c]`` state this way, from the step after
+    which it stops, in batch order.
     """
     total = sum(len(ix) for ix in row_indices)
-    width = parts[0].data.shape[1]
+    width = parts[0].data[part_rows[0]].shape[1]
     out_data = np.empty((total, width), dtype=parts[0].data.dtype)
     for part, ix, take in zip(parts, row_indices, part_rows):
         out_data[ix] = part.data[take]
@@ -399,30 +403,6 @@ def mean_all(tape: Tape, x: Tensor) -> Tensor:
     return out
 
 
-class _CellState(Tensor):
-    """The ``c`` output of :func:`lstm_cell`: a gradient reaching it, added
-    or handed over, also allocates the gradient of its ``h`` twin, whose
-    tape node serves both."""
-
-    __slots__ = ("h",)
-
-    def __init__(self, data, h: Tensor):
-        super().__init__(data)
-        self.h = h
-
-    def accumulate(self, g: np.ndarray) -> None:
-        super().accumulate(g)
-        self.h.ensure_grad()
-
-    def accumulate_owned(self, g: np.ndarray) -> None:
-        super().accumulate_owned(g)
-        self.h.ensure_grad()
-
-    def ensure_grad(self) -> np.ndarray:
-        self.h.ensure_grad()
-        return super().ensure_grad()
-
-
 def _accumulate_leading_rows(t: Tensor, g: np.ndarray) -> None:
     """Add ``g``, handed over, to the gradient of the first ``len(g)`` rows of ``t``."""
     if g.shape[0] == t.data.shape[0]:
@@ -431,43 +411,35 @@ def _accumulate_leading_rows(t: Tensor, g: np.ndarray) -> None:
         t.ensure_grad()[: g.shape[0]] += g
 
 
-def lstm_cell(
-    tape: Tape,
-    x: Tensor,
-    h_prev: Tensor,
-    c_prev: Tensor,
-    wx: Tensor,
-    wh: Tensor,
-    b: Tensor,
-) -> tuple[Tensor, Tensor]:
+def lstm_cell(tape: Tape, x: np.ndarray, state: Tensor, wx: Tensor, wh: Tensor, b: Tensor) -> Tensor:
     """One LSTM step with input/forget/output gates and tanh candidate.
 
-    Gate preactivations are packed (i, f, g, o) along the last axis of
-    ``wx`` (in, 4H), ``wh`` (H, 4H) and ``b`` (4H,).  ``x`` may have fewer
-    rows than the state: a packed batch, sorted longest sequence first,
-    steps only its first ``len(x)`` rows, and ``h`` and ``c`` have
-    ``len(x)`` rows.  The state rows past them belong to finished
+    ``state`` is (rows, 2H): each row's hidden state ``h`` in its first H
+    columns and its cell state ``c`` in the last H.  Gate preactivations
+    are packed (i, f, g, o) along the last axis of ``wx`` (in, 4H), ``wh``
+    (H, 4H) and ``b`` (4H,).  ``x`` is a constant and takes no gradient.  It
+    may have fewer rows than the state: a packed batch, sorted longest
+    sequence first, steps only its first ``len(x)`` rows, and the new state
+    has ``len(x)`` rows.  The state rows past them belong to finished
     sequences; the cell leaves them, and their gradient, to the caller.
 
     One fused tape node per step: the gates live in one preactivation
     buffer, and the hand-written backward forms that buffer's gradient once
-    and accumulates ``dwx``, ``dwh`` and ``db`` from it.  The node is
-    recorded on ``h`` and runs when ``h`` or ``c`` receives a gradient.
+    and accumulates ``dwx``, ``dwh`` and ``db`` from it.  It then writes the
+    previous state's gradient ``[dh | dc]`` over its own ``g`` and hands
+    ``g`` to the previous state.
     """
-    hidden = h_prev.data.shape[-1]
-    if wx.data.shape != (x.data.shape[-1], 4 * hidden) or wh.data.shape != (hidden, 4 * hidden):
+    x = np.asarray(x)
+    n, hidden = x.shape[0], wh.data.shape[0]
+    if (wx.data.shape, wh.data.shape, b.data.shape, state.data.shape[1:]) != (
+        (x.shape[-1], 4 * hidden), (hidden, 4 * hidden), (4 * hidden,), (2 * hidden,)
+    ) or n > state.data.shape[0]:
         raise ValueError(
-            f"lstm_cell: weight shapes {wx.data.shape}/{wh.data.shape} do not match "
-            f"input {x.data.shape} and hidden {h_prev.data.shape}"
+            f"lstm_cell: input {x.shape}, state {state.data.shape} and weights "
+            f"{wx.data.shape}/{wh.data.shape}/{b.data.shape} do not fit"
         )
-    n = x.data.shape[0]
-    if c_prev.data.shape != h_prev.data.shape or n > h_prev.data.shape[0] or b.data.shape != (4 * hidden,):
-        raise ValueError(
-            f"lstm_cell: input {x.data.shape}, states {h_prev.data.shape}/{c_prev.data.shape} "
-            f"and bias {b.data.shape} do not fit"
-        )
-    hp, cp = h_prev.data[:n], c_prev.data[:n]
-    gates = x.data @ wx.data + hp @ wh.data
+    hp, cp = state.data[:n, :hidden], state.data[:n, hidden:]
+    gates = x @ wx.data + hp @ wh.data
     gates += b.data
     i_g, f_g = gates[:, :hidden], gates[:, hidden : 2 * hidden]
     g_c, o_g = gates[:, 2 * hidden : 3 * hidden], gates[:, 3 * hidden :]
@@ -475,30 +447,30 @@ def lstm_cell(
     np.tanh(g_c, out=g_c)
     _sigmoid_inplace(o_g)
 
-    c_data = f_g * cp
-    c_data += i_g * g_c
-    tanh_c = np.tanh(c_data)
-    h = Tensor(o_g * tanh_c)
-    c = _CellState(c_data, h)
+    new = np.empty((n, 2 * hidden), gates.dtype)
+    h, c = new[:, :hidden], new[:, hidden:]
+    np.multiply(f_g, cp, out=c)
+    c += i_g * g_c
+    tanh_c = np.tanh(c)
+    np.multiply(o_g, tanh_c, out=h)
+    out = Tensor(new)
     if tape is not None:
-        def bwd(dh):
-            dc, c.grad = c.grad, None
+        def bwd(g):
+            dh, dc = g[:, :hidden], g[:, hidden:]
             d_tanh_c = dh * o_g
             d_tanh_c *= 1.0 - tanh_c * tanh_c
-            if dc is not None:
-                d_tanh_c += dc
+            d_tanh_c += dc
             d_pre = np.empty_like(gates)
             np.multiply(d_tanh_c, g_c * i_g * (1.0 - i_g), out=d_pre[:, :hidden])
             np.multiply(d_tanh_c, cp * f_g * (1.0 - f_g), out=d_pre[:, hidden : 2 * hidden])
             np.multiply(d_tanh_c, i_g * (1.0 - g_c * g_c), out=d_pre[:, 2 * hidden : 3 * hidden])
             np.multiply(dh, tanh_c * o_g * (1.0 - o_g), out=d_pre[:, 3 * hidden :])
 
-            _accumulate_leading_rows(h_prev, d_pre @ wh.data.T)
-            d_tanh_c *= f_g
-            _accumulate_leading_rows(c_prev, d_tanh_c)
-            x.accumulate_owned(d_pre @ wx.data.T)
-            wx.accumulate_owned(x.data.T @ d_pre)
+            np.matmul(d_pre, wh.data.T, out=dh)
+            np.multiply(d_tanh_c, f_g, out=dc)
+            _accumulate_leading_rows(state, g)
+            wx.accumulate_owned(x.T @ d_pre)
             wh.accumulate_owned(hp.T @ d_pre)
             b.accumulate_owned(d_pre.sum(axis=0))
-        tape.record(h, bwd)
-    return h, c
+        tape.record(out, bwd)
+    return out

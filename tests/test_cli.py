@@ -165,6 +165,56 @@ class TestPrepare:
         assert not (out / "records.bin").exists()
 
 
+_HEADER = "TRIP_ID,CALL_TYPE,ORIGIN_CALL,ORIGIN_STAND,TAXI_ID,TIMESTAMP,DAY_TYPE,MISSING_DATA,POLYLINE\n"
+_ROW = 'P{i},C,,,2000000{i},1372636858,A,False,"[[-8.61,41.14],[-8.62,41.15]]"\n'
+
+
+def _csv_rows(n: int) -> bytes:
+    return (_HEADER + "".join(_ROW.format(i=i) for i in range(n))).encode()
+
+
+def _cli_argv(command, csv_path, tmp_path, ckpt):
+    if command == "prepare":
+        return ["prepare", "--input", str(csv_path), "--out", str(tmp_path / "d"), "--val", "1", "--test", "0"]
+    return ["predict", "--model", str(ckpt), "--input", str(csv_path), "--out", str(tmp_path / "s.csv")]
+
+
+@pytest.mark.parametrize("command", ["prepare", "predict"])
+class TestCsvErrorsNameTheFile:
+    def test_malformed_row(self, command, trained_ckpt, tmp_path, capsys):
+        csv_path = tmp_path / "rows.csv"
+        csv_path.write_bytes(_csv_rows(3).replace(b"P1,C,", b"P1,Z,"))
+        assert main(_cli_argv(command, csv_path, tmp_path, trained_ckpt)) == 2
+        err = capsys.readouterr().err
+        assert f"{csv_path}: line 3, column CALL_TYPE: unknown call type 'Z'" in err
+        assert not (tmp_path / "d").exists() and not (tmp_path / "s.csv").exists()
+
+    @pytest.mark.parametrize("rows, bad_line", [(3, 4), (2000, 1700)])
+    def test_byte_that_is_not_utf8(self, command, rows, bad_line, trained_ckpt, tmp_path, capsys):
+        lines = _csv_rows(rows).split(b"\n")
+        lines[bad_line - 1] = lines[bad_line - 1].replace(b"-8.62", b"-8.\xff2")
+        csv_path = tmp_path / "latin.csv"
+        csv_path.write_bytes(b"\n".join(lines))
+        assert main(_cli_argv(command, csv_path, tmp_path, trained_ckpt)) == 2
+        err = capsys.readouterr().err
+        assert f"{csv_path}: line {bad_line}: byte 0xff is not UTF-8" in err and "internal error" not in err
+        assert not (tmp_path / "d").exists() and not (tmp_path / "s.csv").exists()
+
+
+def test_first_non_utf8_line_at_every_position(tmp_path):
+    """A bad byte at each position of a text of two-byte characters: a
+    stray continuation byte, a lead byte before ASCII, and a file cut
+    inside a character."""
+    text = "a\né\nxé,é\r\n".encode()
+    path = tmp_path / "t.csv"
+    for i in range(len(text) + 1):
+        for bad in (b"\x80", b"\xc3a"):
+            path.write_bytes(text[:i] + bad + text[i:])
+            assert cli._first_non_utf8_line(path) == text[:i].count(b"\n") + 1, (i, bad)
+    path.write_bytes(text + b"\xc3")
+    assert cli._first_non_utf8_line(path) == text.count(b"\n") + 1
+
+
 def _small_train_args(data_dir, out):
     return [
         "train", "--data", str(data_dir), "--variant", "mlp_direct",
@@ -961,6 +1011,10 @@ _SMALL_TRAIN = " ".join(_small_train_args("{data}", "{tmp}/m.ckpt"))
         pytest.param(1, "fixture --trips 5", None, id="fixture-1"),
         pytest.param(2, "fixture --out {tmp}/nope/f.csv --trips 5", None, id="fixture-2"),
         pytest.param(3, "fixture --out {tmp}/f.csv --trips 5", "taxidest.fixtures.generate_city_csv", id="fixture-3"),
+        pytest.param(2, "fixture --out {tmp}/f.csv --trips -3", "taxidest.fixtures.generate_city_csv",
+                     id="fixture-2-negative-trips"),
+        pytest.param(2, "fixture --out {tmp}/f.csv --trips 0", "taxidest.fixtures.generate_city_csv",
+                     id="fixture-2-no-trips"),
     ],
 )
 def test_exit_status(status, argv, raises_at, tmp_path, city_csv, prepared_dir, trained_ckpt, monkeypatch, capsys):

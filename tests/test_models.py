@@ -253,6 +253,27 @@ class TestPackedRecurrentBatch:
         rows = np.vstack([states([ex]) for ex in batch])
         np.testing.assert_allclose(packed, rows, rtol=0, atol=1e-12)
 
+    def test_state_is_the_final_h_of_a_textbook_lstm(self):
+        """rnn's recurrent feature of each row is h after its last step of
+        c = f c + i g, h = o tanh(c), gates (i, f, g, o) from x wx + h wh + b."""
+        model = tiny_model("rnn", seed=7)
+        batch = self._batch(model)
+        feats = models.featurize(model, batch)
+        wx, wh, b = (model.params[f"lstm_fwd_{n}"].data for n in ("wx", "wh", "b"))
+        hdim = wh.shape[0]
+        sigmoid = lambda v: 1 / (1 + np.exp(-v))
+        states = models._recurrent_states(model, None, feats).data
+        for row, n in enumerate(self.LENGTHS):
+            steps = models.featurize(model, [batch[row]]).fwd
+            h = c = np.zeros(hdim)
+            for x in steps:
+                z = x[0] @ wx + h @ wh + b
+                i, f, o = sigmoid(z[:hdim]), sigmoid(z[hdim : 2 * hdim]), sigmoid(z[3 * hdim :])
+                c = f * c + i * np.tanh(z[2 * hdim : 3 * hdim])
+                h = o * np.tanh(c)
+            assert len(steps) == n
+            np.testing.assert_allclose(states[row], h, rtol=0, atol=1e-12)
+
     @pytest.mark.parametrize("variant", ["rnn", "brnn"])
     def test_gradients(self, variant):
         model = tiny_model(variant, seed=6)

@@ -269,43 +269,48 @@ class TestWeightedCentroid:
         )
 
 
+def cell_cols(tape, state, part):
+    """The ``h`` (part 0) or ``c`` (part 1) columns of an ``[h | c]`` state."""
+    hdim = state.data.shape[1] // 2
+    return slice_cols(tape, state, part * hdim, (part + 1) * hdim)
+
+
 class TestLstmCell:
     def test_zero_everything(self):
-        z = Tensor(np.zeros((2, 3)))
         wx = Tensor(np.zeros((4, 12)))
         wh = Tensor(np.zeros((3, 12)))
         b = Tensor(np.zeros(12))
-        h, c = lstm_cell(None, Tensor(np.zeros((2, 4))), z, z, wx, wh, b)
-        np.testing.assert_array_equal(h.data, 0.0)
-        np.testing.assert_array_equal(c.data, 0.0)
+        state = lstm_cell(None, np.zeros((2, 4)), Tensor(np.zeros((2, 6))), wx, wh, b)
+        assert state.data.shape == (2, 6)
+        np.testing.assert_array_equal(state.data, 0.0)
 
     def test_saturated_forget_gate_preserves_cell(self):
         hdim = 3
         b = np.zeros(4 * hdim)
         b[hdim : 2 * hdim] = 10.0  # forget gate wide open
         v = np.array([[0.3, -0.7, 1.1]])
-        h, c = lstm_cell(
+        state = lstm_cell(
             None,
-            Tensor(np.zeros((1, 2))),
-            Tensor(np.zeros((1, hdim))),
-            Tensor(v),
+            np.zeros((1, 2)),
+            Tensor(np.hstack([np.zeros((1, hdim)), v])),
             Tensor(np.zeros((2, 4 * hdim))),
             Tensor(np.zeros((hdim, 4 * hdim))),
             Tensor(b),
         )
-        np.testing.assert_allclose(c.data, v, atol=1e-4)
+        np.testing.assert_allclose(state.data[:, hdim:], v, atol=1e-4)
 
     def test_shape_mismatch(self):
-        with pytest.raises(ValueError):
-            lstm_cell(
-                None,
-                Tensor(np.zeros((1, 2))),
-                Tensor(np.zeros((1, 3))),
-                Tensor(np.zeros((1, 3))),
-                Tensor(np.zeros((2, 8))),
-                Tensor(np.zeros((3, 12))),
-                Tensor(np.zeros(12)),
-            )
+        """Weights that do not fit, and states whose width is not 2H."""
+        for wx_cols, width in [(8, 6), (12, 3), (12, 5), (12, 7), (12, 12)]:
+            with pytest.raises(ValueError, match="lstm_cell"):
+                lstm_cell(
+                    None,
+                    np.zeros((1, 2)),
+                    Tensor(np.zeros((1, width))),
+                    Tensor(np.zeros((2, wx_cols))),
+                    Tensor(np.zeros((3, 12))),
+                    Tensor(np.zeros(12)),
+                )
 
     def test_gradients_three_unrolled_steps(self):
         rng = np.random.default_rng(7)
@@ -316,11 +321,10 @@ class TestLstmCell:
         wt = rng.normal(size=(2, 3))
 
         def build(tape):
-            h = Tensor(np.zeros((2, 3)))
-            c = Tensor(np.zeros((2, 3)))
+            state = Tensor(np.zeros((2, 6)))
             for x in xs:
-                h, c = lstm_cell(tape, Tensor(x), h, c, wx, wh, b)
-            return sum_of(tape, mul(tape, h, Tensor(wt)))
+                state = lstm_cell(tape, x, state, wx, wh, b)
+            return sum_of(tape, mul(tape, cell_cols(tape, state, 0), Tensor(wt)))
 
         check_grads(build, [wx, wh, b], tol=1e-3)
 
@@ -338,57 +342,61 @@ class TestPackedLstmCell:
     def test_one_step_records_one_node(self):
         rng = np.random.default_rng(40)
         wx, wh, b = self._weights(rng)
-        z = Tensor(np.zeros((2, 3)))
         tape = Tape()
-        lstm_cell(tape, Tensor(rng.normal(size=(2, 2))), z, z, wx, wh, b)
+        lstm_cell(tape, rng.normal(size=(2, 2)), Tensor(np.zeros((2, 6))), wx, wh, b)
         assert len(tape.nodes) == 1
 
     def test_gradients_through_cell_state_only(self):
+        """The loss reads only the last step's ``c`` columns: through a
+        product, and through ``weighted_centroid``, which hands its logits'
+        gradient over."""
         rng = np.random.default_rng(41)
         wx, wh, b = self._weights(rng)
         xs = [rng.normal(size=(2, 2)) for _ in range(2)]
         wt = rng.normal(size=(2, 3))
+        centers = rng.normal(size=(3, 2))
 
-        def build(tape):
-            h = Tensor(np.zeros((2, 3)))
-            c = Tensor(np.zeros((2, 3)))
-            for x in xs:
-                h, c = lstm_cell(tape, Tensor(x), h, c, wx, wh, b)
-            return sum_of(tape, mul(tape, c, Tensor(wt)))
+        def build(head):
+            def loss(tape):
+                state = Tensor(np.zeros((2, 6)))
+                for x in xs:
+                    state = lstm_cell(tape, x, state, wx, wh, b)
+                return sum_of(tape, head(tape, cell_cols(tape, state, 1)))
+            return loss
 
-        check_grads(build, [wx, wh, b], tol=1e-3)
+        check_grads(build(lambda tape, c: mul(tape, c, Tensor(wt))), [wx, wh, b], tol=1e-3)
+        for p in (wx, wh, b):
+            p.grad[...] = 0
+        check_grads(build(lambda tape, c: weighted_centroid(tape, c, centers)), [wx, wh, b], tol=1e-3)
+        assert np.abs(wh.grad).max() > 0
 
     def test_packed_rows_match_unpacked_cell(self):
         rng = np.random.default_rng(42)
         wx, wh, b = self._weights(rng)
         x = rng.normal(size=(2, 2))
-        hp, cp = rng.normal(size=(4, 3)), rng.normal(size=(4, 3))
+        prev = rng.normal(size=(4, 6))
         weights = (wx, wh, b)
-        h, c = lstm_cell(None, Tensor(x), Tensor(hp), Tensor(cp), *weights)
-        h2, c2 = lstm_cell(None, Tensor(x), Tensor(hp[:2]), Tensor(cp[:2]), *weights)
-        assert h.data.shape == c.data.shape == (2, 3)
-        np.testing.assert_array_equal(h.data, h2.data)
-        np.testing.assert_array_equal(c.data, c2.data)
+        state = lstm_cell(None, x, Tensor(prev), *weights)
+        state2 = lstm_cell(None, x, Tensor(prev[:2]), *weights)
+        assert state.data.shape == (2, 6)
+        np.testing.assert_array_equal(state.data, state2.data)
 
     def test_rows_past_x_take_no_gradient_from_the_cell(self):
         rng = np.random.default_rng(43)
         wx, wh, b = self._weights(rng)
-        h_prev = Parameter("h_prev", rng.normal(size=(4, 3)))
-        c_prev = Parameter("c_prev", rng.normal(size=(4, 3)))
+        prev = Parameter("prev", rng.normal(size=(4, 6)))
         x = rng.normal(size=(2, 2))
-        wt_h, wt_c = rng.normal(size=(2, 3)), rng.normal(size=(2, 3))
+        wt = rng.normal(size=(2, 6))
 
         def build(tape):
-            h, c = lstm_cell(tape, Tensor(x), h_prev, c_prev, wx, wh, b)
-            return add(tape, sum_of(tape, mul(tape, h, Tensor(wt_h))), sum_of(tape, mul(tape, c, Tensor(wt_c))))
+            return sum_of(tape, mul(tape, lstm_cell(tape, x, prev, wx, wh, b), Tensor(wt)))
 
         tape = Tape()
         tape.backward(build(tape))
-        np.testing.assert_array_equal(h_prev.grad[2:], 0.0)
-        np.testing.assert_array_equal(c_prev.grad[2:], 0.0)
-        for p in (wx, wh, b, h_prev, c_prev):
+        np.testing.assert_array_equal(prev.grad[2:], 0.0)
+        for p in (wx, wh, b, prev):
             p.grad[...] = 0
-        check_grads(build, [wx, wh, b, h_prev, c_prev], tol=1e-3)
+        check_grads(build, [wx, wh, b, prev], tol=1e-3)
 
     def test_finished_rows_keep_state_and_gradient(self):
         """Three sequences of lengths 3, 2 and 1, packed: each final state,
@@ -401,32 +409,34 @@ class TestPackedLstmCell:
         weights = (wx, wh, b)
 
         def packed(tape):
-            h = c = Tensor(np.zeros((3, 3)))
+            state = Tensor(np.zeros((3, 6)))
             states = []
             for t in range(3):
-                h, c = lstm_cell(tape, Tensor(np.array([s[t] for s in seqs if len(s) > t])), h, c, *weights)
-                states.append(h)
-            # Sequence j is row j and stops after step 2 - j.
-            return concat_rows(tape, states, [np.array([j]) for j in (2, 1, 0)], [slice(j, j + 1) for j in (2, 1, 0)])
+                state = lstm_cell(tape, np.array([s[t] for s in seqs if len(s) > t]), state, *weights)
+                states.append(state)
+            # Sequence j is row j and stops after step 2 - j; gather its h columns.
+            return concat_rows(
+                tape, states, [np.array([j]) for j in (2, 1, 0)], [(slice(j, j + 1), slice(0, 3)) for j in (2, 1, 0)]
+            )
 
         out = packed(None).data
+        assert out.shape == (3, 3)
         for j, s in enumerate(seqs):
-            h = c = Tensor(np.zeros((1, 3)))
+            state = Tensor(np.zeros((1, 6)))
             for x_t in s:
-                h, c = lstm_cell(None, Tensor(x_t[None]), h, c, *weights)
-            np.testing.assert_allclose(out[j], h.data[0], rtol=0, atol=1e-15)
+                state = lstm_cell(None, x_t[None], state, *weights)
+            np.testing.assert_allclose(out[j], state.data[0, :3], rtol=0, atol=1e-15)
         check_grads(lambda tape: sum_of(tape, mul(tape, packed(tape), Tensor(wt))), [wx, wh, b], tol=1e-3)
 
     def test_saturated_preactivations_stay_finite(self):
         hdim = 2
         b = np.array([800.0, -800.0] * (2 * hdim))
-        z = Tensor(np.zeros((1, hdim)))
         with np.errstate(all="raise"):
-            h, c = lstm_cell(
-                None, Tensor(np.zeros((1, 1))), z, z,
+            state = lstm_cell(
+                None, np.zeros((1, 1)), Tensor(np.zeros((1, 2 * hdim))),
                 Tensor(np.zeros((1, 4 * hdim))), Tensor(np.zeros((hdim, 4 * hdim))), Tensor(b),
             )
-        assert np.isfinite(h.data).all() and np.isfinite(c.data).all()
+        assert np.isfinite(state.data).all()
 
 
 class TestClipGradients:
@@ -842,15 +852,15 @@ class TestGradientHandover:
         wx = Parameter("wx", rng.normal(0, 0.4, size=(2, 12)))
         wh = Parameter("wh", rng.normal(0, 0.4, size=(3, 12)))
         b = Parameter("b", rng.normal(0, 0.2, size=12))
-        h0, c0 = Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 3)))
+        state0 = Tensor(np.zeros((2, 6)))
         tape = Tape()
-        h, c, states = h0, c0, []
+        state, states = state0, []
         for _ in range(3):
-            h, c = lstm_cell(tape, Tensor(rng.normal(size=(2, 2))), h, c, wx, wh, b)
-            states += [h, c]
-        tape.backward(add(tape, sum_of(tape, h), sum_of(tape, c)))
+            state = lstm_cell(tape, rng.normal(size=(2, 2)), state, wx, wh, b)
+            states.append(state)
+        tape.backward(sum_of(tape, state))
         assert all(t.grad is None for t in states)
-        assert h0.grad is not None and c0.grad is not None
+        assert state0.grad is not None and (state0.grad != 0).all()
 
     @pytest.mark.parametrize("shape", [(300, 2048), (7, 40000), (5000,), (3, 4, 9000)])
     def test_softmax_row_blocks_equal_one_pass(self, shape):
@@ -884,22 +894,3 @@ class TestGradientHandover:
         # of 32 rows each here (0.56 units).
         assert (peak - before) / unit <= 0.75
         assert (held - before) / unit <= 0.25
-
-    def test_cell_state_taking_a_handed_over_gradient_runs_its_cell(self):
-        rng = np.random.default_rng(66)
-        wx = Parameter("wx", rng.normal(0, 0.4, size=(2, 12)))
-        wh = Parameter("wh", rng.normal(0, 0.4, size=(3, 12)))
-        b = Parameter("b", rng.normal(0, 0.2, size=12))
-        xs = [rng.normal(size=(2, 2)) for _ in range(2)]
-        centers = rng.normal(size=(3, 2))
-
-        def build(tape):
-            h = Tensor(np.zeros((2, 3)))
-            c = Tensor(np.zeros((2, 3)))
-            for x in xs:
-                h, c = lstm_cell(tape, Tensor(x), h, c, wx, wh, b)
-            # weighted_centroid hands its logits' gradient to the last c; h is unused.
-            return sum_of(tape, weighted_centroid(tape, c, centers))
-
-        check_grads(build, [wx, wh, b], tol=1e-3)
-        assert np.abs(wh.grad).max() > 0
