@@ -210,7 +210,7 @@ def _cmd_prepare(args) -> int:
         raise DataError(f"--val={args.val}: a prepared directory needs at least 1 validation trip, "
                         "since `train` early-stops on the validation rides")
     usable = [r for r in _read_csv(args.input) if r.usable]
-    split = _derive_split(usable, args.seed, args.val, args.test)
+    split = split_dataset(usable, np.random.default_rng(args.seed), args.val, args.test)
     out = Path(args.out)  # created only once the input has parsed and split
     out.mkdir(parents=True, exist_ok=True)
     save_records(usable, out / "records.bin")

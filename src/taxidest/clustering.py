@@ -140,32 +140,41 @@ def save_clusters(cs: ClusterSet, path) -> None:
             f.write(f"{lat:.17g},{lon:.17g}\n")
 
 
+def _utf8_line(path, lineno: int, raw: bytes) -> str:
+    try:
+        return raw.decode("utf-8").strip()
+    except UnicodeDecodeError as e:
+        raise ValueError(f"{path}:{lineno}: byte {raw[e.start]:#04x} is not UTF-8") from None
+
+
 def load_clusters(path) -> ClusterSet:
     """Read a cluster CSV; ValueError names the path and the line of a bad
-    row (not a finite pair with |lat| <= 90, |lon| <= 180) or of a last row
-    without a line end (a file cut short).  A cut at a line boundary cannot
-    be detected: the format has no row count, so that hand-written files
-    stay valid."""
+    header, of a byte that is not UTF-8, of a bad row (not a finite pair
+    with |lat| <= 90, |lon| <= 180) or of a last row without a line end (a
+    file cut short).  Lines end as in text mode: at \\n, \\r\\n or \\r.  A
+    cut at a line boundary cannot be detected: the format has no row
+    count, so that hand-written files stay valid."""
+    with open(path, "rb") as f:
+        lines = f.read().splitlines(keepends=True)
+    header = _utf8_line(path, 1, lines[0]) if lines else ""
+    if header != "lat,lon":
+        raise ValueError(f"{path}:1: expected header 'lat,lon', got {header!r}")
     rows, numbered = [], []
-    with open(path, "r", encoding="utf-8") as f:
-        header = f.readline().strip()
-        if header != "lat,lon":
-            raise ValueError(f"{path}: expected header 'lat,lon', got {header!r}")
-        for lineno, raw in enumerate(f, start=2):
-            line = raw.strip()
-            if not line:
-                continue
-            if not raw.endswith("\n"):
-                raise ValueError(f"{path}:{lineno}: row {line!r} has no line end; the file is cut short")
-            parts = line.split(",")
-            if len(parts) != 2:
-                raise ValueError(f"{path}:{lineno}: expected 2 fields, got {len(parts)}")
-            try:
-                lat, lon = float(parts[0]), float(parts[1])
-            except ValueError:
-                raise ValueError(f"{path}:{lineno}: not a coordinate pair: {line!r}")
-            rows.append((lat, lon))
-            numbered.append((lineno, line))
+    for lineno, raw in enumerate(lines[1:], start=2):
+        line = _utf8_line(path, lineno, raw)
+        if not line:
+            continue
+        if not raw.endswith((b"\n", b"\r")):
+            raise ValueError(f"{path}:{lineno}: row {line!r} has no line end; the file is cut short")
+        parts = line.split(",")
+        if len(parts) != 2:
+            raise ValueError(f"{path}:{lineno}: expected 2 fields, got {len(parts)}")
+        try:
+            lat, lon = float(parts[0]), float(parts[1])
+        except ValueError:
+            raise ValueError(f"{path}:{lineno}: not a coordinate pair: {line!r}")
+        rows.append((lat, lon))
+        numbered.append((lineno, line))
     if not rows:
         raise ValueError(f"{path}: no cluster centers found")
     centers = np.array(rows, dtype=np.float64)

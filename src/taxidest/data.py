@@ -400,16 +400,13 @@ def split_dataset(
             f"val={n_val} + test={n_test} and a non-empty training set"
         )
     perm = rng.permutation(len(usable))
-    val_ids = set(perm[:n_val])
-    test_ids = set(perm[n_val : n_val + n_test])
+    role = np.zeros(len(usable), dtype=np.int8)  # 0 train, 1 validation, 2 test
+    role[perm[:n_val]] = 1
+    role[perm[n_val : n_val + n_test]] = 2
     split = DatasetSplit(train=[], validation=[], test=[])
-    for i, rec in enumerate(usable):
-        if i in val_ids:
-            split.validation.append(rec)
-        elif i in test_ids:
-            split.test.append(rec)
-        else:
-            split.train.append(rec)
+    parts = (split.train, split.validation, split.test)
+    for rec, k in zip(usable, role.tolist()):
+        parts[k].append(rec)
     return split
 
 

@@ -197,8 +197,8 @@ class _NoCandidates(DataError):
 
 
 class _CandidateSampler:
-    """Random training trajectories as memory-network candidates,
-    excluding any trajectory present in the query batch.
+    """Random training trajectories as memory-network candidates, drawn
+    without replacement, excluding any trip id present in the query batch.
 
     ``model`` is not read; the signature is the one perfbench calls.
     """
@@ -211,37 +211,26 @@ class _CandidateSampler:
 
     def sample(self, rng: np.random.Generator, exclude_trip_ids=frozenset()) -> list[PrefixExample]:
         """Up to ``m`` distinct records whose trip ids are not excluded,
-        drawn uniformly with rejection from at most ``20 m`` draws.
+        drawn uniformly without replacement.
 
-        Draws come in rounds: ``rng.integers(n, size=k)`` gives the values
-        of ``k`` scalar draws and leaves the generator where they would.
-        Each round asks for at most the shortfall and the rest of the
-        budget, and keeps its first occurrences not yet chosen or excluded,
-        in draw order.  So the candidates, their order and the generator's
-        final state are those of one scalar draw at a time until ``m`` are
-        chosen.
+        One ``rng.choice(n, m + len(exclude_trip_ids), replace=False)`` call
+        (capped at ``n``) draws the positions; the first ``m`` drawn records
+        whose trip ids are not excluded are kept, in draw order.  With unique
+        trip ids that is ``min(m, eligible)`` records.  An excluded id that
+        several records share can remove more than one draw, so the result
+        can then be short by those extra records.
         """
-        seen = np.zeros(len(self.records), dtype=bool)
-        chosen = []
-        count, budget = 0, 20 * self.m
-        while count < self.m and budget > 0:
-            draws = rng.integers(len(self.records), size=min(self.m - count, budget))
-            budget -= len(draws)
-            _, first = np.unique(draws, return_index=True)
-            new = draws[np.sort(first)]
-            new = new[~seen[new]]
-            seen[new] = True
-            if exclude_trip_ids:  # a ride drawn again stays excluded, since it stays seen
-                new = new[[self.records[i].trip_id not in exclude_trip_ids for i in new.tolist()]]
-            chosen.append(new)
-            count += len(new)
-        if count == 0:
+        n = len(self.records)
+        picks = rng.choice(n, size=min(n, self.m + len(exclude_trip_ids)), replace=False).tolist()
+        drawn = [self.records[i] for i in picks]
+        chosen = [r for r in drawn if r.trip_id not in exclude_trip_ids][: self.m]
+        if not chosen:
             excluded = sum(r.trip_id in exclude_trip_ids for r in self.records)
             raise _NoCandidates(
                 f"could not sample memory-network candidates: the batch's own trips are left out, "
                 f"and they are {excluded} of the {len(self.records)} training trips"
             )
-        return models.candidates_from_records([self.records[i] for i in np.concatenate(chosen).tolist()])
+        return models.candidates_from_records(chosen)
 
 
 def memory_candidates(

@@ -1,13 +1,15 @@
-"""Memory-network candidate draws against the scalar loop they replaced.
+"""Memory-network candidate draws: properties of ``_CandidateSampler.sample``.
 
-``reference_sample`` below is the former ``_CandidateSampler.sample``: one
-``rng.integers(n)`` call per draw, rejecting records already chosen or
-excluded by trip id, for at most ``20 m`` draws.  The batched sampler must
-pick the same records in the same order and leave the generator in the
-same state, so that every later draw of a training run is unchanged.
+The sampler makes one ``rng.choice(n, m + len(exclude), replace=False)``
+call and keeps, in draw order, the first ``m`` drawn records whose trip ids
+are not excluded.  These tests check what that promises: distinct records,
+no excluded trip id, the exact count, uniformity over the eligible sets,
+and the generator state that one such call leaves.
 """
 
 import dataclasses
+import itertools
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -16,22 +18,8 @@ from conftest import make_records, tiny_model
 from taxidest.data import DataError
 from taxidest.training import _CandidateSampler, memory_candidates
 
-
-def reference_sample(records, m: int, rng, exclude_trip_ids=frozenset()):
-    chosen = []
-    seen = set()
-    for _ in range(20 * m):
-        i = int(rng.integers(len(records)))
-        rec = records[i]
-        if i in seen or rec.trip_id in exclude_trip_ids:
-            continue
-        seen.add(i)
-        chosen.append(rec)
-        if len(chosen) == m:
-            break
-    if not chosen:
-        raise DataError("could not sample memory-network candidates")
-    return chosen
+# Chi-square critical value for 9 degrees of freedom at p = 0.001.
+CHI2_9DF_P001 = 27.877
 
 
 def pool(n: int, seed: int = 0):
@@ -39,71 +27,85 @@ def pool(n: int, seed: int = 0):
     return make_records([int(rng.integers(1, 6)) for _ in range(n)], rng)
 
 
-def assert_same_draws(records, m: int, excludes, seed: int = 7):
-    """Successive draws from one generator, each excluding ``excludes[j]``."""
-    sampler = _CandidateSampler(records, tiny_model("memory_net"), m)
-    rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-    for exclude in excludes:
-        examples = sampler.sample(rng, exclude)
-        want = reference_sample(sampler.records, sampler.m, ref_rng, exclude)
-        assert [id(ex.record) for ex in examples] == [id(r) for r in want]
-        assert rng.bit_generator.state == ref_rng.bit_generator.state
-        assert all(ex.cut == len(ex.record.polyline) for ex in examples)
+def sampler_for(records, m: int) -> _CandidateSampler:
+    return _CandidateSampler(records, tiny_model("memory_net"), m)
+
+
+def drawn_records(sampler, rng, exclude=frozenset()):
+    examples = sampler.sample(rng, exclude)
+    assert all(ex.cut == len(ex.record.polyline) for ex in examples)
     return [ex.record for ex in examples]
 
 
-def test_no_exclusion():
-    got = assert_same_draws(pool(50), 20, [frozenset()] * 4)
-    assert len(got) == 20
+@pytest.mark.parametrize("n, m, every", [(50, 20, 0), (40, 15, 3), (30, 30, 2), (12, 50, 4), (100, 10, 2)])
+def test_distinct_and_never_excluded(n, m, every):
+    records = pool(n)
+    exclude = frozenset(r.trip_id for r in records[::every]) if every else frozenset()
+    sampler, rng = sampler_for(records, m), np.random.default_rng(7)
+    for _ in range(5):
+        got = drawn_records(sampler, rng, exclude)
+        assert len({id(r) for r in got}) == len(got)
+        assert not {r.trip_id for r in got} & exclude
 
 
-def test_exclusion_set():
-    records = pool(40)
-    exclude = frozenset(r.trip_id for r in records[::3])
-    got = assert_same_draws(records, 15, [exclude, frozenset(), exclude])
-    assert not {r.trip_id for r in got} & exclude
+@pytest.mark.parametrize("n, m, n_excluded", [(50, 20, 0), (40, 15, 13), (30, 30, 0), (30, 30, 7), (12, 50, 0), (12, 50, 5), (100, 10, 95)])
+def test_count_with_unique_ids(n, m, n_excluded):
+    records = pool(n)
+    exclude = frozenset(r.trip_id for r in records[n - n_excluded :])
+    sampler, rng = sampler_for(records, m), np.random.default_rng(3)
+    for _ in range(5):
+        assert len(drawn_records(sampler, rng, exclude)) == min(m, n - n_excluded)
 
 
-def test_m_equal_to_the_pool():
-    records = pool(30)
-    got = assert_same_draws(records, 30, [frozenset()] * 3)
-    assert sorted(id(r) for r in got) == sorted(id(r) for r in records)
+def test_m_at_or_above_the_pool_is_the_pool():
+    records = pool(12)
+    for m in (12, 50):
+        got = drawn_records(sampler_for(records, m), np.random.default_rng(1))
+        assert sorted(id(r) for r in got) == sorted(id(r) for r in records)
 
 
-def test_m_above_the_pool_is_the_pool():
-    got = assert_same_draws(pool(12), 50, [frozenset()])
-    assert len(got) == 12
-
-
-def test_duplicate_trip_ids():
+def test_every_ride_of_a_repeated_excluded_id_is_left_out():
     records = pool(30)
     for i in range(0, 30, 2):  # pairs share a trip id: t0 t0 t2 t2 ...
         records[i + 1] = dataclasses.replace(records[i + 1], trip_id=records[i].trip_id)
-    got = assert_same_draws(records, 20, [frozenset(), frozenset({"t0", "t4"})])
-    assert not {"t0", "t4"} & {r.trip_id for r in got}
-    got = assert_same_draws(records, 30, [frozenset()])
-    assert len(got) == 30  # both rides of every shared trip id
+    exclude = frozenset({"t0", "t4", "t10"})
+    sampler, rng = sampler_for(records, 30), np.random.default_rng(5)
+    for _ in range(20):
+        got = drawn_records(sampler, rng, exclude)
+        assert not {r.trip_id for r in got} & exclude
+        assert len(got) == 24  # the 30 rides less the six of the three excluded ids
+    assert len(drawn_records(sampler, rng)) == 30  # both rides of every shared trip id
 
 
-def test_budget_runs_out():
-    records = pool(100)
-    eligible = {records[i].trip_id for i in (5, 31, 47, 77, 90)}
-    exclude = frozenset(r.trip_id for r in records) - eligible
-    got = assert_same_draws(records, 10, [exclude] * 3, seed=3)
-    assert 0 < len(got) < 10
-    assert {r.trip_id for r in got} <= eligible
+def test_pairs_are_uniform():
+    records = pool(6)
+    sampler, rng = sampler_for(records, 2), np.random.default_rng(11)
+    exclude = frozenset({records[2].trip_id})
+    draws = 20_000
+    counts = Counter(frozenset(r.trip_id for r in drawn_records(sampler, rng, exclude)) for _ in range(draws))
+    pairs = [frozenset(p) for p in itertools.combinations([r.trip_id for r in records if r.trip_id not in exclude], 2)]
+    assert set(counts) == set(pairs) and len(pairs) == 10
+    expected = draws / len(pairs)
+    chi2 = sum((counts[p] - expected) ** 2 / expected for p in pairs)
+    assert chi2 < CHI2_9DF_P001
+
+
+@pytest.mark.parametrize("n, m, n_excluded", [(50, 20, 0), (40, 15, 6), (12, 50, 3)])
+def test_generator_state_is_one_choice_call(n, m, n_excluded):
+    records = pool(n)
+    exclude = frozenset(r.trip_id for r in records[:n_excluded])
+    rng, twin = np.random.default_rng(9), np.random.default_rng(9)
+    sampler_for(records, m).sample(rng, exclude)
+    twin.choice(n, size=min(n, m + n_excluded), replace=False)
+    assert rng.bit_generator.state == twin.bit_generator.state
 
 
 def test_nothing_eligible():
     records = pool(25)
-    sampler = _CandidateSampler(records, tiny_model("memory_net"), 5)
+    sampler = sampler_for(records, 5)
     exclude = frozenset(r.trip_id for r in records)
-    rng, ref_rng = np.random.default_rng(1), np.random.default_rng(1)
     with pytest.raises(DataError, match="could not sample .* they are 25 of the 25 training trips$"):
-        sampler.sample(rng, exclude)
-    with pytest.raises(DataError):
-        reference_sample(sampler.records, sampler.m, ref_rng, exclude)
-    assert rng.bit_generator.state == ref_rng.bit_generator.state
+        sampler.sample(np.random.default_rng(1), exclude)
 
 
 def test_unusable_records_are_not_candidates():

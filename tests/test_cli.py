@@ -523,6 +523,16 @@ class TestTrain:
         assert str(bad) in capsys.readouterr().err
         assert not (tmp_path / "x.ckpt").exists()
 
+    def test_cluster_byte_not_utf8_fails(self, tmp_path, prepared_dir, cluster_csv, capsys):
+        lines = cluster_csv.read_bytes().splitlines(keepends=True)
+        bad = tmp_path / "latin1.csv"
+        bad.write_bytes(b"".join(lines[:2]) + b"\xff" + b"".join(lines[2:]))
+        rc = main(
+            ["train", "--data", str(prepared_dir), "--clusters", str(bad), "--out", str(tmp_path / "x.ckpt")]
+        )
+        assert rc == 2
+        assert f"{bad}:3: byte 0xff is not UTF-8" in capsys.readouterr().err
+
     @pytest.mark.parametrize("variant, batch", [(None, TrainConfig.batch_size), ("memory_net", 5000)])
     def test_defaults_come_from_the_configs(self, tmp_path, prepared_dir, cluster_csv, monkeypatch, variant, batch):
         seen = []

@@ -438,6 +438,26 @@ class TestClusterIO:
         with pytest.raises(ValueError, match=":3"):
             load_clusters(path)
 
+    def test_byte_not_utf8_names_the_line(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_bytes(b"lat,lon\n41.1,-8.6\n41.2,-8.\xff5\n")
+        with pytest.raises(ValueError) as err:
+            load_clusters(path)
+        assert str(err.value) == f"{path}:3: byte 0xff is not UTF-8"
+
+    def test_byte_not_utf8_past_the_first_chunk(self, tmp_path):
+        rows = b"41.1,-8.6\n" * 1000  # 10 KB, past a text reader's first 8 KB chunk
+        path = tmp_path / "bad.csv"
+        path.write_bytes(b"lat,lon\n" + rows + b"41.2,\xfe-8.5\n" + rows)
+        with pytest.raises(ValueError) as err:
+            load_clusters(path)
+        assert str(err.value) == f"{path}:1002: byte 0xfe is not UTF-8"
+
+    def test_line_ends_as_in_text_mode(self, tmp_path):
+        path = tmp_path / "ends.csv"
+        path.write_bytes(b"lat,lon\r\n41.1,-8.6\r41.2,-8.5\r\n\n41.3,-8.4\r")
+        np.testing.assert_array_equal(load_clusters(path).centers, [[41.1, -8.6], [41.2, -8.5], [41.3, -8.4]])
+
     @pytest.mark.parametrize("row", ["nan,-8.6", "41.1,inf", "100,-8.6", "41.1,-200"])
     def test_centre_not_finite_or_out_of_range_rejected(self, tmp_path, row):
         path = tmp_path / "bad.csv"

@@ -11,7 +11,7 @@ from scipy import stats as scipy_stats
 
 from conftest import make_records
 from geo_reference import unstandardize
-from taxidest import models
+from taxidest import fixtures, models
 from taxidest.clustering import ClusterSet
 from taxidest.data import (
     CALL_TYPES,
@@ -492,6 +492,34 @@ class TestSplitDataset:
         b = split_dataset(recs, np.random.default_rng(9), 3, 3)
         assert [r.trip_id for r in a.train] == [r.trip_id for r in b.train]
         assert [r.trip_id for r in a.test] == [r.trip_id for r in b.test]
+
+    def test_fixture_split_is_pinned(self, tmp_path):
+        """``splits.json`` stores only the seed and the counts, so the
+        positions a seed gives must never change."""
+        path = tmp_path / "city.csv"
+        fixtures.generate_city_csv(path, 60, seed=3)
+        with open(path, "r", encoding="utf-8", newline="") as f:
+            recs = list(parse_csv(f))
+        split = split_dataset(recs, np.random.default_rng(1), 8, 8)
+        position = {id(r): i for i, r in enumerate(recs)}
+        assert [position[id(r)] for r in split.validation] == [16, 24, 25, 27, 28, 31, 44, 58]
+        assert [position[id(r)] for r in split.test] == [3, 6, 14, 15, 23, 33, 35, 53]
+        assert len(split.train) == 44
+
+    @pytest.mark.parametrize("n, n_val, n_test, seed", [(10, 3, 3, 9), (57, 0, 11, 2), (200, 31, 0, 5), (200, 40, 60, 8)])
+    def test_roles_match_the_membership_loop(self, n, n_val, n_test, seed):
+        """The split the former per-record set lookups gave."""
+        recs = make_records([2] * n, np.random.default_rng(0))
+        perm = np.random.default_rng(seed).permutation(n)
+        val_ids, test_ids = set(perm[:n_val].tolist()), set(perm[n_val : n_val + n_test].tolist())
+        split = split_dataset(recs, np.random.default_rng(seed), n_val, n_test)
+        position = {id(r): i for i, r in enumerate(recs)}
+        got = [[position[id(r)] for r in part] for part in (split.train, split.validation, split.test)]
+        assert got == [
+            [i for i in range(n) if i not in val_ids | test_ids],
+            [i for i in range(n) if i in val_ids],
+            [i for i in range(n) if i in test_ids],
+        ]
 
 
 class TestFitStandardization:
