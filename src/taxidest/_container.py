@@ -19,7 +19,7 @@ from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from ._atomic import atomic_open
+from ._atomic import DataError, atomic_open
 
 _PREAMBLE = struct.Struct("<IQ")  # version, header length
 
@@ -33,7 +33,6 @@ class Format(NamedTuple):
     version: int
     kind: str
     item: str
-    error: type
     hint: str = ""
 
 
@@ -82,7 +81,7 @@ def _entry(e) -> tuple[str, list, np.dtype, int, int]:
 def read(path, fmt: Format, where: Optional[Callable] = None) -> tuple[dict, dict[str, np.ndarray]]:
     """Returns (header, {array name: native-order array}), arrays in file order.
 
-    Raises ``fmt.error`` naming the path for a bad magic or version, a
+    Raises :class:`DataError` naming the path for a bad magic or version, a
     truncated or unreadable header, a header that is not an object with a
     ``params`` list of well-formed entries, an array whose bytes the file
     cuts short or which do not match its shape, and bytes after the last one.
@@ -93,40 +92,58 @@ def read(path, fmt: Format, where: Optional[Callable] = None) -> tuple[dict, dic
         size = os.fstat(f.fileno()).st_size
         magic = f.read(len(fmt.magic))
         if magic != fmt.magic:
-            raise fmt.error(f"{path}: not a {fmt.kind} file (bad magic {magic!r})")
+            raise DataError(f"{path}: not a {fmt.kind} file (bad magic {magic!r})")
         body = len(fmt.magic) + _PREAMBLE.size
         if size < body:
-            raise fmt.error(f"{path}: truncated {fmt.kind} header ({size} bytes)")
+            raise DataError(f"{path}: truncated {fmt.kind} header ({size} bytes)")
         version, hlen = _PREAMBLE.unpack(f.read(_PREAMBLE.size))
         if version != fmt.version:
-            raise fmt.error(f"{path}: unsupported {fmt.kind} version {version}{fmt.hint}")
+            raise DataError(f"{path}: unsupported {fmt.kind} version {version}{fmt.hint}")
         if size < body + hlen:
-            raise fmt.error(f"{path}: truncated {fmt.kind} header ({size} of {body + hlen} bytes)")
+            raise DataError(f"{path}: truncated {fmt.kind} header ({size} of {body + hlen} bytes)")
         try:
             header = json.loads(f.read(hlen).decode("utf-8"))
         except ValueError as e:
-            raise fmt.error(f"{path}: unreadable {fmt.kind} header: {e}") from None
+            raise DataError(f"{path}: unreadable {fmt.kind} header: {e}") from None
         if not isinstance(header, dict) or not isinstance(header.get("params"), list):
-            raise fmt.error(f"{path}: the {fmt.kind} header is not an object with a params list")
+            raise DataError(f"{path}: the {fmt.kind} header is not an object with a params list")
         blob, arrays, end = size - body - hlen, {}, 0
         for i, e in enumerate(header["params"]):
             try:
                 name, shape, dtype, offset, nbytes = _entry(e)
             except ValueError as why:
-                raise fmt.error(f"{path}: {fmt.kind} header entry {i}: {why}") from None
+                raise DataError(f"{path}: {fmt.kind} header entry {i}: {why}") from None
             if offset + nbytes > blob:
                 cut = where(name, arrays, max(blob - offset, 0)) if where else None
-                raise fmt.error(f"{path}: truncated in " + (cut or (
+                raise DataError(f"{path}: truncated in " + (cut or (
                     f"{fmt.item} {name!r}: needs bytes {offset}..{offset + nbytes} after the header, "
                     f"the file has {blob}")))
             if nbytes != dtype.itemsize * math.prod(shape):
-                raise fmt.error(f"{path}: {fmt.item} {name!r}: {nbytes} bytes do not hold {shape} of {dtype}")
+                raise DataError(f"{path}: {fmt.item} {name!r}: {nbytes} bytes do not hold {shape} of {dtype}")
             arr = np.empty(shape, dtype=dtype)
             f.seek(body + hlen + offset)
             if f.readinto(arr.reshape(-1).view(np.uint8)) != nbytes:
-                raise fmt.error(f"{path}: truncated in {fmt.item} {name!r} while reading")
+                raise DataError(f"{path}: truncated in {fmt.item} {name!r} while reading")
             arrays[name] = arr.astype(dtype.newbyteorder("="), copy=False)
             end = max(end, offset + nbytes)
         if blob > end:
-            raise fmt.error(f"{path}: {blob - end} bytes after the last {fmt.item}")
+            raise DataError(f"{path}: {blob - end} bytes after the last {fmt.item}")
         return header, arrays
+
+
+def check(path, fmt: Format, arrays: dict[str, np.ndarray], expected: Sequence[tuple], owner: str) -> None:
+    """Raise :class:`DataError` naming ``path`` at the first of ``arrays``
+    (in file order) that is not as in ``owner``'s (name, shape, dtype) list,
+    such as "variant brnn's"; ``None`` in a shape stands for any length."""
+    names = list(arrays)
+    for i, (name, shape, dtype) in enumerate(expected):
+        if i == len(names) or names[i] != name:
+            found = "none" if i == len(names) else repr(names[i])
+            raise DataError(f"{path}: {owner} {fmt.item} {i} is {name!r}; the {fmt.kind} has {found} there")
+        arr = arrays[name]
+        fits = len(arr.shape) == len(shape) and all(w in (None, d) for w, d in zip(shape, arr.shape))
+        if arr.dtype != dtype or not fits:
+            raise DataError(f"{path}: {fmt.item} {name!r} is {arr.dtype} {arr.shape}, "
+                            f"expected {np.dtype(dtype)} {shape}")
+    if len(names) > len(expected):
+        raise DataError(f"{path}: {fmt.item} {names[len(expected)]!r} is not one of {owner}")

@@ -26,7 +26,7 @@ from typing import Iterator, NamedTuple
 import numpy as np
 
 from . import fixtures, models, training
-from ._atomic import atomic_open
+from ._atomic import atomic_open, non_utf8_error
 from .clustering import MeanShiftConfig, load_clusters, mean_shift, save_clusters
 from .data import (
     CsvParseError,
@@ -130,18 +130,6 @@ def _build_parser() -> _Parser:
 # ---------------------------------------------------------------------------
 
 
-def _first_non_utf8_line(path) -> int:
-    """The 1-based line of ``path`` that holds its first byte that is not
-    UTF-8.  No UTF-8 sequence holds a newline, so lines decode alone."""
-    with open(path, "rb") as f:
-        for n, line in enumerate(f, 1):
-            try:
-                line.decode("utf-8")
-            except UnicodeDecodeError:
-                return n
-    raise DataError(f"{path}: changed while it was read")
-
-
 def _read_csv(path) -> Iterator[TrainRecord]:
     """The records of the competition CSV at ``path``, in file order.  A
     malformed row or a byte that is not UTF-8 raises :class:`DataError`
@@ -152,8 +140,7 @@ def _read_csv(path) -> Iterator[TrainRecord]:
     except CsvParseError as e:
         raise DataError(f"{path}: {e}") from e
     except UnicodeDecodeError as e:
-        line = _first_non_utf8_line(path)
-        raise DataError(f"{path}: line {line}: byte {e.object[e.start]:#04x} is not UTF-8 ({e.reason})") from e
+        raise non_utf8_error(path) from e
 
 
 class _Prepared(NamedTuple):
@@ -185,6 +172,8 @@ def _load_prepared(data_dir) -> _Prepared:
     with open(path, "r", encoding="utf-8") as f:
         try:
             spec = json.load(f)
+        except UnicodeDecodeError:
+            raise non_utf8_error(path) from None
         except ValueError as e:
             raise DataError(f"{path}: not JSON: {e}")
     if not isinstance(spec, dict):

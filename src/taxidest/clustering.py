@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from ._atomic import atomic_open
+from ._atomic import DataError, atomic_open, non_utf8_error, scalar
 from .geo import DEG2RAD, EARTH_RADIUS_M, first_off_earth
 
 __all__ = [
@@ -140,46 +140,41 @@ def save_clusters(cs: ClusterSet, path) -> None:
             f.write(f"{lat:.17g},{lon:.17g}\n")
 
 
-def _utf8_line(path, lineno: int, raw: bytes) -> str:
-    try:
-        return raw.decode("utf-8").strip()
-    except UnicodeDecodeError as e:
-        raise ValueError(f"{path}:{lineno}: byte {raw[e.start]:#04x} is not UTF-8") from None
-
-
 def load_clusters(path) -> ClusterSet:
-    """Read a cluster CSV; ValueError names the path and the line of a bad
-    header, of a byte that is not UTF-8, of a bad row (not a finite pair
-    with |lat| <= 90, |lon| <= 180) or of a last row without a line end (a
-    file cut short).  Lines end as in text mode: at \\n, \\r\\n or \\r.  A
-    cut at a line boundary cannot be detected: the format has no row
-    count, so that hand-written files stay valid."""
-    with open(path, "rb") as f:
-        lines = f.read().splitlines(keepends=True)
-    header = _utf8_line(path, 1, lines[0]) if lines else ""
+    """Read a cluster CSV; :class:`DataError` names the path and the line of
+    a bad header, of a byte that is not UTF-8, of a bad row (not two numbers
+    in the ASCII grammar of ``_atomic.scalar``, finite with |lat| <= 90,
+    |lon| <= 180) or of a last row without a line end (a file cut short).
+    Lines end as in text mode: at \\n, \\r\\n or \\r.  A cut at a line
+    boundary cannot be detected: the format has no row count, so that
+    hand-written files stay valid."""
+    try:
+        with open(path, "r", encoding="utf-8", newline="") as f:
+            lines = f.readlines()
+    except UnicodeDecodeError:
+        raise non_utf8_error(path, ":") from None
+    header = lines[0].rstrip("\r\n").strip(" ") if lines else ""
     if header != "lat,lon":
-        raise ValueError(f"{path}:1: expected header 'lat,lon', got {header!r}")
+        raise DataError(f"{path}:1: expected header 'lat,lon', got {header!r}")
     rows, numbered = [], []
     for lineno, raw in enumerate(lines[1:], start=2):
-        line = _utf8_line(path, lineno, raw)
-        if not line:
+        line = raw.rstrip("\r\n")
+        if not line.strip(" "):
             continue
-        if not raw.endswith((b"\n", b"\r")):
-            raise ValueError(f"{path}:{lineno}: row {line!r} has no line end; the file is cut short")
-        parts = line.split(",")
-        if len(parts) != 2:
-            raise ValueError(f"{path}:{lineno}: expected 2 fields, got {len(parts)}")
-        try:
-            lat, lon = float(parts[0]), float(parts[1])
-        except ValueError:
-            raise ValueError(f"{path}:{lineno}: not a coordinate pair: {line!r}")
-        rows.append((lat, lon))
+        if line == raw:
+            raise DataError(f"{path}:{lineno}: row {line!r} has no line end; the file is cut short")
+        fields = [scalar(part) for part in line.split(",")]
+        if len(fields) != 2:
+            raise DataError(f"{path}:{lineno}: expected 2 fields, got {len(fields)}")
+        if any(kind not in ("int", "float") for kind, _ in fields):
+            raise DataError(f"{path}:{lineno}: not a coordinate pair: {line!r}")
+        rows.append([float(token) for _, token in fields])
         numbered.append((lineno, line))
     if not rows:
-        raise ValueError(f"{path}: no cluster centers found")
+        raise DataError(f"{path}: no cluster centers found")
     centers = np.array(rows, dtype=np.float64)
     j = first_off_earth(centers)
     if j is not None:
         lineno, line = numbered[j]
-        raise ValueError(f"{path}:{lineno}: centre {line!r} is not finite within |lat| <= 90, |lon| <= 180")
+        raise DataError(f"{path}:{lineno}: centre {line!r} is not finite within |lat| <= 90, |lon| <= 180")
     return ClusterSet(centers)

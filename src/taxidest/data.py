@@ -26,7 +26,7 @@ from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 import numpy as np
 
 from . import _container
-from ._atomic import atomic_open
+from ._atomic import DataError, atomic_open, scalar
 from .geo import GeoPoint, StandardizationStats, first_off_earth
 
 __all__ = [
@@ -68,10 +68,6 @@ _CSV_COLUMNS = (
 
 _NOT_PAIRS = "expected a JSON array of [lon, lat] number pairs"
 _MISSING_DATA = {"true": True, "false": False}
-
-
-class DataError(Exception):
-    """Raised for unusable or inconsistent input data."""
 
 
 class CsvParseError(DataError):
@@ -141,7 +137,13 @@ class MetadataVocab:
 
     @classmethod
     def from_json(cls, obj: dict) -> "MetadataVocab":
-        return cls({f: {int(k): v for k, v in obj[f].items()} for f in _ID_ATTRIBUTES})
+        """The maps that :meth:`to_json` wrote.  ValueError unless each maps
+        distinct ids, written as ``str(int)`` writes them, to 1..n."""
+        maps = {f: {int(k): v for k, v in obj[f].items()} for f in _ID_ATTRIBUTES}
+        for f, m in maps.items():
+            if list(map(str, m)) != list(obj[f]) or sorted(m.values()) != list(range(1, len(m) + 1)):
+                raise ValueError(f"the {f} vocabulary does not map distinct integer ids to 1..{len(m)}")
+        return cls(maps)
 
 
 class PrefixExample(NamedTuple):
@@ -186,20 +188,17 @@ def _parse_int(text: str, line: int, column: str, optional: bool) -> Optional[in
     """An integer field the record cache can hold.  An optional id
     (ORIGIN_CALL, ORIGIN_STAND) may be empty or NA (None), or an integral
     float such as ``31508.0``."""
-    text = text.strip()
-    if optional and text.upper() in ("", "NA"):
+    kind, token = scalar(text)
+    value = None
+    if kind == "int":
+        value = int(token)
+    elif optional and kind == "word" and token.upper() in ("", "NA"):
         return None
-    try:
-        value = int(text)
-    except ValueError:
-        try:
-            f = float(text)
-        except ValueError:
-            f = float("nan")
-        value = int(f) if optional and f.is_integer() else None  # not for inf or NaN
+    elif optional and kind == "float" and float(token).is_integer():  # not for inf or NaN
+        value = int(float(token))
     if value is None or not _cacheable(value, optional):
-        kind = "a non-negative integer" if optional else "an integer"
-        raise CsvParseError(line, column, f"not {kind} within int64: {text!r}")
+        what = "a non-negative integer" if optional else "an integer"
+        raise CsvParseError(line, column, f"not {what} within int64: {token!r}")
     return value
 
 
@@ -208,13 +207,21 @@ def parse_csv(stream) -> Iterator[TrainRecord]:
 
     ``stream`` may be a text file object or an iterable of text lines.
     Records are yielded in file order, including ones with
-    ``missing_data`` or empty polylines (filter on ``.usable``).
-    Malformed rows, POLYLINE coordinates that are not JSON numbers, are
-    not finite or lie outside |lat| <= 90, |lon| <= 180, and a
-    MISSING_DATA other than True or False (any case) raise
+    ``missing_data`` or empty polylines (filter on ``.usable``).  Malformed
+    rows, scalar fields outside ``_atomic.scalar``'s ASCII grammar, POLYLINE
+    coordinates that are not JSON numbers, are not finite or lie outside
+    |lat| <= 90, |lon| <= 180, a MISSING_DATA other than True or False (any
+    case) and a last line with no line end (a file cut short) raise
     :class:`CsvParseError` with line and column.
     """
-    reader = csv.reader(stream)
+    last = ""  # the last line read; a last row without a line end was cut short
+
+    def lines():
+        nonlocal last
+        for last in stream:
+            yield last
+
+    reader = csv.reader(lines())
     try:
         header = next(reader)
     except StopIteration:
@@ -225,20 +232,26 @@ def parse_csv(stream) -> Iterator[TrainRecord]:
             raise CsvParseError(1, name, "missing required column")
         pos[name] = header.index(name)
 
-    for row in reader:
+    while True:
+        try:
+            row = next(reader)
+        except StopIteration:
+            break
+        except csv.Error as e:  # a field past csv.field_size_limit(); before Python 3.11, a NUL
+            raise CsvParseError(reader.line_num, "TRIP_ID", str(e)) from None
         line = reader.line_num
         if len(row) < len(header):
             raise CsvParseError(line, "TRIP_ID", f"expected {len(header)} fields, got {len(row)}")
 
-        code = row[pos["CALL_TYPE"]].strip()
-        if code not in _CALL_TYPE_FROM_CODE:
+        kind, code = scalar(row[pos["CALL_TYPE"]])
+        if kind != "word" or code not in _CALL_TYPE_FROM_CODE:
             raise CsvParseError(line, "CALL_TYPE", f"unknown call type {code!r}")
         origin_call = _parse_int(row[pos["ORIGIN_CALL"]], line, "ORIGIN_CALL", optional=True)
         origin_stand = _parse_int(row[pos["ORIGIN_STAND"]], line, "ORIGIN_STAND", optional=True)
         taxi_id = _parse_int(row[pos["TAXI_ID"]], line, "TAXI_ID", optional=False)
         timestamp = _parse_int(row[pos["TIMESTAMP"]], line, "TIMESTAMP", optional=False)
-        missing_text = row[pos["MISSING_DATA"]]
-        missing = _MISSING_DATA.get(missing_text.strip().lower())
+        kind, missing_text = scalar(row[pos["MISSING_DATA"]])
+        missing = _MISSING_DATA.get(missing_text.lower()) if kind == "word" else None
         if missing is None:
             raise CsvParseError(line, "MISSING_DATA", f"expected True or False, got {missing_text!r}")
 
@@ -279,6 +292,8 @@ def parse_csv(stream) -> Iterator[TrainRecord]:
             missing_data=missing,
             polyline=arr,
         )
+    if not last.endswith(("\n", "\r")):
+        raise CsvParseError(reader.line_num, header[-1], "the last row has no line end; the file is cut short")
 
 
 def write_csv(records: Iterable[TrainRecord], path) -> None:
@@ -440,9 +455,7 @@ def fit_standardization(records: Iterable[TrainRecord]) -> StandardizationStats:
 # (``taxidest prepare``) and never a source of truth.
 # ---------------------------------------------------------------------------
 
-_CACHE = _container.Format(
-    b"TXDCACHE", 2, "record cache", "column", DataError, "; re-run `taxidest prepare` to rebuild it"
-)
+_CACHE = _container.Format(b"TXDCACHE", 2, "record cache", "column", "; re-run `taxidest prepare` to rebuild it")
 #: Integer columns, one row per record, all int64; then the points.
 _META_COLUMNS = ("call_type", "origin_call", "origin_stand", "taxi_id", "timestamp", "missing")
 #: The inclusive range of each coded column's values.
@@ -485,11 +498,12 @@ def save_records(records: Sequence[TrainRecord], path) -> None:
 def load_records(path) -> list[TrainRecord]:
     """Read a record cache; each polyline is a slice of one points array.
     A cache of another version, a truncated file, bytes after the last
-    column, columns that disagree, a coded value out of its range (call
-    type 0-2, missing 0 or 1, origin call and stand -1 or more) or a point
-    that is not finite within |lat| <= 90, |lon| <= 180 raise
-    :class:`DataError` naming the path; a cut inside the points, a bad code
-    or a bad point also names its record."""
+    column, a column that is missing, extra or out of place, columns that
+    disagree, a coded value out of its range (call type 0-2, missing 0 or
+    1, origin call and stand -1 or more) or a point that is not finite
+    within |lat| <= 90, |lon| <= 180 raise :class:`DataError` naming the
+    path; a cut inside the points, a bad code or a bad point also names
+    its record."""
 
     def where(name, cols, present):
         if name == "points" and "offsets" in cols:  # 16 bytes a point
@@ -501,15 +515,13 @@ def load_records(path) -> list[TrainRecord]:
     if not isinstance(trip_ids, list):
         raise DataError(f"{path}: the header has no trip_ids list")
     n = len(trip_ids)
-    for name in ("offsets", *_META_COLUMNS, "points"):  # offsets first: they size the points
-        want = (n + 1,) if name == "offsets" else (int(cols["offsets"][-1]), 2) if name == "points" else (n,)
-        dtype = np.dtype(np.float64 if name == "points" else np.int64)
-        col = cols.get(name)
-        if col is None or col.dtype != dtype or col.shape != want:
-            raise DataError(f"{path}: column {name!r} is missing or not {dtype} of shape {want}")
+    expected = [("offsets", (n + 1,), np.int64), *((name, (n,), np.int64) for name in _META_COLUMNS),
+                ("points", (None, 2), np.float64)]
+    _container.check(path, _CACHE, cols, expected, "the record cache's")
     offsets, points = cols["offsets"], cols["points"]
-    if offsets[0] != 0 or (np.diff(offsets) < 0).any():
-        raise DataError(f"{path}: the offsets do not start at 0 and never fall")
+    if offsets[0] != 0 or (np.diff(offsets) < 0).any() or offsets[-1] != len(points):
+        raise DataError(f"{path}: the offsets do not start at 0 and never fall, "
+                        f"or do not end at the {len(points)} points")
     for name, (low, high) in _CODE_RANGES.items():
         bad = (cols[name] < low) | (cols[name] > high)
         if bad.any():

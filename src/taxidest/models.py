@@ -30,7 +30,7 @@ import numpy as np
 
 from . import _container, nncore
 from .clustering import ClusterSet
-from .data import EMBEDDING_FIELDS, MetadataVocab, PrefixExample, TrainRecord
+from .data import EMBEDDING_FIELDS, DataError, MetadataVocab, PrefixExample, TrainRecord
 from .data import make_prefix_example  # noqa: F401  (perfbench/spans.py patches this name here)
 from .geo import StandardizationStats
 from .nncore import Parameter, Tape, Tensor
@@ -412,7 +412,7 @@ def predict(model: DestinationModel, batch, candidates=None) -> np.ndarray:
 # arrays are the parameters in ``_parameter_shapes`` order.
 # ---------------------------------------------------------------------------
 
-_CHECKPOINT = _container.Format(b"TXDMODEL", 1, "checkpoint", "parameter", ValueError)
+_CHECKPOINT = _container.Format(b"TXDMODEL", 1, "checkpoint", "parameter")
 
 
 def save_model(model: DestinationModel, path) -> None:
@@ -426,48 +426,17 @@ def save_model(model: DestinationModel, path) -> None:
     _container.write(path, _CHECKPOINT, {"extras": extras}, model.parameters())
 
 
-def _config_from_json(obj: dict) -> ModelConfig:
-    """The stored config; the older layout's ``memory_batch`` is dropped and
-    its per-table ``embedding_dims``, which must all be equal, become
-    ``embedding_dim``."""
-    obj = dict(obj)
-    obj.pop("memory_batch", None)
-    if "embedding_dims" in obj:
-        widths = set(obj.pop("embedding_dims").values())
-        if len(widths) != 1:
-            raise ValueError(f"embedding_dims holds the widths {sorted(widths)}; every table needs one width")
-        obj["embedding_dim"] = widths.pop()
-    return ModelConfig(**obj)
-
-
-def _check_parameters(path, config: ModelConfig, expected, values: dict[str, np.ndarray]) -> None:
-    """Raise ValueError naming ``path`` and the first parameter whose name,
-    shape or dtype differs from the ``expected`` (name, shape) list."""
-    names, dtype = list(values), config.np_dtype()
-    for i, (name, shape) in enumerate(expected):
-        if i == len(names) or names[i] != name:
-            found = "none" if i == len(names) else repr(names[i])
-            raise ValueError(f"{path}: variant {config.variant}'s parameter {i} is {name!r}; "
-                             f"the checkpoint has {found} there")
-        if values[name].shape != shape or values[name].dtype != dtype:
-            raise ValueError(f"{path}: parameter {name!r} is {values[name].dtype} {values[name].shape}, "
-                             f"expected {dtype} {shape}")
-    if len(names) > len(expected):
-        raise ValueError(f"{path}: parameter {names[len(expected)]!r} is not one of variant {config.variant}'s")
-
-
 def load_model(path) -> DestinationModel:
-    """The model saved at ``path``.  A checkpoint in the older config layout
-    (see :func:`_config_from_json`) loads too; metadata that cannot be read,
-    or parameters whose names, order, shapes or dtype do not fit the config,
-    raise ValueError naming the path, as does a file that is not a whole
-    version-1 checkpoint."""
+    """The model saved at ``path``.  Metadata that cannot be read, or
+    parameters whose names, order, shapes or dtype do not fit the config,
+    raise :class:`DataError` naming the path, as does a file that is not a
+    whole version-1 checkpoint as :func:`save_model` writes it."""
     header, values = _container.read(path, _CHECKPOINT)
     extras = header.get("extras")
     if not isinstance(extras, dict):
-        raise ValueError(f"{path}: the checkpoint header has no extras object")
+        raise DataError(f"{path}: the checkpoint header has no extras object")
     try:
-        config = _config_from_json(extras["model_config"])
+        config = ModelConfig(**extras["model_config"])
         stats = StandardizationStats(**extras["stats"])
         vocab = MetadataVocab.from_json(extras["vocab"])
         clusters = None
@@ -475,10 +444,12 @@ def load_model(path) -> DestinationModel:
             clusters = ClusterSet(np.array(extras["clusters"], dtype=np.float64))
         expected = _parameter_shapes(config, vocab, clusters)
     except KeyError as e:
-        raise ValueError(f"{path}: checkpoint metadata has no {e} entry") from e
+        raise DataError(f"{path}: checkpoint metadata has no {e} entry") from e
     except (AttributeError, TypeError, ValueError) as e:
-        raise ValueError(f"{path}: checkpoint metadata is not readable: {e}") from e
-    _check_parameters(path, config, expected, values)
+        raise DataError(f"{path}: checkpoint metadata is not readable: {e}") from e
+    dtype = config.np_dtype()
+    _container.check(path, _CHECKPOINT, values, [(name, shape, dtype) for name, shape in expected],
+                     f"variant {config.variant}'s")
     params = {name: Parameter(name, arr) for name, arr in values.items()}
     return DestinationModel(
         config=config, params=params, clusters=clusters, stats=stats, vocab=vocab

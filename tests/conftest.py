@@ -6,8 +6,6 @@ cancellation noise: the loss is thousands of meters while individual
 gradient elements can be 1e-4 of the gradient scale.
 """
 
-import dataclasses
-
 import numpy as np
 import pytest
 
@@ -52,25 +50,17 @@ def tiny_model(variant: str, seed: int = 0, **overrides):
     return models.build_model(cfg, tiny_clusters(), tiny_stats(), tiny_vocab(), seed=seed)
 
 
-def older_layout_extras(model) -> dict:
-    """``save_model``'s checkpoint extras for ``model`` in the config layout
-    written before the single embedding width: one width per table in
-    ``embedding_dims``, and the training batch ``memory_batch``."""
-    config = dataclasses.asdict(model.config)
-    width = config.pop("embedding_dim")
-    config["embedding_dims"] = {f: width for f in models.EMBEDDING_FIELDS}
-    config["memory_batch"] = 5000
-    return {
-        "model_config": config,
-        "stats": dataclasses.asdict(model.stats),
-        "vocab": model.vocab.to_json(),
-        "clusters": None if model.clusters is None else model.clusters.centers.tolist(),
-    }
+def saved_extras(model, path) -> dict:
+    """The checkpoint extras that ``models.save_model`` writes for ``model``,
+    read back from the checkpoint it saves at ``path``."""
+    models.save_model(model, path)
+    header, _ = _container.read(path, models._CHECKPOINT)
+    return header["extras"]
 
 
 def write_checkpoint(path, params, extras) -> None:
     """A checkpoint of ``params`` whose header holds ``extras`` as given, in
-    ``models.save_model``'s format: for older layouts and damaged metadata."""
+    ``models.save_model``'s format: for damaged metadata."""
     _container.write(path, models._CHECKPOINT, {"extras": extras}, params)
 
 

@@ -12,9 +12,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import older_layout_extras, write_checkpoint
+from conftest import saved_extras, write_checkpoint
 from taxidest import cli, data, fixtures, models, nncore, training
-from taxidest._atomic import atomic_open
+from taxidest._atomic import atomic_open, non_utf8_error
 from taxidest.cli import main
 from taxidest.clustering import ClusterSet, MeanShiftConfig
 from taxidest.models import ModelConfig
@@ -204,15 +204,18 @@ class TestCsvErrorsNameTheFile:
 def test_first_non_utf8_line_at_every_position(tmp_path):
     """A bad byte at each position of a text of two-byte characters: a
     stray continuation byte, a lead byte before ASCII, and a file cut
-    inside a character."""
-    text = "a\né\nxé,é\r\n".encode()
+    inside a character.  Lines end at \\n, \\r\\n or \\r, as ``csv`` counts
+    them."""
+    text = "a\né\rxé,é\r\nb\r".encode()
     path = tmp_path / "t.csv"
     for i in range(len(text) + 1):
+        lines = text[:i].splitlines(keepends=True)  # the ends before the bad byte
+        line = len(lines) + 1 if not lines or text[:i].endswith((b"\n", b"\r")) else len(lines)
         for bad in (b"\x80", b"\xc3a"):
             path.write_bytes(text[:i] + bad + text[i:])
-            assert cli._first_non_utf8_line(path) == text[:i].count(b"\n") + 1, (i, bad)
+            assert str(non_utf8_error(path)).startswith(f"{path}: line {line}: byte "), (i, bad)
     path.write_bytes(text + b"\xc3")
-    assert cli._first_non_utf8_line(path) == text.count(b"\n") + 1
+    assert str(non_utf8_error(path)) == f"{path}: line 5: byte 0xc3 is not UTF-8"
 
 
 def _small_train_args(data_dir, out):
@@ -343,11 +346,12 @@ class TestPreparedDirectory:
             ('{"seed": true, "validation": 8, "test": 8}', "'seed' is not a non-negative int"),
             ('{"seed": 1, "validation": -1, "test": 8}', "'validation' is not a non-negative int"),
             ('{"seed": 1, "validation": 8, "test": 8.0}', "'test' is not a non-negative int"),
+            ('{"seed": 1,\r"validation": \udcff8, "test": 8}', "line 2: byte 0xff is not UTF-8"),
         ],
     )
     def test_damaged_splits_file(self, data_copy, trained_ckpt, tmp_path, capsys, command, text, why):
         path = data_copy / "splits.json"
-        path.write_text(text)
+        path.write_bytes(text.encode("utf-8", "surrogateescape"))  # \udcff is the byte 0xff
         args = {
             "cluster": ["cluster", "--data", str(data_copy), "--out", str(tmp_path / "c.csv")],
             "train": _small_train_args(data_copy, tmp_path / "m.ckpt"),
@@ -695,19 +699,9 @@ class TestEvaluate:
         assert main(["evaluate", "--model", str(ckpt), "--data", str(data_dir), "--split", "test"]) == 0
         assert capsys.readouterr().out == "mean_haversine_km 0.000\n"
 
-    def test_older_checkpoint_layout_evaluates_alike(self, trained_ckpt, prepared_dir, tmp_path, capsys):
-        model = models.load_model(trained_ckpt)
-        older = tmp_path / "older.ckpt"
-        write_checkpoint(older, model.parameters(), older_layout_extras(model))
-        runs = []
-        for path in (trained_ckpt, older):
-            assert main(["evaluate", "--model", str(path), "--data", str(prepared_dir)]) == 0
-            runs.append(capsys.readouterr().out)
-        assert runs[0] == runs[1]
-
     @pytest.mark.parametrize(
         "damage",
-        [lambda e: e["model_config"]["embedding_dims"].update(taxi=5),  # unequal widths
+        [lambda e: e["model_config"].update(memory_batch=5000),  # a key of the older config layout
          lambda e: e["model_config"].update(embedding_width=4),  # a key this version does not know
          lambda e: e.pop("vocab")],
     )
@@ -715,7 +709,7 @@ class TestEvaluate:
         self, trained_ckpt, prepared_dir, tmp_path, capsys, damage
     ):
         model = models.load_model(trained_ckpt)
-        extras = older_layout_extras(model)
+        extras = saved_extras(model, tmp_path / "saved.ckpt")
         damage(extras)
         path = tmp_path / "damaged.ckpt"
         write_checkpoint(path, model.parameters(), extras)

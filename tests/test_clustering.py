@@ -17,6 +17,7 @@ from taxidest.clustering import (
     mean_shift,
     save_clusters,
 )
+from taxidest.data import DataError
 from taxidest.geo import EARTH_RADIUS_M, GeoPoint
 
 R = EARTH_RADIUS_M
@@ -413,7 +414,7 @@ class TestClusterIO:
     def test_empty_file_errors(self, tmp_path):
         path = tmp_path / "empty.csv"
         path.write_text("lat,lon\n")
-        with pytest.raises(ValueError):
+        with pytest.raises(DataError):
             load_clusters(path)
 
     def test_hand_written_rows(self, tmp_path):
@@ -426,7 +427,7 @@ class TestClusterIO:
     def test_cut_in_last_number_rejected(self, tmp_path):
         path = tmp_path / "cut.csv"
         path.write_text("lat,lon\n41.1,-8.6\n41.2,-8.")
-        with pytest.raises(ValueError, match="no line end") as err:
+        with pytest.raises(DataError, match="no line end") as err:
             load_clusters(path)
         assert f"{path}:3" in str(err.value)
         path.write_text("lat,lon\n41.1,-8.6\n41.2,-8.\n")  # the line end restored
@@ -435,13 +436,13 @@ class TestClusterIO:
     def test_bad_row_reports_line(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("lat,lon\n41.1,-8.6\nnot,numbers\n")
-        with pytest.raises(ValueError, match=":3"):
+        with pytest.raises(DataError, match=":3"):
             load_clusters(path)
 
     def test_byte_not_utf8_names_the_line(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_bytes(b"lat,lon\n41.1,-8.6\n41.2,-8.\xff5\n")
-        with pytest.raises(ValueError) as err:
+        with pytest.raises(DataError) as err:
             load_clusters(path)
         assert str(err.value) == f"{path}:3: byte 0xff is not UTF-8"
 
@@ -449,7 +450,7 @@ class TestClusterIO:
         rows = b"41.1,-8.6\n" * 1000  # 10 KB, past a text reader's first 8 KB chunk
         path = tmp_path / "bad.csv"
         path.write_bytes(b"lat,lon\n" + rows + b"41.2,\xfe-8.5\n" + rows)
-        with pytest.raises(ValueError) as err:
+        with pytest.raises(DataError) as err:
             load_clusters(path)
         assert str(err.value) == f"{path}:1002: byte 0xfe is not UTF-8"
 
@@ -462,9 +463,22 @@ class TestClusterIO:
     def test_centre_not_finite_or_out_of_range_rejected(self, tmp_path, row):
         path = tmp_path / "bad.csv"
         path.write_text(f"lat,lon\n41.1,-8.6\n{row}\n")
-        with pytest.raises(ValueError, match="not finite") as err:
+        with pytest.raises(DataError, match="not finite") as err:
             load_clusters(path)
         assert f"{path}:3" in str(err.value)
+
+    @pytest.mark.parametrize("row", ["41.1,-8_6", "41.1,-8.\u0666", "41.1,-8.6\x1f", "\t41.1,-8.6", "0x29,-8.6"])
+    def test_number_outside_the_ascii_grammar_rejected(self, tmp_path, row):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"lat,lon\n41.1,-8.6\n{row}\n", encoding="utf-8")
+        with pytest.raises(DataError, match="not a coordinate pair") as err:
+            load_clusters(path)
+        assert str(err.value).startswith(f"{path}:3: ")
+
+    def test_spaces_integers_and_exponents_load(self, tmp_path):
+        path = tmp_path / "forms.csv"
+        path.write_text("lat,lon\n  41 , -8\n+4.1e1,-.86E1\n41.,8.\n")
+        np.testing.assert_array_equal(load_clusters(path).centers, [[41, -8], [41, -8.6], [41, 8]])
 
     def test_needs_a_center(self):
         with pytest.raises(ValueError):

@@ -176,6 +176,37 @@ class TestParseCsv:
         loaded = load_records(tmp_path / "cache.bin")
         assert [(r.origin_call, r.origin_stand, r.taxi_id, r.timestamp) for r in loaded] == got
 
+    @pytest.mark.parametrize(
+        "column, value",
+        [("ORIGIN_CALL", "3_1508"), ("TIMESTAMP", "1_372_636_800"), ("ORIGIN_STAND", "\u0663"),
+         ("TAXI_ID", "20000001\x1f"), ("TAXI_ID", "\t1"), ("ORIGIN_CALL", "\xa0NA"), ("CALL_TYPE", "C\x1f"),
+         ("MISSING_DATA", "False\x0c")],
+    )
+    def test_fields_outside_the_ascii_grammar_rejected(self, column, value):
+        fields = {"CALL_TYPE": "C", "ORIGIN_CALL": "", "ORIGIN_STAND": "", "TAXI_ID": "1", "TIMESTAMP": "0",
+                  "MISSING_DATA": "False"}
+        fields[column] = value
+        row = "2,{CALL_TYPE},{ORIGIN_CALL},{ORIGIN_STAND},{TAXI_ID},{TIMESTAMP},A,{MISSING_DATA},\"[[-8.61,41.14]]\"\n"
+        with pytest.raises(CsvParseError) as e:
+            parse_rows('1,C,,,1,0,A,False,"[[-8.61,41.14]]"\n', row.format(**fields))
+        assert (e.value.line, e.value.column) == (3, column)
+
+    def test_last_row_without_a_line_end_rejected(self):
+        with pytest.raises(CsvParseError) as e:
+            parse_rows('1,C,,,1,0,A,False,"[[-8.61,41.14]]"\n', '2,C,,,1,0,A,False,"[[-8.61,41.14]]"')
+        assert (e.value.line, e.value.column) == (3, "POLYLINE") and "cut short" in str(e.value)
+
+    def test_field_past_the_csv_size_limit_names_its_line(self):
+        polyline = "[" + ",".join(["[-8.61,41.14]"] * 10_000) + "]"  # 140 KB, past csv's 128 KB limit
+        with pytest.raises(CsvParseError) as e:
+            parse_rows('1,C,,,1,0,A,False,"[[-8.61,41.14]]"\n', f'2,C,,,1,0,A,False,"{polyline}"\n')
+        assert e.value.line == 3 and "field larger than field limit" in str(e.value)
+
+    def test_spaces_around_fields_accepted(self):
+        rec, = parse_rows(' 2 , C , 31508.0 , na ,+5 , 7 ,A, False ,"[[-8.61,41.14]]"\n')
+        got = (rec.call_type, rec.origin_call, rec.origin_stand, rec.taxi_id, rec.timestamp)
+        assert got == ("street", 31508, None, 5, 7)
+
 
 class TestWriteCsv:
     def test_parse_reads_back_what_was_written(self, tmp_path):
@@ -707,11 +738,13 @@ class TestRecordCache:
         [
             (lambda h, c: c["offsets"].__setitem__(0, 1), "offsets do not start at 0 and never fall"),
             (lambda h, c: c["offsets"].__setitem__(slice(1, 3), [4, 3]), "offsets do not start at 0 and never fall"),
-            (lambda h, c: c["offsets"].__setitem__(3, 10), r"column 'points' is missing or not float64 of shape \(10, 2\)"),
+            (lambda h, c: c["offsets"].__setitem__(3, 10), "or do not end at the 11 points"),
             (lambda h, c: c.__setitem__("taxi_id", c["taxi_id"][:2]), "column 'taxi_id'"),
             (lambda h, c: c.__setitem__("offsets", c["offsets"][:3]), "column 'offsets'"),
             (lambda h, c: h.__setitem__("trip_ids", ["t0", "t1"]), "column 'offsets'"),
-            (lambda h, c: c.pop("timestamp"), "column 'timestamp'"),
+            (lambda h, c: c.pop("timestamp"), "column 5 is 'timestamp'; the record cache has 'missing' there"),
+            (lambda h, c: c.update(extra=c["missing"]), "column 'extra' is not one of the record cache's"),
+            (lambda h, c: c.update(offsets=c.pop("offsets")), "column 0 is 'offsets'; the record cache has 'call_type'"),
             (lambda h, c: c.__setitem__("points", c["points"].astype("<f4")), "column 'points'"),
             (lambda h, c: c.__setitem__("points", c["points"].reshape(-1)), "column 'points'"),
             (lambda h, c: c["call_type"].__setitem__(1, 3), r"record 1 \(trip t1\) has call_type 3; need 0 <= call_type <= 2"),
@@ -719,7 +752,7 @@ class TestRecordCache:
         ],
         ids=[
             "first-offset", "decreasing-offsets", "last-offset", "short-column", "short-offsets",
-            "fewer-trip-ids", "missing-column", "float32-points", "flat-points", "call-code", "no-trip-ids",
+            "fewer-trip-ids", "missing-column", "extra-column", "reordered-columns", "float32-points", "flat-points", "call-code", "no-trip-ids",
         ],
     )
     def test_inconsistent_columns_rejected(self, tmp_path, edit, message):

@@ -1,25 +1,35 @@
-"""Seeded mutation sweep over the files the CLI reads; first format: the
-cluster CSV.
+"""Seeded mutation sweeps over the files the CLI reads, and the contract
+that every reader of an input file shares.
 
-Each mutant of a small valid file goes through ``load_clusters``.  The
-oracle: the mutant loads and equals ``reference_clusters``, this file's own
-reader, or it raises ``ValueError`` whose message starts with the path and
-names a line that the reference finds bad (only a file with no centre at all
-is named without a line).  A sample of the rejected mutants also goes
-through ``taxidest train --clusters``, which must exit 2 and name the file.
-The sweep's size is fixed below, before it runs.
+Each mutant of a small valid file goes through the function that its
+subcommand calls.  The oracle: the mutant loads and equals what this file's
+own reader returns, or it raises ``DataError`` whose message starts with the
+path (for the cluster CSV, with the path and a line that the reference finds
+bad; only a file with no centre at all is named without a line).  A sample
+of the rejected mutants also goes through ``cli.main``, which must exit 2
+and name the file.  The sweeps' sizes are fixed below, before they run.
 """
 
+import dataclasses
 import io
+import json
+import math
 import random
+import re
+import struct
 
+import numpy as np
 import pytest
 
-from taxidest import cli, fixtures
+from conftest import make_records, tiny_batch, tiny_model
+from taxidest import cli, fixtures, models
 from taxidest.clustering import load_clusters
+from taxidest.data import CALL_TYPES, DataError, load_records, save_records
 
 SEED = 18
 BYTE_EDIT_MUTANTS = 2000  # each one to three edits; then one truncation per byte of VALID
+CACHE_BIT_FLIPS = 1500  # then a truncation at every header byte and every array boundary
+CHECKPOINT_BIT_FLIPS = 1500  # likewise
 CLI_SAMPLE = 6
 
 VALID = (
@@ -33,27 +43,32 @@ VALID = (
 # Bytes that the format or UTF-8 gives a meaning to, drawn as often as all others.
 SALIENT = b"0123456789.,+-eE_ \t\r\n\x0c\x1cnaif\x80\xc3\xff"
 
+#: A number as a cluster CSV may hold it: ASCII spaces around an ASCII
+#: decimal (sign, digits, fraction, exponent) or nan, inf or infinity.
+NUMBER = re.compile(r" *[+-]?(?:(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?|(?i:nan|inf|infinity)) *", re.ASCII)
+#: A byte that is not UTF-8, as the ``surrogateescape`` error handler reads it.
+ESCAPED = re.compile("[\udc80-\udcff]")
+
 
 def reference_clusters(data: bytes):
     """``(centres, bad_lines)``: the centres as ``[lat, lon]`` lists, or None and
     the 1-based lines at fault.  Lines are read as a text-mode reader reads
     them (universal newlines), and a byte that is not UTF-8 is kept as a
     surrogate that marks its line bad."""
-    lines = list(io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", errors="surrogateescape"))
-    if not lines or lines[0].strip() != "lat,lon":
-        return None, {1}
-    centres, bad = [], set()
+    lines = list(io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", errors="surrogateescape", newline=""))
+    bad = {n for n, line in enumerate(lines, start=1) if ESCAPED.search(line)}
+    if not lines or lines[0].rstrip("\r\n").strip(" ") != "lat,lon":
+        bad.add(1)
+    centres = []
     for n, line in enumerate(lines[1:], start=2):
-        text = line.strip()
-        if not text:
+        text = line.rstrip("\r\n")
+        if not text.strip(" "):
             continue
-        try:
-            if not line.endswith("\n") or any("\udc80" <= c <= "\udcff" for c in line):
-                raise ValueError
-            lat, lon = map(float, text.split(","))
-        except ValueError:
+        fields = text.split(",")
+        if text == line or len(fields) != 2 or not all(NUMBER.fullmatch(f) for f in fields):
             bad.add(n)
             continue
+        lat, lon = map(float, fields)
         if not (abs(lat) <= 90 and abs(lon) <= 180):
             bad.add(n)
         centres.append([lat, lon])
@@ -86,7 +101,7 @@ def check_cluster_mutant(path, data: bytes) -> bool:
     path.write_bytes(data)
     try:
         got = load_clusters(path)
-    except ValueError as e:
+    except DataError as e:
         msg = str(e)
         assert centres is None, f"{data!r} was rejected ({msg}) but parses as {centres}"
         assert msg.startswith(f"{path}:"), f"{data!r}: {msg}"
@@ -111,18 +126,236 @@ def prepared_dir(tmp_path_factory):
     return out
 
 
+def through_cli(capsys, path, rejected, argv):
+    """Write a sample of ``rejected`` to ``path`` and run ``argv``: each must
+    exit 2 and name ``path``."""
+    capsys.readouterr()
+    for data in rejected[:: max(len(rejected) // CLI_SAMPLE, 1)][:CLI_SAMPLE]:
+        path.write_bytes(data)
+        assert cli.main(argv) == 2, f"{data!r}"
+        assert str(path) in capsys.readouterr().err
+
+
 def test_cluster_csv_mutants(tmp_path, prepared_dir, capsys):
     path = tmp_path / "clusters.csv"
     assert not check_cluster_mutant(path, VALID)
     rejected = [data for data in mutants(random.Random(SEED)) if check_cluster_mutant(path, data)]
     total = BYTE_EDIT_MUTANTS + len(VALID)
     assert 0 < len(rejected) < total  # both outcomes occur
-    capsys.readouterr()
-    for data in rejected[:: len(rejected) // CLI_SAMPLE][:CLI_SAMPLE]:
-        path.write_bytes(data)
-        out = tmp_path / "x.ckpt"
-        rc = cli.main(["train", "--data", str(prepared_dir), "--clusters", str(path), "--out", str(out)])
-        assert rc == 2, f"{data!r}"
-        assert str(path) in capsys.readouterr().err
-        assert not out.exists()
+    out = tmp_path / "x.ckpt"
+    argv = ["train", "--data", str(prepared_dir), "--clusters", str(path), "--out", str(out)]
+    through_cli(capsys, path, rejected, argv)
+    assert not out.exists()
 
+
+# ---------------------------------------------------------------------------
+# The binary containers: the record cache and a checkpoint
+# ---------------------------------------------------------------------------
+
+
+def reference_container(blob: bytes, magic: bytes, version: int):
+    """(header, {name: array}) of a container file as its module docstring
+    lays it out, read with ``struct`` and ``json``; None if it cannot be."""
+    if len(blob) < 20 or blob[:8] != magic:
+        return None
+    got_version, hlen = struct.unpack_from("<IQ", blob, 8)
+    if got_version != version or len(blob) < 20 + hlen:
+        return None
+    try:
+        header = json.loads(blob[20 : 20 + hlen].decode("utf-8"))
+        arrays = {}
+        for e in header["params"]:
+            count = math.prod(e["shape"])
+            arr = np.frombuffer(blob, np.dtype(e["dtype"]), count, 20 + hlen + e["offset"])
+            arrays[e["name"]] = arr.reshape(e["shape"])
+    except (KeyError, TypeError, ValueError):
+        return None
+    return header, arrays
+
+
+def container_cuts(blob: bytes) -> list[int]:
+    """Every length of ``blob`` up to the end of its header, and every array
+    boundary after it."""
+    hlen = int.from_bytes(blob[12:20], "little")
+    entries = json.loads(blob[20 : 20 + hlen])["params"]
+    ends = {20 + hlen + e["offset"] + d for e in entries for d in (0, e["nbytes"])}
+    return sorted(set(range(20 + hlen + 1)) | ends - {len(blob)})
+
+
+def bit_flips(blob: bytes, count: int, rng: random.Random):
+    for _ in range(count):
+        pos = rng.randrange(len(blob))
+        yield blob[:pos] + bytes([blob[pos] ^ (1 << rng.randrange(8))]) + blob[pos + 1 :]
+
+
+def reference_records(blob: bytes):
+    """The cache's records as tuples of plain values, or None."""
+    read = reference_container(blob, b"TXDCACHE", 2)
+    if read is None:
+        return None
+    header, cols = read
+    try:
+        offsets = cols["offsets"].tolist()
+        return [
+            (trip_id, CALL_TYPES[cols["call_type"][i]],
+             *(None if cols[c][i] == -1 else int(cols[c][i]) for c in ("origin_call", "origin_stand")),
+             int(cols["taxi_id"][i]), int(cols["timestamp"][i]), bool(cols["missing"][i]),
+             cols["points"][offsets[i] : offsets[i + 1]].tobytes())
+            for i, trip_id in enumerate(header["trip_ids"])
+        ]
+    except (KeyError, IndexError, TypeError):
+        return None
+
+
+def check_cache_mutant(path, blob: bytes) -> bool:
+    """Apply the oracle to one cache mutant; True if it was rejected."""
+    path.write_bytes(blob)
+    try:
+        records = load_records(path)
+    except DataError as e:
+        assert str(e).startswith(f"{path}: "), f"{blob!r}: {e}"
+        return True
+    got = [(r.trip_id, r.call_type, r.origin_call, r.origin_stand, r.taxi_id, r.timestamp, r.missing_data,
+            r.polyline.tobytes()) for r in records]
+    assert got == reference_records(blob), f"{blob!r}"
+    return False
+
+
+def test_record_cache_mutants(tmp_path, prepared_dir, capsys):
+    records = make_records([2, 1, 3], np.random.default_rng(SEED))
+    records[0].origin_call, records[1].origin_stand, records[1].call_type = None, 4, "stand"
+    records[2].missing_data = True
+    path = tmp_path / "records.bin"
+    save_records(records, path)
+    valid = path.read_bytes()
+    assert not check_cache_mutant(path, valid)
+    assert all(check_cache_mutant(path, valid[:n]) for n in container_cuts(valid))
+    flips = bit_flips(valid, CACHE_BIT_FLIPS, random.Random(SEED))
+    rejected = [blob for blob in flips if check_cache_mutant(path, blob)]
+    assert 0 < len(rejected) < CACHE_BIT_FLIPS
+    data_dir = tmp_path / "data"
+    data_dir.mkdir()
+    (data_dir / "splits.json").write_bytes((prepared_dir / "splits.json").read_bytes())
+    path = data_dir / "records.bin"
+    through_cli(capsys, path, rejected, ["cluster", "--data", str(data_dir), "--out", str(tmp_path / "c.csv")])
+
+
+def check_checkpoint_mutant(path, blob: bytes, batch) -> bool:
+    """Apply the oracle to one checkpoint mutant; True if it was rejected.
+    A model that loads must also predict."""
+    path.write_bytes(blob)
+    try:
+        model = models.load_model(path)
+    except DataError as e:
+        assert str(e).startswith(f"{path}: "), f"{blob!r}: {e}"
+        return True
+    read = reference_container(blob, b"TXDMODEL", 1)
+    assert read is not None, f"{blob!r} loaded, but the reference cannot read it"
+    header, arrays = read
+    extras = header["extras"]
+    assert dataclasses.asdict(model.config) == extras["model_config"], f"{blob!r}"
+    assert dataclasses.asdict(model.stats) == extras["stats"], f"{blob!r}"
+    assert model.vocab.to_json() == extras["vocab"], f"{blob!r}"
+    assert (None if model.clusters is None else model.clusters.centers.tolist()) == extras["clusters"], f"{blob!r}"
+    assert list(model.params) == list(arrays), f"{blob!r}"
+    for name, p in model.params.items():
+        assert p.value.tobytes() == arrays[name].tobytes(), f"{blob!r}: {name}"
+    with np.errstate(all="ignore"):  # a flipped weight may overflow
+        models.predict(model, batch)
+    return False
+
+
+def test_checkpoint_mutants(tmp_path, prepared_dir, capsys):
+    model = tiny_model("mlp_clusters")
+    batch = tiny_batch(model, np.random.default_rng(SEED), n=3)
+    path = tmp_path / "model.ckpt"
+    models.save_model(model, path)
+    valid = path.read_bytes()
+    assert not check_checkpoint_mutant(path, valid, batch)
+    assert all(check_checkpoint_mutant(path, valid[:n], batch) for n in container_cuts(valid))
+    flips = bit_flips(valid, CHECKPOINT_BIT_FLIPS, random.Random(SEED))
+    rejected = [blob for blob in flips if check_checkpoint_mutant(path, blob, batch)]
+    assert 0 < len(rejected) < CHECKPOINT_BIT_FLIPS
+    through_cli(capsys, path, rejected, ["evaluate", "--model", str(path), "--data", str(prepared_dir)])
+
+
+# ---------------------------------------------------------------------------
+# One contract for the five readers
+# ---------------------------------------------------------------------------
+
+CSV_HEADER = "TRIP_ID,CALL_TYPE,ORIGIN_CALL,ORIGIN_STAND,TAXI_ID,TIMESTAMP,DAY_TYPE,MISSING_DATA,POLYLINE"
+CSV_ROWS = [f'T{i},C,,,{20000000 + i},{1372636858 + i},A,False,"[[-8.61,41.14],[-8.62,41.15]]"' for i in range(4)]
+
+
+def _cache(tmp_path) -> bytes:
+    save_records(make_records([2, 1], np.random.default_rng(1)), tmp_path / "valid.bin")
+    return (tmp_path / "valid.bin").read_bytes()
+
+
+def _checkpoint(tmp_path) -> bytes:
+    models.save_model(tiny_model("mlp_direct"), tmp_path / "valid.ckpt")
+    return (tmp_path / "valid.ckpt").read_bytes()
+
+
+def _read_splits(path):
+    """``splits.json`` as ``cli`` reads it, beside a valid record cache."""
+    save_records(make_records([2, 1, 3], np.random.default_rng(1)), path.parent / "records.bin")
+    return cli._load_prepared(path.parent)
+
+
+#: name: (file name, valid bytes given a scratch directory, reader of a path)
+READERS = {
+    "competition CSV": ("train.csv", lambda tmp: "\n".join([CSV_HEADER, *CSV_ROWS, ""]).encode(),
+                        lambda p: list(cli._read_csv(p))),
+    "cluster CSV": ("clusters.csv", lambda tmp: b"lat,lon\n41.1,-8.6\n41.2,-8.5\n", load_clusters),
+    "splits.json": ("splits.json", lambda tmp: b'{"seed": 0, "test": 0, "validation": 1}', _read_splits),
+    "record cache": ("records.bin", _cache, load_records),
+    "checkpoint": ("model.ckpt", _checkpoint, models.load_model),
+}
+CASES = {
+    "empty": lambda valid: b"",
+    "one-0xff-byte": lambda valid: b"\xff",
+    "cut-one-byte-short": lambda valid: valid[:-1],
+}
+
+
+@pytest.mark.parametrize("case", CASES)
+@pytest.mark.parametrize("reader", READERS)
+def test_every_reader_rejects_a_bad_file_with_a_data_error_naming_it(tmp_path, reader, case):
+    name, valid, read = READERS[reader]
+    path = tmp_path / "dir" / name
+    path.parent.mkdir()
+    good = valid(tmp_path)
+    path.write_bytes(good)
+    read(path)
+    path.write_bytes(CASES[case](good))
+    with pytest.raises(DataError) as err:
+        read(path)
+    assert str(err.value).startswith(f"{path}:")
+
+
+TEXT_LINES = {
+    "competition CSV": [CSV_HEADER.encode(), *(row.encode() for row in CSV_ROWS)],
+    "cluster CSV": [b"lat,lon", b"41.1,-8.6", b"41.2,-8.5", b"41.3,-8.4"],
+}
+
+
+@pytest.mark.parametrize(
+    "reader, old, new, message",
+    [("competition CSV", b",C,", b",\xff,", "{path}: line 4: byte 0xff is not UTF-8"),
+     ("competition CSV", b",C,", b",Z,", "{path}: line 4, column CALL_TYPE: unknown call type 'Z'"),
+     ("cluster CSV", b"-8.4", b"-8.\xff4", "{path}:4: byte 0xff is not UTF-8"),
+     ("cluster CSV", b"-8.4", b"-8_4", "{path}:4: not a coordinate pair: '41.3,-8_4'")],
+    ids=["csv-byte", "csv-field", "clusters-byte", "clusters-field"],
+)
+def test_lines_that_end_in_cr_are_counted(tmp_path, reader, old, new, message):
+    """In a text file whose lines end in a lone \\r, a byte that is not
+    UTF-8, or a bad field, on line 4 is named as line 4."""
+    name, _, read = READERS[reader]
+    path = tmp_path / name
+    lines = list(TEXT_LINES[reader])
+    lines[3] = lines[3].replace(old, new)
+    path.write_bytes(b"\r".join(lines) + b"\r")
+    with pytest.raises(DataError) as err:
+        read(path)
+    assert str(err.value).startswith(message.format(path=path))

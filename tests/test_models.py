@@ -11,7 +11,7 @@ import pytest
 from conftest import (
     make_records,
     model_gradient_check,
-    older_layout_extras,
+    saved_extras,
     tiny_batch,
     tiny_clusters,
     tiny_config,
@@ -21,6 +21,7 @@ from conftest import (
     write_checkpoint,
 )
 from taxidest import data, models, nncore
+from taxidest.data import DataError
 from taxidest.geo import StandardizationStats
 from taxidest.models import (
     EMBEDDING_FIELDS,
@@ -451,25 +452,18 @@ class TestCheckpoint:
             q = loaded.params[name].value
             assert q.dtype == p.value.dtype and q.shape == p.value.shape and q.tobytes() == p.value.tobytes(), name
 
-    @pytest.mark.parametrize("variant", ["mlp_clusters", "memory_net"])
-    def test_older_layout_loads_and_predicts_identically(self, tmp_path, variant):
-        rng = np.random.default_rng(25)
-        model = tiny_model(variant)
-        batch = tiny_batch(model, rng, n=4, max_len=5)
-        cands = tiny_batch(model, rng, n=3) if variant == "memory_net" else None
-        path = tmp_path / "older.ckpt"
-        write_checkpoint(path, model.parameters(), older_layout_extras(model))
-        loaded = load_model(path)
-        assert loaded.config == model.config and loaded.vocab == model.vocab
-        np.testing.assert_array_equal(predict(loaded, batch, cands), predict(model, batch, cands))
-
-    def test_older_layout_with_unequal_widths_rejected(self, tmp_path):
+    def test_older_config_layout_rejected(self, tmp_path):
+        """The layout of the model config before the single embedding width:
+        one width per table in ``embedding_dims``, and ``memory_batch``."""
         model = tiny_model("mlp_clusters")
-        extras = older_layout_extras(model)
-        extras["model_config"]["embedding_dims"]["taxi"] = 3
+        extras = saved_extras(model, tmp_path / "saved.ckpt")
+        config = extras["model_config"]
+        width = config.pop("embedding_dim")
+        config["embedding_dims"] = {f: width for f in EMBEDDING_FIELDS}
+        config["memory_batch"] = 5000
         path = tmp_path / "older.ckpt"
         write_checkpoint(path, model.parameters(), extras)
-        with pytest.raises(ValueError, match=r"embedding_dims holds the widths \[2, 3\]") as err:
+        with pytest.raises(DataError, match="checkpoint metadata is not readable: .*embedding_dims") as err:
             load_model(path)
         assert str(err.value).startswith(f"{path}: ")
 
@@ -485,15 +479,17 @@ class TestCheckpoint:
          (lambda e: e["stats"].update(mean_lat=math.nan), "means must be finite"),
          (lambda e: e["stats"].update(std_lon=math.inf), "finite and strictly positive"),
          (lambda e: e["clusters"][1].__setitem__(0, 95.0), r"centre 1 is \(95\.0, "),
-         (lambda e: e["clusters"][2].__setitem__(1, math.nan), r"centre 2 is .*need finite")],
+         (lambda e: e["clusters"][2].__setitem__(1, math.nan), r"centre 2 is .*need finite"),
+         (lambda e: e["vocab"]["client"].update({"10": 3}), r"client vocabulary does not map .* to 1\.\.2"),
+         (lambda e: e["vocab"].update(taxi={" 5": 1}), r"taxi vocabulary does not map distinct integer ids")],
     )
     def test_unreadable_metadata_names_path(self, tmp_path, damage, why):
         model = tiny_model("mlp_clusters")
-        extras = older_layout_extras(model)
+        extras = saved_extras(model, tmp_path / "saved.ckpt")
         damage(extras)
         path = tmp_path / "damaged.ckpt"
         write_checkpoint(path, model.parameters(), extras)
-        with pytest.raises(ValueError, match=why) as err:
+        with pytest.raises(DataError, match=why) as err:
             load_model(path)
         assert str(err.value).startswith(f"{path}: ")
 
@@ -515,7 +511,7 @@ class TestCheckpoint:
         edit(model.params)
         path = tmp_path / "misfit.ckpt"
         save_model(model, path)
-        with pytest.raises(ValueError, match=why) as err:
+        with pytest.raises(DataError, match=why) as err:
             load_model(path)
         assert str(err.value).startswith(f"{path}: ")
 
@@ -536,7 +532,7 @@ class TestCheckpoint:
     def test_truncated_checkpoint_names_path(self, tmp_path, cut):
         model, path, raw = self._saved(tmp_path)
         path.write_bytes(raw[:cut])
-        with pytest.raises(ValueError, match="truncated") as err:
+        with pytest.raises(DataError, match="truncated") as err:
             load_model(path)
         assert str(path) in str(err.value)
         if cut == -4:
@@ -545,7 +541,7 @@ class TestCheckpoint:
     def test_trailing_bytes_rejected(self, tmp_path):
         _, path, raw = self._saved(tmp_path)
         path.write_bytes(raw + b"\0\0\0\0")
-        with pytest.raises(ValueError, match="4 bytes after the last parameter") as err:
+        with pytest.raises(DataError, match="4 bytes after the last parameter") as err:
             load_model(path)
         assert str(path) in str(err.value)
 
@@ -557,7 +553,7 @@ class TestCheckpoint:
         first["shape"] = [first["shape"][0] + 1] + first["shape"][1:]
         new = json.dumps(header).encode()
         path.write_bytes(raw[:12] + len(new).to_bytes(8, "little") + new + raw[20 + hlen :])
-        with pytest.raises(ValueError, match="do not hold") as err:
+        with pytest.raises(DataError, match="do not hold") as err:
             load_model(path)
         assert str(path) in str(err.value) and repr(first["name"]) in str(err.value)
 
