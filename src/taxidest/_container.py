@@ -6,7 +6,8 @@ Layout, integers little-endian: an 8-byte magic, version u32, header length
 u64, the header as sorted-key UTF-8 JSON, then the arrays' raw little-endian
 bytes back to back.  The header's ``params`` list gives each array's name,
 shape, dtype string ("<f4", "<f8" or "<i8"), and offset and nbytes after the header;
-it is named for the checkpoint, whose arrays are its parameters.
+it is named for the checkpoint, whose arrays are its parameters.  An offset
+other than where the array before it ends (0 for the first) is rejected.
 """
 
 from __future__ import annotations
@@ -83,8 +84,9 @@ def read(path, fmt: Format, where: Optional[Callable] = None) -> tuple[dict, dic
 
     Raises :class:`DataError` naming the path for a bad magic or version, a
     truncated or unreadable header, a header that is not an object with a
-    ``params`` list of well-formed entries, an array whose bytes the file
-    cuts short or which do not match its shape, and bytes after the last one.
+    ``params`` list of well-formed entries, an array that does not start
+    where the one before it ends, an array whose bytes the file cuts short or
+    which do not match its shape, and bytes after the last one.
     For a cut inside array ``name``, ``where(name, arrays read before it,
     its bytes present)`` may say where the cut lies instead.
     """
@@ -103,7 +105,7 @@ def read(path, fmt: Format, where: Optional[Callable] = None) -> tuple[dict, dic
             raise DataError(f"{path}: truncated {fmt.kind} header ({size} of {body + hlen} bytes)")
         try:
             header = json.loads(f.read(hlen).decode("utf-8"))
-        except ValueError as e:
+        except (ValueError, RecursionError) as e:
             raise DataError(f"{path}: unreadable {fmt.kind} header: {e}") from None
         if not isinstance(header, dict) or not isinstance(header.get("params"), list):
             raise DataError(f"{path}: the {fmt.kind} header is not an object with a params list")
@@ -113,19 +115,21 @@ def read(path, fmt: Format, where: Optional[Callable] = None) -> tuple[dict, dic
                 name, shape, dtype, offset, nbytes = _entry(e)
             except ValueError as why:
                 raise DataError(f"{path}: {fmt.kind} header entry {i}: {why}") from None
+            if offset != end:
+                raise DataError(f"{path}: {fmt.item} {name!r} is placed at byte {offset} after the header, "
+                                f"not at {end}; the arrays lie back to back")
             if offset + nbytes > blob:
-                cut = where(name, arrays, max(blob - offset, 0)) if where else None
+                cut = where(name, arrays, blob - offset) if where else None
                 raise DataError(f"{path}: truncated in " + (cut or (
                     f"{fmt.item} {name!r}: needs bytes {offset}..{offset + nbytes} after the header, "
                     f"the file has {blob}")))
             if nbytes != dtype.itemsize * math.prod(shape):
                 raise DataError(f"{path}: {fmt.item} {name!r}: {nbytes} bytes do not hold {shape} of {dtype}")
             arr = np.empty(shape, dtype=dtype)
-            f.seek(body + hlen + offset)
             if f.readinto(arr.reshape(-1).view(np.uint8)) != nbytes:
                 raise DataError(f"{path}: truncated in {fmt.item} {name!r} while reading")
             arrays[name] = arr.astype(dtype.newbyteorder("="), copy=False)
-            end = max(end, offset + nbytes)
+            end += nbytes
         if blob > end:
             raise DataError(f"{path}: {blob - end} bytes after the last {fmt.item}")
         return header, arrays

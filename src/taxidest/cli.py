@@ -25,7 +25,7 @@ from typing import Iterator, NamedTuple
 
 import numpy as np
 
-from . import fixtures, models, training
+from . import fixtures, models
 from ._atomic import atomic_open, non_utf8_error
 from .clustering import MeanShiftConfig, load_clusters, mean_shift, save_clusters
 from .data import (
@@ -174,8 +174,8 @@ def _load_prepared(data_dir) -> _Prepared:
             spec = json.load(f)
         except UnicodeDecodeError:
             raise non_utf8_error(path) from None
-        except ValueError as e:
-            raise DataError(f"{path}: not JSON: {e}")
+        except (ValueError, RecursionError) as e:
+            raise DataError(f"{path}: not JSON: {e}") from None
     if not isinstance(spec, dict):
         raise DataError(f"{path}: not a JSON object")
     for key in ("seed", "validation", "test"):
@@ -186,7 +186,10 @@ def _load_prepared(data_dir) -> _Prepared:
             hint = "; it lists trip ids, so re-run `taxidest prepare`" if isinstance(value, list) else ""
             raise DataError(f"{path}: {key!r} is not a non-negative int{hint}")
     records = load_records(data_dir / "records.bin")
-    return _derive_split(records, spec["seed"], spec["validation"], spec["test"])
+    try:
+        return _derive_split(records, spec["seed"], spec["validation"], spec["test"])
+    except DataError as e:  # the counts do not fit the cache
+        raise DataError(f"{path}: {e}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -199,7 +202,7 @@ def _cmd_prepare(args) -> int:
         raise DataError(f"--val={args.val}: a prepared directory needs at least 1 validation trip, "
                         "since `train` early-stops on the validation rides")
     usable = [r for r in _read_csv(args.input) if r.usable]
-    split = split_dataset(usable, np.random.default_rng(args.seed), args.val, args.test)
+    split = _derive_split(usable, args.seed, args.val, args.test)
     out = Path(args.out)  # created only once the input has parsed and split
     out.mkdir(parents=True, exist_ok=True)
     save_records(usable, out / "records.bin")
@@ -248,10 +251,7 @@ def _cmd_train(args) -> int:
             raise DataError(f"variant {args.variant} requires --clusters")
         clusters = load_clusters(args.clusters)
     model = build_model(config, clusters, stats, vocab, seed=args.seed)
-    try:
-        report = train(model, prepared.train, prepared.validation, cfg, checkpoint_path=args.out)
-    except training._NoCandidates as e:
-        raise DataError(f"{e}; lower --batch (now {cfg.batch_size}) or prepare more trips") from e
+    report = train(model, prepared.train, prepared.validation, cfg, checkpoint_path=args.out)
     report_path = args.report if args.report else f"{args.out}.report.jsonl"
     report.to_jsonl(report_path)
     print(

@@ -67,6 +67,8 @@ _CSV_COLUMNS = (
 
 
 _NOT_PAIRS = "expected a JSON array of [lon, lat] number pairs"
+#: POLYLINE's JSON; an integer of any length reads as a float (inf past 1e308).
+_POLYLINE_JSON = json.JSONDecoder(parse_int=float)
 _MISSING_DATA = {"true": True, "false": False}
 
 
@@ -190,7 +192,7 @@ def _parse_int(text: str, line: int, column: str, optional: bool) -> Optional[in
     float such as ``31508.0``."""
     kind, token = scalar(text)
     value = None
-    if kind == "int":
+    if kind == "int" and len(token.lstrip("+-0")) <= 19:  # more digits are past int64 (and int() stops at 4300)
         value = int(token)
     elif optional and kind == "word" and token.upper() in ("", "NA"):
         return None
@@ -257,9 +259,11 @@ def parse_csv(stream) -> Iterator[TrainRecord]:
 
         poly_text = row[pos["POLYLINE"]]
         try:
-            pairs = json.loads(poly_text)
+            pairs = _POLYLINE_JSON.decode(poly_text)
         except json.JSONDecodeError as e:
             raise CsvParseError(line, "POLYLINE", f"bad JSON: {e.msg}")
+        except RecursionError:
+            raise CsvParseError(line, "POLYLINE", _NOT_PAIRS) from None
         # numpy would read a JSON string or boolean as a number ("41.1", true)
         if not isinstance(pairs, list) or '"' in poly_text or "true" in poly_text or "false" in poly_text:
             raise CsvParseError(line, "POLYLINE", _NOT_PAIRS)

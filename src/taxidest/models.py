@@ -437,6 +437,9 @@ def load_model(path) -> DestinationModel:
         raise DataError(f"{path}: the checkpoint header has no extras object")
     try:
         config = ModelConfig(**extras["model_config"])
+        missing = [name for name in asdict(config) if name not in extras["model_config"]]
+        if missing:  # a field the file lacks must not take its default
+            raise KeyError(missing[0])
         stats = StandardizationStats(**extras["stats"])
         vocab = MetadataVocab.from_json(extras["vocab"])
         clusters = None

@@ -114,7 +114,6 @@ class Tape:
 
     def __init__(self):
         self.nodes: list[_Node] = []
-        self.backward_visits = 0
 
     def record(self, output: Tensor, backward_fn) -> None:
         self.nodes.append(_Node(output, backward_fn))
@@ -131,9 +130,7 @@ class Tape:
         if loss.data.size != 1:
             raise ValueError(f"backward requires a scalar loss, got shape {loss.data.shape}")
         loss.accumulate(np.ones_like(loss.data))
-        self.backward_visits = 0
         for node in reversed(self.nodes):
-            self.backward_visits += 1
             out = node.output
             g = out.grad
             if g is not None:

@@ -187,13 +187,7 @@ def evaluate(
         return math.inf
     targets = models.destinations(examples)
     d = haversine_distance_arrays(pred[:, 0], pred[:, 1], targets[:, 0], targets[:, 1])
-    step = models.PREDICT_CHUNK  # summed per forward chunk, in order
-    total = sum(float(d[start : start + step].sum()) for start in range(0, len(d), step))
-    return total / len(examples) / 1000.0
-
-
-class _NoCandidates(DataError):
-    """No memory-network candidate was left to draw."""
+    return float(d.mean()) / 1000.0
 
 
 class _CandidateSampler:
@@ -226,9 +220,10 @@ class _CandidateSampler:
         chosen = [r for r in drawn if r.trip_id not in exclude_trip_ids][: self.m]
         if not chosen:
             excluded = sum(r.trip_id in exclude_trip_ids for r in self.records)
-            raise _NoCandidates(
+            raise DataError(
                 f"could not sample memory-network candidates: the batch's own trips are left out, "
-                f"and they are {excluded} of the {len(self.records)} training trips"
+                f"and they are {excluded} of the {len(self.records)} training trips; "
+                "use a smaller batch or more training trips"
             )
         return models.candidates_from_records(chosen)
 

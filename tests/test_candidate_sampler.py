@@ -104,7 +104,7 @@ def test_nothing_eligible():
     records = pool(25)
     sampler = sampler_for(records, 5)
     exclude = frozenset(r.trip_id for r in records)
-    with pytest.raises(DataError, match="could not sample .* they are 25 of the 25 training trips$"):
+    with pytest.raises(DataError, match="could not sample .* they are 25 of the 25 training trips; use a smaller batch or more training trips$"):
         sampler.sample(np.random.default_rng(1), exclude)
 
 

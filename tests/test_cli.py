@@ -869,7 +869,7 @@ class TestMemoryNetCli:
                    "--max-batches", "2", "--validate-every", "1", "--out", str(ckpt)])
         assert rc == 2
         err = capsys.readouterr().err
-        assert "they are 160 of the 160 training trips; lower --batch (now 5000) or prepare more trips" in err
+        assert "they are 160 of the 160 training trips; use a smaller batch or more training trips" in err
         assert not ckpt.exists()
 
     def test_predict_without_candidate_data_fails(self, tmp_path, prepared_dir, city_csv):

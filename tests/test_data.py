@@ -164,13 +164,14 @@ class TestParseCsv:
         assert (e.value.line, e.value.column) == (3, column)
 
     def test_ids_at_the_cache_limits_accepted(self, tmp_path):
-        top = 2**63 - 1
+        top, zeros = 2**63 - 1, "0" * 40  # leading zeros do not count toward int64's 19 digits
         recs = parse_rows(
             f'1,A,31508.0,0,{top},{-(2**63)},A,False,"[[-8.61,41.14]]"\n',
             f'2,B,NA,{top},-1,{top},A,False,"[[-8.61,41.14]]"\n',
+            f'3,C,{zeros}7,,-{zeros}{top},+{zeros}{top},A,False,"[[-8.61,41.14]]"\n',
         )
         got = [(r.origin_call, r.origin_stand, r.taxi_id, r.timestamp) for r in recs]
-        assert got == [(31508, 0, top, -(2**63)), (None, top, -1, top)]
+        assert got == [(31508, 0, top, -(2**63)), (None, top, -1, top), (7, None, -top, top)]
         assert type(recs[0].origin_call) is int
         save_records(recs, tmp_path / "cache.bin")
         loaded = load_records(tmp_path / "cache.bin")

@@ -121,6 +121,17 @@ class TestEvaluate:
         with pytest.raises(DataError):
             evaluate(single_center_model(), [])
 
+    def test_score_does_not_depend_on_the_predict_chunk(self, monkeypatch):
+        """One float64 mean over the whole set, however ``predict`` chunks it;
+        the model predicts one point, whatever the chunk."""
+        model = direct_model_predicting(41.2, -8.6)
+        records = make_records([2, 3, 4, 2, 5, 3, 4, 2, 3], np.random.default_rng(39))
+        examples = models.candidates_from_records(records)
+        monkeypatch.setattr(models, "PREDICT_CHUNK", 2)
+        chunked = evaluate(model, examples)
+        monkeypatch.setattr(models, "PREDICT_CHUNK", 512)
+        assert evaluate(model, examples) == chunked
+
     @pytest.mark.parametrize("lat, lon", OFF_THE_EARTH)
     def test_prediction_off_the_earth_scores_inf(self, lat, lon):
         examples = models.candidates_from_records(make_records([3, 4], np.random.default_rng(32)))
