@@ -37,14 +37,13 @@ class Format(NamedTuple):
     hint: str = ""
 
 
-def write(path, fmt: Format, fields: dict, arrays: Sequence) -> None:
+def write(path, fmt: Format, fields: dict, arrays: dict[str, np.ndarray]) -> None:
     """Write ``fields`` plus the ``params`` list as the header, then each
-    array's bytes; ``arrays`` holds objects with ``.name`` and ``.value``.
-    The file is replaced whole or not at all."""
+    array's bytes; ``arrays`` maps each array's name to it, in file order,
+    as :func:`read` returns them.  The file is replaced whole or not at all."""
     entries, offset = [], 0
-    for a in arrays:
-        arr = a.value
-        entries.append({"name": a.name, "shape": list(arr.shape), "dtype": arr.dtype.newbyteorder("<").str,
+    for name, arr in arrays.items():
+        entries.append({"name": name, "shape": list(arr.shape), "dtype": arr.dtype.newbyteorder("<").str,
                         "offset": offset, "nbytes": arr.nbytes})
         offset += arr.nbytes
     header = json.dumps({**fields, "params": entries}, sort_keys=True, separators=(",", ":")).encode("utf-8")
@@ -52,8 +51,7 @@ def write(path, fmt: Format, fields: dict, arrays: Sequence) -> None:
         f.write(fmt.magic)
         f.write(_PREAMBLE.pack(fmt.version, len(header)))
         f.write(header)
-        for a in arrays:
-            arr = a.value
+        for arr in arrays.values():
             f.write(np.ascontiguousarray(arr, dtype=arr.dtype.newbyteorder("<")).reshape(-1).view(np.uint8))
 
 

@@ -7,7 +7,7 @@ Every subcommand is deterministic given --seed and its inputs; `evaluate
 --split validation --seed S` repeats the best score of `train --seed S`.
 
 A prepared data directory holds:
-    records.bin   binary cache of all usable parsed records (regenerable)
+    records.bin   binary cache of every parsed record (regenerable)
     splits.json   {"seed": S, "validation": V, "test": T}; the split and the
                   fixed validation/test cuts are derived from these numbers
 `train` fits the standardization statistics and the metadata vocabularies
@@ -201,17 +201,15 @@ def _cmd_prepare(args) -> int:
     if args.val < 1:
         raise DataError(f"--val={args.val}: a prepared directory needs at least 1 validation trip, "
                         "since `train` early-stops on the validation rides")
-    usable = [r for r in _read_csv(args.input) if r.usable]
-    split = _derive_split(usable, args.seed, args.val, args.test)
+    records = list(_read_csv(args.input))
+    split = _derive_split(records, args.seed, args.val, args.test)
     out = Path(args.out)  # created only once the input has parsed and split
     out.mkdir(parents=True, exist_ok=True)
-    save_records(usable, out / "records.bin")
+    save_records(records, out / "records.bin")
     with atomic_open(out / "splits.json", "w", encoding="utf-8") as f:
         json.dump({"seed": args.seed, "validation": args.val, "test": args.test}, f, sort_keys=True)
-    print(
-        f"prepared {len(usable)} records: train {len(split.train)}, "
-        f"validation {len(split.validation)}, test {len(split.test)}"
-    )
+    counts = [len(split.train), len(split.validation), len(split.test)]
+    print(f"prepared {sum(counts)} records: train {counts[0]}, validation {counts[1]}, test {counts[2]}")
     return 0
 
 
@@ -333,21 +331,35 @@ _COMMANDS = {
 }
 
 
-def _check_output_dirs(args) -> None:
+def _check_output_files(args) -> None:
     """Refuse, before any data loads, an output file whose directory does
-    not exist; ``prepare``'s ``--out`` is a directory that it creates."""
+    not exist, or which is a file the command reads or its other output;
+    ``prepare``'s ``--out`` is a directory that it creates."""
     if args.command == "prepare":
         return
-    for path in (getattr(args, "out", None), getattr(args, "report", None)):
-        if path is not None and not Path(path).parent.is_dir():
+    named = [(f"--{name}", getattr(args, name, None)) for name in ("input", "model", "clusters")]
+    if getattr(args, "data", None) is not None:
+        named += [(f"--data's {name}", Path(args.data) / name) for name in ("records.bin", "splits.json")]
+    files = {Path(path).resolve(): label for label, path in named if path is not None}
+    for option in ("--out", "--report"):
+        path = getattr(args, option[2:], None)
+        if path is None:
+            continue
+        if not Path(path).parent.is_dir():
             raise DataError(f"{path}: the directory {Path(path).parent} does not exist")
+        target = Path(path).resolve()
+        if target in files:
+            raise DataError(f"{path}: {option} and {files[target]} name the same file")
+        files[target] = option
 
 
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        _check_output_dirs(args)
+        if getattr(args, "seed", 0) < 0:  # numpy's own error would not name the option
+            raise DataError(f"--seed={args.seed}: must be a non-negative int")
+        _check_output_files(args)
         return _COMMANDS[args.command](args)
     except (DataError, OSError, ValueError) as e:
         print(f"taxidest {args.command}: {e}", file=sys.stderr)

@@ -99,7 +99,8 @@ class TrainRecord:
 
     @property
     def usable(self) -> bool:
-        """False for records excluded from training, clustering and stats."""
+        """False for a ride with MISSING_DATA or no points, which
+        :func:`split_dataset` leaves out of every split."""
         return not self.missing_data and len(self.polyline) >= 1
 
 
@@ -166,8 +167,6 @@ class PrefixExample(NamedTuple):
     @property
     def target(self) -> GeoPoint:
         polyline = self.record.polyline
-        if len(polyline) == 0:
-            raise DataError(f"trip {self.trip_id} has an empty polyline")
         return GeoPoint(float(polyline[-1, 0]), float(polyline[-1, 1]))
 
 
@@ -208,8 +207,8 @@ def parse_csv(stream) -> Iterator[TrainRecord]:
     """Stream TrainRecords from a competition-format CSV.
 
     ``stream`` may be a text file object or an iterable of text lines.
-    Records are yielded in file order, including ones with
-    ``missing_data`` or empty polylines (filter on ``.usable``).  Malformed
+    Records are yielded in file order, including ones with ``missing_data``
+    or empty polylines (``split_dataset`` leaves them out).  Malformed
     rows, scalar fields outside ``_atomic.scalar``'s ASCII grammar, POLYLINE
     coordinates that are not JSON numbers, are not finite or lie outside
     |lat| <= 90, |lon| <= 180, a MISSING_DATA other than True or False (any
@@ -358,15 +357,13 @@ def make_prefix_example(
     vocab: MetadataVocab,
 ) -> PrefixExample:
     """The prefix of length ``cut``, checked for callers that build their own
-    pairs: ``1 <= cut <= len(record.polyline)`` and ``k >= 1``, else
-    ValueError.  ``stats`` and ``vocab`` are not read: the model featurizes
-    whole batches with its own window size, statistics and vocabularies.
+    pairs: ``1 <= cut <= len(record.polyline)``, else ValueError.  ``k``,
+    ``stats`` and ``vocab`` are not read: the model featurizes whole batches
+    with its own window size, statistics and vocabularies.
     """
     n = len(record.polyline)
     if not 1 <= cut <= n:
         raise ValueError(f"cut {cut} outside [1, {n}] for trip {record.trip_id}")
-    if k < 1:
-        raise ValueError(f"window size k must be >= 1, got {k}")
     return PrefixExample(record, cut)
 
 
@@ -379,9 +376,9 @@ class PrefixSampler:
     """
 
     def __init__(self, records: Sequence[TrainRecord]):
-        self.records = [r for r in records if r.usable]
+        self.records = list(records)
         if not self.records:
-            raise DataError("no usable records to sample prefixes from")
+            raise DataError("no records to sample prefixes from")
         lengths = np.array([len(r.polyline) for r in self.records], dtype=np.int64)
         self._cum = np.cumsum(lengths)
         self._starts = self._cum - lengths  # prefixes of the records before each one
@@ -409,7 +406,8 @@ def split_dataset(
     n_val: int,
     n_test: int,
 ) -> DatasetSplit:
-    """Remove whole trajectories uniformly at random into validation/test."""
+    """Leave out the rides that are not ``usable``, then remove whole
+    trajectories uniformly at random into validation/test."""
     usable = [r for r in records if r.usable]
     if n_val < 0 or n_test < 0:
         raise DataError(f"split counts must be non-negative, got val={n_val}, test={n_test}")
@@ -430,12 +428,12 @@ def split_dataset(
 
 
 def fit_standardization(records: Iterable[TrainRecord]) -> StandardizationStats:
-    """Mean and population std over all polyline points of the usable
-    records, as numpy's ``mean`` and ``std`` of their concatenation give
-    them; the squared deviations are formed in place on that one copy.  The
+    """Mean and population std over all polyline points of ``records``, as
+    numpy's ``mean`` and ``std`` of their concatenation give them; the
+    squared deviations are formed in place on that one copy.  The
     zero-variance guard substitutes std 1.0 below 1e-12.
     """
-    arrays = [r.polyline for r in records if r.usable]
+    arrays = [r.polyline for r in records]
     n = sum(len(a) for a in arrays)
     if n < 2:
         raise DataError(f"need at least 2 points to fit standardization, got {n}")
@@ -469,7 +467,6 @@ _CODE_RANGES = {
     "origin_call": (-1, np.iinfo(np.int64).max),
     "origin_stand": (-1, np.iinfo(np.int64).max),
 }
-_Column = NamedTuple("_Column", [("name", str), ("value", np.ndarray)])
 #: Records that :func:`load_records` converts to Python values at a time.
 _LOAD_BLOCK = 4096
 
@@ -495,7 +492,7 @@ def save_records(records: Sequence[TrainRecord], path) -> None:
         "missing": [r.missing_data for r in records],
         "points": np.concatenate([r.polyline for r in records] + [np.empty((0, 2))]),
     }
-    arrays = [_Column(k, np.asarray(v, np.float64 if k == "points" else np.int64)) for k, v in columns.items()]
+    arrays = {k: np.asarray(v, np.float64 if k == "points" else np.int64) for k, v in columns.items()}
     _container.write(path, _CACHE, {"trip_ids": [r.trip_id for r in records]}, arrays)
 
 

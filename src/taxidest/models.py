@@ -92,8 +92,11 @@ class ModelConfig:
         if self.variant not in VARIANTS:
             raise ValueError(f"unknown variant {self.variant!r}; expected one of {VARIANTS}")
         for name in ("k", "hidden", "embedding_dim", "rnn_hidden", "window", "memory_m"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
+            value = getattr(self, name)
+            if type(value) is not int:  # type(), so that a bool is no int
+                raise ValueError(f"{name} must be an int, got {value!r}")
+            if value < 1:
+                raise ValueError(f"{name} must be positive, got {value}")
         if self.dtype not in ("float32", "float64"):
             raise ValueError(f"dtype must be float32 or float64, got {self.dtype!r}")
 
@@ -423,7 +426,7 @@ def save_model(model: DestinationModel, path) -> None:
         "vocab": model.vocab.to_json(),
         "clusters": None if model.clusters is None else model.clusters.centers.tolist(),
     }
-    _container.write(path, _CHECKPOINT, {"extras": extras}, model.parameters())
+    _container.write(path, _CHECKPOINT, {"extras": extras}, {p.name: p.data for p in model.parameters()})
 
 
 def load_model(path) -> DestinationModel:

@@ -198,9 +198,9 @@ class _CandidateSampler:
     """
 
     def __init__(self, records: Sequence[TrainRecord], model: DestinationModel, m: int):
-        self.records = [r for r in records if r.usable]
+        self.records = list(records)
         if not self.records:
-            raise DataError("memory network needs usable candidate records")
+            raise DataError("memory network needs candidate records")
         self.m = min(m, len(self.records))
 
     def sample(self, rng: np.random.Generator, exclude_trip_ids=frozenset()) -> list[PrefixExample]:

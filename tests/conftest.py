@@ -6,6 +6,8 @@ cancellation noise: the loss is thousands of meters while individual
 gradient elements can be 1e-4 of the gradient scale.
 """
 
+import contextlib
+
 import numpy as np
 import pytest
 
@@ -61,7 +63,27 @@ def saved_extras(model, path) -> dict:
 def write_checkpoint(path, params, extras) -> None:
     """A checkpoint of ``params`` whose header holds ``extras`` as given, in
     ``models.save_model``'s format: for damaged metadata."""
-    _container.write(path, models._CHECKPOINT, {"extras": extras}, params)
+    _container.write(path, models._CHECKPOINT, {"extras": extras}, {p.name: p.data for p in params})
+
+
+def failing_after_first_write(atomic_open):
+    """``atomic_open`` whose file raises on its second write."""
+
+    @contextlib.contextmanager
+    def failing(path, mode="w", **kwargs):
+        with atomic_open(path, mode, **kwargs) as f:
+            write, calls = f.write, []
+
+            def write_once(text):
+                calls.append(text)
+                if len(calls) > 1:
+                    raise RuntimeError("disk gone")
+                return write(text)
+
+            f.write = write_once
+            yield f
+
+    return failing
 
 
 def make_records(lengths, rng, spread=(0.02, 0.03)) -> list[data.TrainRecord]:

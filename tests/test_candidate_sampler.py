@@ -108,14 +108,6 @@ def test_nothing_eligible():
         sampler.sample(np.random.default_rng(1), exclude)
 
 
-def test_unusable_records_are_not_candidates():
-    records = pool(10)
-    records[3] = dataclasses.replace(records[3], missing_data=True)
-    sampler = _CandidateSampler(records, tiny_model("memory_net"), 10)
-    assert all(r is not records[3] for r in sampler.records)
-    assert len(sampler.sample(np.random.default_rng(2))) == 9
-
-
 @pytest.mark.parametrize("seed", [0, 5])
 def test_memory_candidates_are_one_seeded_draw(seed):
     records = pool(30)

@@ -1,6 +1,5 @@
 """End-to-end CLI pipeline on the synthetic fixture, plus error paths."""
 
-import contextlib
 import json
 import math
 import os
@@ -12,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import saved_extras, write_checkpoint
+from conftest import failing_after_first_write, saved_extras, write_checkpoint
 from taxidest import cli, data, fixtures, models, nncore, training
 from taxidest._atomic import atomic_open, non_utf8_error
 from taxidest.cli import main
@@ -114,6 +113,33 @@ class TestPrepare:
         assert main(args + ["--seed", "10"]) == 3
         assert (out / failing).read_bytes() == old[failing]
         assert sorted(os.listdir(out)) == sorted(old)
+
+    def test_unusable_rides_are_cached_and_change_nothing_downstream(self, tmp_path, city_csv, capsys):
+        """A MISSING_DATA ride and a ride with no points: `prepare` caches
+        them, and what it and the next commands print, the clusters and
+        the checkpoint are those of the file without them."""
+        extra = tmp_path / "extra.csv"
+        extra.write_text(
+            city_csv.read_text()
+            + 'X1,C,,,20000001,1402411128,A,True,"[[-8.61,41.14],[-8.62,41.15]]"\n'
+            + 'X2,C,,,20000001,1402411128,A,False,"[]"\n'
+        )
+        outputs = {}
+        for csv_path in (city_csv, extra):
+            run = tmp_path / csv_path.stem
+            assert main(["prepare", "--input", str(csv_path), "--out", str(run / "d"),
+                         "--val", "8", "--test", "8", "--seed", "1"]) == 0
+            assert main(["cluster", "--data", str(run / "d"), "--out", str(run / "c.csv")]) == 0
+            assert main(["train", "--data", str(run / "d"), "--clusters", str(run / "c.csv"),
+                         "--variant", "mlp_clusters", "--k", "2", "--hidden", "4", "--embedding-dim", "2",
+                         "--batch", "4", "--max-batches", "4", "--validate-every", "2", "--seed", "3",
+                         "--out", str(run / "m.ckpt")]) == 0
+            outputs[csv_path.stem] = (capsys.readouterr().out, (run / "c.csv").read_bytes(),
+                                      (run / "m.ckpt").read_bytes())
+        assert outputs["city"][0].startswith("prepared 60 records: train 44, validation 8, test 8\n")
+        assert outputs["extra"] == outputs["city"]
+        cached = data.load_records(tmp_path / "extra" / "d" / "records.bin")
+        assert [r.trip_id for r in cached[-2:]] == ["X1", "X2"] and len(cached) == 62
 
     def test_val_test_exceeding_records_fails_cleanly(self, tmp_path, city_csv):
         rc = main(
@@ -700,13 +726,19 @@ class TestEvaluate:
         assert capsys.readouterr().out == "mean_haversine_km 0.000\n"
 
     @pytest.mark.parametrize(
-        "damage",
-        [lambda e: e["model_config"].update(memory_batch=5000),  # a key of the older config layout
-         lambda e: e["model_config"].update(embedding_width=4),  # a key this version does not know
-         lambda e: e.pop("vocab")],
+        "damage, why",
+        [(lambda e: e["model_config"].update(memory_batch=5000),  # a key of the older config layout
+          "unexpected keyword argument 'memory_batch'"),
+         (lambda e: e["model_config"].update(embedding_width=4),  # a key this version does not know
+          "unexpected keyword argument 'embedding_width'"),
+         (lambda e: e.pop("vocab"), "checkpoint metadata has no 'vocab' entry"),
+         (lambda e: e["model_config"].update(memory_m=7.5), "memory_m must be an int, got 7.5"),
+         (lambda e: e["model_config"].update(k=2.0), "k must be an int, got 2.0"),
+         (lambda e: e["model_config"].update(k=True), "k must be an int, got True")],
+        ids=["older-key", "unknown-key", "no-vocab", "float-memory-m", "float-k", "bool-k"],
     )
     def test_unreadable_checkpoint_config_is_a_data_error(
-        self, trained_ckpt, prepared_dir, tmp_path, capsys, damage
+        self, trained_ckpt, prepared_dir, tmp_path, capsys, damage, why
     ):
         model = models.load_model(trained_ckpt)
         extras = saved_extras(model, tmp_path / "saved.ckpt")
@@ -715,7 +747,7 @@ class TestEvaluate:
         write_checkpoint(path, model.parameters(), extras)
         assert main(["evaluate", "--model", str(path), "--data", str(prepared_dir)]) == 2
         err = capsys.readouterr().err
-        assert str(path) in err and "internal error" not in err
+        assert err.startswith(f"taxidest evaluate: {path}: ") and why in err and "internal error" not in err
 
     @pytest.mark.parametrize(
         "edit, why",
@@ -903,7 +935,7 @@ class TestExportEmbeddings:
     def test_failed_write_keeps_old_file(self, trained_ckpt, tmp_path, monkeypatch):
         out = tmp_path / "emb.csv"
         out.write_text("old\n")
-        monkeypatch.setattr(cli, "atomic_open", _failing_after_first_write(cli.atomic_open))
+        monkeypatch.setattr(cli, "atomic_open", failing_after_first_write(cli.atomic_open))
         rc = main(["export-embeddings", "--model", str(trained_ckpt), "--table", "quarter_hour", "--out", str(out)])
         assert rc == 3
         assert out.read_text() == "old\n"
@@ -930,31 +962,11 @@ class TestFixtureCommand:
     def test_failed_write_keeps_old_file(self, tmp_path, monkeypatch):
         out = tmp_path / "city.csv"
         out.write_text("old\n")
-        monkeypatch.setattr(data, "atomic_open", _failing_after_first_write(data.atomic_open))
+        monkeypatch.setattr(data, "atomic_open", failing_after_first_write(data.atomic_open))
         with pytest.raises(RuntimeError, match="disk gone"):
             fixtures.generate_city_csv(out, 10, seed=4)
         assert out.read_text() == "old\n"
         assert os.listdir(tmp_path) == ["city.csv"]
-
-
-def _failing_after_first_write(atomic_open):
-    """``atomic_open`` whose file raises on its second write."""
-
-    @contextlib.contextmanager
-    def failing(path, mode="w", **kwargs):
-        with atomic_open(path, mode, **kwargs) as f:
-            write, calls = f.write, []
-
-            def write_once(text):
-                calls.append(text)
-                if len(calls) > 1:
-                    raise RuntimeError("disk gone")
-                return write(text)
-
-            f.write = write_once
-            yield f
-
-    return failing
 
 
 def test_atomic_open_names_the_target_not_its_temp_file(tmp_path):
@@ -1045,3 +1057,47 @@ def test_exit_status(status, argv, raises_at, tmp_path, city_csv, prepared_dir, 
     assert rc == status
     err = capsys.readouterr().err
     assert ("internal error: boom" in err) == (status == 3)
+
+
+@pytest.mark.parametrize(
+    "argv, options",
+    [
+        pytest.param(_SMALL_TRAIN + " --report {tmp}/m.ckpt", "--report and --out", id="train-report-is-out"),
+        pytest.param(_SMALL_TRAIN + " --clusters {tmp}/m.ckpt", "--out and --clusters", id="train-out-is-clusters"),
+        pytest.param(_SMALL_TRAIN + " --report {data}/splits.json", "--report and --data's splits.json",
+                     id="train-report-is-splits"),
+        pytest.param("cluster --data {data} --out {data}/records.bin", "--out and --data's records.bin",
+                     id="cluster-out-is-records"),
+        pytest.param("predict --model {ckpt} --input {csv} --out {csv}", "--out and --input", id="predict-out-is-input"),
+        pytest.param("predict --model {ckpt} --input {csv} --out {data}/../in.csv", "--out and --input",
+                     id="predict-out-resolves-to-input"),
+        pytest.param("predict --model {ckpt} --input {csv} --out {ckpt}", "--out and --model", id="predict-out-is-model"),
+        pytest.param("export-embeddings --model {ckpt} --table taxi --out {ckpt}", "--out and --model",
+                     id="export-out-is-model"),
+    ],
+)
+def test_no_command_writes_over_its_own_files(argv, options, tmp_path, city_csv, prepared_dir, trained_ckpt, capsys):
+    """An output that is one of the command's inputs, or its other output,
+    is refused before any data loads, and every file stays as it was."""
+    paths = {"csv": tmp_path / "in.csv", "data": tmp_path / "d", "ckpt": tmp_path / "m.ckpt", "tmp": tmp_path}
+    shutil.copy(city_csv, paths["csv"])
+    shutil.copytree(prepared_dir, paths["data"])
+    shutil.copy(trained_ckpt, paths["ckpt"])
+    before = {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()}
+    rc = main([arg.format(**paths) for arg in argv.split()])
+    err = capsys.readouterr().err
+    assert rc == 2 and f"{options} name the same file" in err and "internal error" not in err
+    assert {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()} == before
+
+
+@pytest.mark.parametrize(
+    "argv",
+    ["prepare --input {csv} --out {tmp}/d", _SMALL_TRAIN, "evaluate --model {ckpt} --data {data}",
+     "predict --model {ckpt} --input {csv} --out {tmp}/s.csv", "fixture --out {tmp}/f.csv"],
+    ids=lambda argv: argv.split()[0],
+)
+def test_negative_seed_names_the_option(argv, tmp_path, city_csv, prepared_dir, trained_ckpt, capsys):
+    paths = {"csv": city_csv, "data": prepared_dir, "ckpt": trained_ckpt, "tmp": tmp_path}
+    assert main([arg.format(**paths) for arg in (argv + " --seed -1").split()]) == 2
+    assert capsys.readouterr().err == f"taxidest {argv.split()[0]}: --seed=-1: must be a non-negative int\n"
+    assert os.listdir(tmp_path) == []

@@ -367,20 +367,12 @@ class TestMakePrefixExample:
         assert ex.trip_id == rec.trip_id
         np.testing.assert_array_equal(models.destinations([ex]), rec.polyline[-1:])
 
-    def test_target_of_an_empty_polyline_names_the_trip(self):
-        rec = self._record(1)
-        rec.polyline = np.empty((0, 2))
-        with pytest.raises(DataError, match=f"trip {rec.trip_id} has an empty polyline"):
-            PrefixExample(rec, 0).target
-
     def test_cut_out_of_range(self):
         rec = self._record(4)
         with pytest.raises(ValueError):
             make_prefix_example(rec, 5, 3, self.STATS, self.VOCAB)
         with pytest.raises(ValueError):
             make_prefix_example(rec, 0, 3, self.STATS, self.VOCAB)
-        with pytest.raises(ValueError, match="k must be >= 1"):
-            make_prefix_example(rec, 2, 0, self.STATS, self.VOCAB)
 
     def test_windows_always_k_and_first_point_recoverable(self):
         rng = np.random.default_rng(3)
@@ -403,12 +395,6 @@ class TestPrefixCounting:
     def test_two_records(self):
         rng = np.random.default_rng(0)
         assert PrefixSampler(make_records([1, 3], rng)).total_prefixes == 4
-
-    def test_skips_unusable(self):
-        rng = np.random.default_rng(0)
-        recs = make_records([5, 5], rng)
-        recs[0].missing_data = True
-        assert PrefixSampler(recs).total_prefixes == 5
 
 
 class TestSamplePrefix:
@@ -440,11 +426,8 @@ class TestSamplePrefix:
         assert p > 0.01
 
     def test_no_usable_records(self):
-        rng = np.random.default_rng(0)
-        recs = make_records([3], rng)
-        recs[0].missing_data = True
-        with pytest.raises(DataError):
-            PrefixSampler(recs)
+        with pytest.raises(DataError, match="^no records to sample prefixes from$"):
+            PrefixSampler([])
 
 
 def reference_sample(records, rng):
@@ -582,13 +565,12 @@ class TestFitStandardization:
     def test_equals_numpy_over_the_concatenated_points(self):
         rng = np.random.default_rng(4)
         recs = make_records([20, 35, 11, 1], rng)
-        recs[1].missing_data = True  # not usable: left out
-        pts = np.concatenate([r.polyline for r in recs if r.usable])
+        pts = np.concatenate([r.polyline for r in recs])
         before = pts.copy()
         stats = fit_standardization(recs)
         mean, std = pts.mean(axis=0), pts.std(axis=0)
         assert (stats.mean_lat, stats.mean_lon, stats.std_lat, stats.std_lon) == (*mean, *std)
-        np.testing.assert_array_equal(np.concatenate([r.polyline for r in recs if r.usable]), before)
+        np.testing.assert_array_equal(np.concatenate([r.polyline for r in recs]), before)
 
     def test_standardized_points_are_zero_mean_unit_variance(self):
         rng = np.random.default_rng(2)

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from conftest import (
+    failing_after_first_write,
     make_records,
     model_gradient_check,
     saved_extras,
@@ -20,7 +21,7 @@ from conftest import (
     tiny_vocab,
     write_checkpoint,
 )
-from taxidest import data, models, nncore
+from taxidest import _container, data, models, nncore
 from taxidest.data import DataError
 from taxidest.geo import StandardizationStats
 from taxidest.models import (
@@ -557,24 +558,10 @@ class TestCheckpoint:
             load_model(path)
         assert str(path) in str(err.value) and repr(first["name"]) in str(err.value)
 
-    def test_failed_write_keeps_old_checkpoint(self, tmp_path):
+    def test_failed_write_keeps_old_checkpoint(self, tmp_path, monkeypatch):
         model, path, raw = self._saved(tmp_path)
-
-        class Failing:
-            """Serves its value for the header, then fails mid-write."""
-
-            name = "broken"
-            reads = 0
-
-            @property
-            def value(self):
-                self.reads += 1
-                if self.reads > 1:
-                    raise RuntimeError("disk gone")
-                return np.zeros(3)
-
-        good = model.parameters()[0]
-        with pytest.raises(RuntimeError):
-            write_checkpoint(path, [good, Failing()], {})
+        monkeypatch.setattr(_container, "atomic_open", failing_after_first_write(_container.atomic_open))
+        with pytest.raises(RuntimeError, match="disk gone"):
+            save_model(tiny_model("mlp_clusters", seed=1), path)
         assert path.read_bytes() == raw
         assert os.listdir(tmp_path) == ["model.ckpt"]
