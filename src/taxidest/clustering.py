@@ -40,14 +40,19 @@ class ClusterSet:
         self.centers = np.asarray(self.centers, dtype=np.float64).reshape(-1, 2)
         if len(self.centers) < 1:
             raise ValueError("a ClusterSet needs at least one center")
-        j = first_off_earth(self.centers)
-        if j is not None:
-            raise ValueError(f"centre {j} is {tuple(self.centers[j].tolist())}; "
-                             "need finite (lat, lon) with |lat| <= 90 and |lon| <= 180")
+        _require_on_earth(self.centers, "centre")
 
     @property
     def count(self) -> int:
         return len(self.centers)
+
+
+def _require_on_earth(points: np.ndarray, what: str) -> None:
+    """Raise ValueError naming the first row of ``points`` off the Earth."""
+    j = first_off_earth(points)
+    if j is not None:
+        raise ValueError(f"{what} {j} is {tuple(points[j].tolist())}; "
+                         "need finite (lat, lon) with |lat| <= 90 and |lon| <= 180")
 
 
 @dataclass(frozen=True)
@@ -83,11 +88,14 @@ def mean_shift(points, cfg: MeanShiftConfig = MeanShiftConfig()) -> ClusterSet:
     cells half the bandwidth wide, listed in input order.  Seeds iterate
     to the flat-kernel mean of their bandwidth ball until the shift is
     exactly zero (at most ``cfg.max_iterations`` steps), so all seeds of
-    one basin land on the same mode bit-for-bit.
+    one basin land on the same mode bit-for-bit.  A point off the Earth
+    (see ``geo.first_off_earth``) raises ValueError naming it.
     """
     pts = np.asarray(points, dtype=np.float64)
     if len(pts) == 0:
         raise ValueError("mean_shift requires at least one point")
+    # The grid's cell arithmetic and the modes' dedupe need finite points.
+    _require_on_earth(pts, "point")
     # Full-bandwidth cells lost a tenth of the centres on mlp-porto's
     # destinations.  The stable sort puts each cell's first point first.
     cells = _kernels.GridIndex(pts[:, 0], pts[:, 1], cfg.bandwidth_m / 2)
@@ -107,9 +115,7 @@ def _merge_modes(modes: np.ndarray, merge_radius_m: float) -> np.ndarray:
     is checked only against the earlier groups within the merge radius,
     found through a grid with cells of the merge radius.
     """
-    uniq, first_idx, counts = np.unique(
-        modes, axis=0, return_index=True, return_inverse=False, return_counts=True
-    )
+    uniq, first_idx, _, counts = _kernels.unique_rows(modes)
     ranked = uniq[np.lexsort((first_idx, -counts))]
     grid = _kernels.GridIndex(ranked[:, 0], ranked[:, 1], merge_radius_m)
     later, earlier = [], []

@@ -370,6 +370,7 @@ class TestPreparedDirectory:
             ('[1, 8, 8]', "not a JSON object"),
             ('{"seed": 1, "validation": 8}', "no 'test' key"),
             ('{"seed": true, "validation": 8, "test": 8}', "'seed' is not a non-negative int"),
+            ('{"seed": -1, "validation": 8, "test": 8}', "'seed' is not a non-negative int"),
             ('{"seed": 1, "validation": -1, "test": 8}', "'validation' is not a non-negative int"),
             ('{"seed": 1, "validation": 8, "test": 8.0}', "'test' is not a non-negative int"),
             ('{"seed": 1,\r"validation": \udcff8, "test": 8}', "line 2: byte 0xff is not UTF-8"),

@@ -215,6 +215,14 @@ class TestMeanShift:
         assert len(seen) == 1 and 1 < len(want) < len(pts)
         assert_bit_identical(seen[0], want)
 
+    @pytest.mark.parametrize("bad", [[math.nan, -8.6], [41.1, math.inf], [95.0, -8.6]])
+    def test_point_off_the_earth_rejected(self, bad):
+        # Rejected before any grid arithmetic: filterwarnings = error turns
+        # a numpy cast warning on the way into a failure.
+        pts = np.array([[41.1, -8.6], bad, [41.2, -8.6]])
+        with pytest.raises(ValueError, match=rf"point 1 is \({bad[0]}, {bad[1]}\); need finite"):
+            mean_shift(pts)
+
     def test_seed_count_bounded_by_area(self, monkeypatch):
         # 250 m cells over a 1 km square: at most 4 + 2 cells per axis
         # whatever the alignment, however many points.
@@ -243,6 +251,35 @@ class TestKernels:
             ball = pts[d_phi * d_phi + d_lam * d_lam <= (bandwidth / R) ** 2]
             assert len(ball) > 0
             np.testing.assert_allclose(m, ball.mean(axis=0), rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("sizes", [list(range(1, 11)), list(range(126, 131)), [257], [5000]])
+    def test_ball_means_reduce_each_ball_alone(self, sizes):
+        # Balls of sizes on both sides of numpy's 8-lane and 128-element
+        # pairwise-sum blocks, each a 60 m square 5 km from the next and
+        # positioned at its first point; the last position has an empty ball.
+        rng = np.random.default_rng(sum(sizes))
+        balls = [meters_to_latlon(rng.uniform(-30, 30, n) + 5000 * i, rng.uniform(-30, 30, n))
+                 for i, n in enumerate(sizes)]
+        pts = np.concatenate(balls)
+        here = np.array([ball[0] for ball in balls] + [[40.0, -8.61]])
+        grid = _kernels.GridIndex(pts[:, 0], pts[:, 1], 500.0)
+        means, found = _kernels._ball_means(grid, _kernels._sorted_points(grid), here, (500.0 / R) ** 2)
+        np.testing.assert_array_equal(found, [True] * len(sizes) + [False])
+        ball_of = np.repeat(np.arange(len(sizes)), sizes)[grid.order]
+        for i, n in enumerate(sizes):
+            members = grid.order[ball_of == i]  # in the order the kernel lists them
+            want = [np.add.reduce(pts[members, axis]) / n for axis in (0, 1)]
+            assert_bit_identical(means[i], np.array(want))
+
+    def test_unique_rows_match_unique_along_axis_0(self):
+        rng = np.random.default_rng(22)
+        rows = rng.integers(-3, 4, (400, 2)) * np.array([0.25, 1.5]) + np.array([41.1, -8.6])
+        want = np.unique(rows, axis=0, return_index=True, return_inverse=True, return_counts=True)
+        got = _kernels.unique_rows(rows)
+        assert len(got[0]) < len(rows) / 4
+        assert_bit_identical(got[0], want[0])
+        for g, w in zip(got[1:], want[1:]):
+            np.testing.assert_array_equal(g, w.ravel())
 
     def test_scatter_add_matches_loop(self):
         rng = np.random.default_rng(9)

@@ -74,10 +74,12 @@ class TestParseCsv:
         assert e.value.line == 2
         assert e.value.column == "POLYLINE"
 
-    def test_bad_call_type(self):
+    @pytest.mark.parametrize("call_type", ["X", "a"])
+    def test_bad_call_type(self, call_type):
         with pytest.raises(CsvParseError) as e:
-            parse_rows('1,X,,,1,0,A,False,"[]"\n')
+            parse_rows(f'1,{call_type},,,1,0,A,False,"[]"\n')
         assert e.value.column == "CALL_TYPE"
+        assert f"unknown call type {call_type!r}" in str(e.value)
 
     def test_missing_column(self):
         with pytest.raises(CsvParseError):
